@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import audits, lattices, schubert, verify
 from .engine import (
     SUPPORTED_PAIRS,
     ClassificationEngine,
-    DerivationTrace,
     IncompleteLedgerError,
     Query,
     Verdict,
 )
-from .ledger import load_ledger
+from .ledger import LedgerFormatError, load_ledger
 from .report import envelope, to_json
 
 EXIT_OK = 0
@@ -44,36 +43,6 @@ def _engine_for(args: argparse.Namespace) -> ClassificationEngine:
     return ClassificationEngine(ledger)
 
 
-def _trace_citations(engine: ClassificationEngine, trace: DerivationTrace) -> list[dict]:
-    seen = []
-    for node in trace.steps():
-        if node.entry_id is None or any(c["entry"] == node.entry_id for c in seen):
-            continue
-        entry = engine.ledger.get(node.entry_id)
-        seen.append(
-            {
-                "entry": entry.id,
-                "tag": entry.tag,
-                "citation": entry.citation,
-                "quote": entry.quote,
-            }
-        )
-    return seen
-
-
-def _render_trace_text(engine: ClassificationEngine, trace: DerivationTrace) -> list[str]:
-    lines = []
-    for depth, node in enumerate(trace.steps()):
-        indent = "  " * (depth + 1)
-        r, n, d, g = node.case
-        if node.rule == "ledger":
-            entry = engine.ledger.get(node.entry_id)
-            lines.append(f"{indent}({r},{n},{d},{g})  base [{entry.id}] {entry.citation}")
-        else:
-            lines.append(f"{indent}({r},{n},{d},{g})  {node.rule}")
-    return lines
-
-
 def _verdict_payload(engine: ClassificationEngine, q: Query, verdict: Verdict) -> dict:
     payload: dict = {
         "query": {"r": q.r, "n": q.n, "d": q.d, "g": q.g},
@@ -90,16 +59,44 @@ def _verdict_payload(engine: ClassificationEngine, q: Query, verdict: Verdict) -
             "note": desc.note,
         }
     else:
+        # a derivation is a path: its one ledger entry is at the leaf
+        entry = engine.ledger.get(verdict.trace.segments[-1].entry_id)
         payload["trace"] = verdict.trace.to_payload()
-        payload["citations"] = _trace_citations(engine, verdict.trace)
+        payload["citations"] = [
+            {"entry": entry.id, "tag": entry.tag, "citation": entry.citation, "quote": entry.quote}
+        ]
     return payload
 
 
-def _emit(args: argparse.Namespace, command: str, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
-        sys.stdout.write(to_json(envelope(command, payload)))
+def _verdict_text(engine: ClassificationEngine, q: Query, verdict: Verdict) -> str:
+    lines = [f"query: r={q.r} n={q.n} d={q.d} g={q.g}", f"verdict: {verdict.status}"]
+    if verdict.status == "invalid":
+        lines.append(f"reason: {verdict.reason}")
+    elif verdict.status == "exceptional":
+        lines.append(f"intersection: {verdict.descriptor.description}")
+        lines.append(f"audit: {verdict.descriptor.audit_case}")
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        lines.append("trace:")
+        for depth, node in enumerate(verdict.trace.steps()):
+            indent = "  " * (depth + 1)
+            r, n, d, g = node.case
+            if node.rule == "ledger":
+                entry = engine.ledger.get(node.entry_id)
+                lines.append(f"{indent}({r},{n},{d},{g})  base [{entry.id}] {entry.citation}")
+            else:
+                lines.append(f"{indent}({r},{n},{d},{g})  {node.rule}")
+    return "\n".join(lines)
+
+
+def _emit(
+    args: argparse.Namespace, command: str, payload: Callable[[], dict], text: Callable[[], str]
+) -> None:
+    """Build and write only the requested format: JSON with --json, else text."""
+    if getattr(args, "json", False):
+        sys.stdout.write(to_json(envelope(command, payload())))
+    else:
+        out = text()
+        sys.stdout.write(out if out.endswith("\n") else out + "\n")
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -113,22 +110,13 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     except IncompleteLedgerError as exc:
         print(f"incomplete ledger: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    payload = _verdict_payload(engine, q, verdict)
-    lines = [f"query: r={q.r} n={q.n} d={q.d} g={q.g}", f"verdict: {verdict.status}"]
-    if verdict.status == "invalid":
-        lines.append(f"reason: {verdict.reason}")
-    elif verdict.status == "exceptional":
-        lines.append(f"intersection: {verdict.descriptor.description}")
-        lines.append(f"audit: {verdict.descriptor.audit_case}")
-    else:
-        lines.append("trace:")
-        lines.extend(_render_trace_text(engine, verdict.trace))
-    _emit(args, "classify", payload, "\n".join(lines))
+    _emit(
+        args,
+        "classify",
+        lambda: _verdict_payload(engine, q, verdict),
+        lambda: _verdict_text(engine, q, verdict),
+    )
     return EXIT_INVALID if verdict.status == "invalid" else EXIT_OK
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    return _cmd_classify(args)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -139,15 +127,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if (args.r, args.n) not in SUPPORTED_PAIRS:
         print(f"unsupported pair (r, n) = ({args.r}, {args.n})", file=sys.stderr)
         return EXIT_INVALID
-    codes = {"general": "G", "exceptional": "E", "invalid": "."}
-    grid = []
     try:
-        for g in range(0, args.g_max + 1):
-            row = "".join(
-                codes[engine.classify(Query(args.r, args.n, d, g)).status]
-                for d in range(1, args.d_max + 1)
-            )
-            grid.append({"g": g, "row": row})
+        rows = engine.grid(args.r, args.n, args.d_max, args.g_max)
     except IncompleteLedgerError as exc:
         print(f"incomplete ledger: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
@@ -158,19 +139,23 @@ def _cmd_table(args: argparse.Namespace) -> int:
         "d_max": args.d_max,
         "g_max": args.g_max,
         "legend": {"G": "general", "E": "exceptional", ".": "invalid"},
-        "grid": grid,
+        "grid": [{"g": g, "row": row} for g, row in enumerate(rows)],
         "frontier": [list(pair) for pair in frontier],
     }
-    lines = [
-        f"verdicts for r={args.r} n={args.n}, d = 1..{args.d_max} per row, g = 0..{args.g_max}",
-        "legend: G general, E exceptional, . invalid",
-    ]
-    lines.extend(f"g={row['g']:>3} {row['row']}" for row in grid)
-    lines.append("frontier (minimal construction seeds, ordered by genus):")
-    lines.append(
-        "  " + ", ".join(f"({d}, {g})" for d, g in frontier) if frontier else "  (none)"
-    )
-    _emit(args, "table", payload, "\n".join(lines))
+
+    def text() -> str:
+        lines = [
+            f"verdicts for r={args.r} n={args.n}, d = 1..{args.d_max} per row, g = 0..{args.g_max}",
+            "legend: G general, E exceptional, . invalid",
+        ]
+        lines.extend(f"g={g:>3} {row}" for g, row in enumerate(rows))
+        lines.append("frontier (minimal construction seeds, ordered by genus):")
+        lines.append(
+            "  " + ", ".join(f"({d}, {g})" for d, g in frontier) if frontier else "  (none)"
+        )
+        return "\n".join(lines)
+
+    _emit(args, "table", lambda: payload, text)
     return EXIT_OK
 
 
@@ -240,7 +225,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         return EXIT_INVALID
     payload = {"audits": [_audit_payload(rep) for rep in reports]}
     text = "\n".join(_audit_text(rep) for rep in reports)
-    _emit(args, "audit", payload, text)
+    _emit(args, "audit", lambda: payload, lambda: text)
     return EXIT_OK
 
 
@@ -277,7 +262,7 @@ def _cmd_schubert(args: argparse.Namespace) -> int:
         f"product in G(1,{args.n}): {rendered}\n"
         f"point-class coefficient: {schubert.top_degree(product)}"
     )
-    _emit(args, "schubert", payload, text)
+    _emit(args, "schubert", lambda: payload, lambda: text)
     return EXIT_OK
 
 
@@ -299,7 +284,7 @@ def _cmd_lines(args: argparse.Namespace) -> int:
     }
     text_lines = [f"{len(line_classes)} lines on the blowup of the plane at {args.k} points"]
     text_lines.extend(lattices.format_class(S, c) for c in line_classes)
-    _emit(args, "lines", payload, "\n".join(text_lines))
+    _emit(args, "lines", lambda: payload, lambda: "\n".join(text_lines))
     return EXIT_OK
 
 
@@ -320,7 +305,7 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     lines.append(
         f"{len(results)} checks: {payload['passed']} passed, {payload['failed']} failed"
     )
-    _emit(args, "verify-all", payload, "\n".join(lines))
+    _emit(args, "verify-all", lambda: payload, lambda: "\n".join(lines))
     return EXIT_OK if payload["failed"] == 0 else EXIT_VERIFICATION
 
 
@@ -351,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser("trace", help="classify and print the derivation trace")
     add_query_flags(p_trace)
-    p_trace.set_defaults(func=_cmd_trace)
+    p_trace.set_defaults(func=_cmd_classify)
 
     p_table = sub.add_parser("table", help="verdict grid and frontier for one (r, n)")
     p_table.add_argument("--r", type=int, required=True)
@@ -397,7 +382,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, LedgerFormatError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 

@@ -6,8 +6,8 @@ Only five pairs (r, n) admit an affirmative answer outside finitely many
 (d, g): plane sections by lines and conics, space sections by planes and
 quadrics, and hyperplane sections in P^4.  The engine classifies a query as
 Invalid, Exceptional (one of the ten known counterexamples) or General, and
-in the last case emits a derivation trace: a finite tree of rule
-applications whose leaves are cited ledger axioms.
+in the last case emits a derivation trace: a path of rule applications
+ending in a cited ledger axiom.
 
 Rules mirror the inductive structure of the underlying argument:
 
@@ -25,7 +25,7 @@ Rules mirror the inductive structure of the underlying argument:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .ledger import (
     AUXILIARY_TAGS,
@@ -50,6 +50,10 @@ EXCEPTIONAL_PAIRS: dict[tuple[int, int], frozenset[tuple[int, int]]] = {
 
 #: Attached-curve invariants of the canonical-curve rule per ambient r.
 CANONICAL_STEP = {3: (6, 8), 4: (8, 10)}
+
+#: Three skew lines in P^4: an auxiliary base, out of domain, that the
+#: canonical step from (11, 8) may land on.
+SKEW_LINES = (4, 1, 3, -2)
 
 RULE_ADD_LINE = "add_line"
 RULE_ADD_CANONICAL = "add_canonical"
@@ -90,59 +94,80 @@ class ExceptionalDescriptor:
     note: Optional[str] = None
 
 
-@dataclass(frozen=True, eq=False)
-class DerivationTrace:
-    """A node of the derivation tree; leaves carry their ledger entry id.
+def _run_delta(rule: str, r: int) -> Optional[tuple[int, int]]:
+    """Degree and genus drop of one step of a rule that can repeat, else None."""
+    if rule == RULE_ADD_CANONICAL:
+        return CANONICAL_STEP.get(r)
+    return (1, 0) if rule == RULE_ADD_LINE else None
 
-    Every rule has exactly one premise, so a derivation is a path from the
-    queried case down to a ledger leaf.  All walks below are iterative
-    (including equality): chains can be thousands of steps long within the
-    documented bounds.
+
+class Segment(NamedTuple):
+    """``repeat`` steps of one rule from ``case``, each resting on the next.
+
+    Only ``add_line`` and ``add_canonical`` repeat; leaves carry an entry id.
     """
 
     case: tuple[int, int, int, int]
     rule: str
-    children: tuple["DerivationTrace", ...] = ()
+    repeat: int = 1
     entry_id: Optional[str] = None
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DerivationTrace):
-            return NotImplemented
-        stack = [(self, other)]
-        while stack:
-            a, b = stack.pop()
-            if (a.case, a.rule, a.entry_id, len(a.children)) != (
-                b.case,
-                b.rule,
-                b.entry_id,
-                len(b.children),
-            ):
-                return False
-            stack.extend(zip(a.children, b.children))
-        return True
+    def at(self, i: int) -> tuple[int, int, int, int]:
+        """The case of step i; i = repeat is the premise below a run."""
+        r, n, d, g = self.case
+        dd, dg = _run_delta(self.rule, r) or (0, 0)
+        return (r, n, d - i * dd, g - i * dg)
 
-    def __hash__(self) -> int:
-        return hash((self.case, self.rule, self.entry_id, len(self.children)))
+    def premise(self) -> Optional[tuple[int, int, int, int]]:
+        """The case the segment rests on; None for a ledger leaf."""
+        if self.rule == RULE_DOWNGRADE:
+            return (3, 2) + self.case[2:]
+        return self.at(self.repeat) if self.rule in (RULE_ADD_LINE, RULE_ADD_CANONICAL) else None
 
-    def steps(self) -> list["DerivationTrace"]:
-        """The nodes from root to leaf."""
-        out = [self]
-        node = self
-        while node.children:
-            if len(node.children) != 1:
-                raise ValueError(f"{node.case}: a derivation step has one premise")
-            node = node.children[0]
-            out.append(node)
-        return out
 
-    def leaf(self) -> "DerivationTrace":
-        return self.steps()[-1]
+def _extend(segments: list[Segment], seg: Segment) -> None:
+    """Append a segment, merging it into the last one if it continues that run."""
+    last = segments[-1] if segments else None
+    if (
+        last
+        and last.rule == seg.rule
+        and seg.rule in (RULE_ADD_LINE, RULE_ADD_CANONICAL)
+        and last.entry_id == seg.entry_id
+        and last.premise() == seg.case
+    ):
+        segments[-1] = last._replace(repeat=last.repeat + seg.repeat)
+    else:
+        segments.append(seg)
+
+
+@dataclass(frozen=True)
+class DerivationTrace:
+    """A derivation: the path from the queried case down to a ledger leaf.
+
+    Every rule has exactly one premise, so a derivation is a path, stored as
+    maximal runs of one rule: O(g / 8) segments however large d is.
+    """
+
+    segments: tuple[Segment, ...]
+
+    def __post_init__(self) -> None:
+        if not self.segments:
+            raise ValueError("a derivation has at least one step")
+
+    def steps(self) -> list[Segment]:
+        """The single steps from root to leaf."""
+        return [
+            Segment(seg.at(i), seg.rule, 1, seg.entry_id)
+            for seg in self.segments
+            for i in range(seg.repeat)
+        ]
 
     def to_payload(self) -> list[dict]:
         """Flat root-to-leaf list; keeps JSON nesting depth constant."""
         return [
-            {"case": list(node.case), "rule": node.rule, "entry": node.entry_id}
-            for node in self.steps()
+            {"case": list(seg.at(i)), "rule": seg.rule, "entry": seg.entry_id}
+            for seg in self.segments
+            for i in range(seg.repeat)
         ]
 
 
@@ -150,15 +175,10 @@ def trace_from_payload(payload: list[dict]) -> DerivationTrace:
     """Rebuild a trace from its JSON form (for re-validation round trips)."""
     if not payload:
         raise ValueError("empty trace payload")
-    trace: Optional[DerivationTrace] = None
-    for record in reversed(payload):
-        trace = DerivationTrace(
-            case=tuple(record["case"]),
-            rule=record["rule"],
-            entry_id=record.get("entry"),
-            children=() if trace is None else (trace,),
-        )
-    return trace
+    segments: list[Segment] = []
+    for record in payload:
+        _extend(segments, Segment(tuple(record["case"]), record["rule"], 1, record.get("entry")))
+    return DerivationTrace(tuple(segments))
 
 
 @dataclass(frozen=True)
@@ -183,64 +203,38 @@ class Verdict:
         return cls(status="exceptional", descriptor=descriptor)
 
 
+#: Each exceptional case is its own audit case.
 DESCRIPTORS: dict[tuple[int, int, int, int], ExceptionalDescriptor] = {
-    (3, 2, 4, 1): ExceptionalDescriptor(
-        (3, 2, 4, 1),
-        "the intersection of two general curves of bidegree (2, 2)",
-        (3, 2, 4, 1),
-    ),
-    (3, 2, 5, 2): ExceptionalDescriptor(
-        (3, 2, 5, 2),
-        "a general collection of 10 points on a curve of bidegree (2, 2)",
-        (3, 2, 5, 2),
-    ),
-    (3, 2, 6, 2): ExceptionalDescriptor(
-        (3, 2, 6, 2),
-        "a general collection of 12 points on a two-nodal curve of bidegree (3, 3), "
-        "linearly equivalent to the (2, 2) class on the normalization",
-        (3, 2, 6, 2),
-    ),
-    (3, 2, 6, 4): ExceptionalDescriptor(
-        (3, 2, 6, 4),
-        "the intersection of two general curves of bidegrees (2, 2) and (3, 3)",
-        (3, 2, 6, 4),
-    ),
-    (3, 2, 7, 5): ExceptionalDescriptor(
-        (3, 2, 7, 5),
-        "14 points on a curve of bidegree (3, 3) whose sum, minus the (2, 2) class, "
-        "is effective",
-        (3, 2, 7, 5),
-    ),
-    (3, 2, 8, 6): ExceptionalDescriptor(
-        (3, 2, 8, 6),
-        "a general collection of 16 points on a curve of bidegree (3, 3)",
-        (3, 2, 8, 6),
-    ),
-    (3, 1, 6, 4): ExceptionalDescriptor(
-        (3, 1, 6, 4),
-        "a general collection of 6 points on a conic",
-        (3, 1, 6, 4),
-    ),
-    (4, 1, 8, 5): ExceptionalDescriptor(
-        (4, 1, 8, 5),
-        "the intersection of three general quadrics",
-        (4, 1, 8, 5),
-    ),
-    (4, 1, 9, 6): ExceptionalDescriptor(
-        (4, 1, 9, 6),
-        "a general collection of 9 points on an elliptic normal curve of degree 4",
-        (4, 1, 9, 6),
-    ),
-    (4, 1, 10, 7): ExceptionalDescriptor(
-        (4, 1, 10, 7),
-        "a general collection of 10 points on a quadric",
-        (4, 1, 10, 7),
-        note=(
+    case: ExceptionalDescriptor(case, description, case, *note)
+    for case, description, *note in (
+        ((3, 2, 4, 1), "the intersection of two general curves of bidegree (2, 2)"),
+        ((3, 2, 5, 2), "a general collection of 10 points on a curve of bidegree (2, 2)"),
+        (
+            (3, 2, 6, 2),
+            "a general collection of 12 points on a two-nodal curve of bidegree (3, 3), "
+            "linearly equivalent to the (2, 2) class on the normalization",
+        ),
+        ((3, 2, 6, 4), "the intersection of two general curves of bidegrees (2, 2) and (3, 3)"),
+        (
+            (3, 2, 7, 5),
+            "14 points on a curve of bidegree (3, 3) whose sum, minus the (2, 2) class, "
+            "is effective",
+        ),
+        ((3, 2, 8, 6), "a general collection of 16 points on a curve of bidegree (3, 3)"),
+        ((3, 1, 6, 4), "a general collection of 6 points on a conic"),
+        ((4, 1, 8, 5), "the intersection of three general quadrics"),
+        (
+            (4, 1, 9, 6),
+            "a general collection of 9 points on an elliptic normal curve of degree 4",
+        ),
+        (
+            (4, 1, 10, 7),
+            "a general collection of 10 points on a quadric",
             "the 10-points-on-a-quadric description accompanies the label (8, 5) in "
             "the theorem statement; it is assigned to (10, 7) here, matching the "
-            "theorem's exceptional list and the 10-point count"
+            "theorem's exceptional list and the 10-point count",
         ),
-    ),
+    )
 }
 
 
@@ -305,24 +299,42 @@ def side_condition_check(entry: LedgerEntry) -> SideConditionReport:
     return SideConditionReport(entry_id=entry.id, rows=rows)
 
 
+def _domain_floor(r: int, g: int) -> int:
+    """The least d with rho(d, g, r) >= 0, for r >= 2 and g >= 0."""
+    return -(-r * (g + r + 1) // (r + 1))
+
+
 def in_domain(r: int, d: int, g: int) -> bool:
     """r >= 2, d >= 1, g >= 0 and rho(d, g, r) >= 0: a general such curve exists."""
-    if r < 2 or d < 1 or g < 0:
-        return False
-    return rho(BNIndex(r, d, g)) >= 0
+    return r >= 2 and g >= 0 and d >= _domain_floor(r, g)
+
+
+def admissible_floor(r: int, n: int, g: int) -> Optional[int]:
+    """The least d with (r, n, d, g) in domain and not exceptional, if any.
+
+    Every exceptional (d, g) sits at the bottom of its genus column, so the
+    admissible degrees are exactly those from this floor up.
+    """
+    if r < 2 or g < 0:
+        return None
+    d = _domain_floor(r, g)
+    while (d, g) in EXCEPTIONAL_PAIRS.get((r, n), ()):
+        d += 1
+    return d
 
 
 class ClassificationEngine:
     """Deterministic classifier over an immutable ledger.
 
-    Rule order is add_line, add_canonical, downgrade, ledger; derivations are
-    memoized per engine so equal queries give identical traces and sweeps are
-    cheap.
+    Rule order is add_line, add_canonical, downgrade, ledger.  As add_line
+    comes first, the derivable degrees of (3, 2) and (4, 1) at genus g are
+    [f(g), inf): a derivation is an add_line run down to f(g), then the step
+    deriving f(g), computed once per genus, which recurses only in genus.
     """
 
     def __init__(self, ledger: Optional[Ledger] = None) -> None:
         self.ledger = ledger if ledger is not None else load_ledger()
-        self._memo: dict[tuple[int, int, int, int], Optional[DerivationTrace]] = {}
+        self._thresholds: dict[tuple[int, int], dict[int, Optional[Segment]]] = {}
 
     # -- domain predicates -------------------------------------------------
 
@@ -350,81 +362,97 @@ class ClassificationEngine:
             )
         if self.is_exceptional(q.r, q.n, q.d, q.g):
             return Verdict.exceptional(DESCRIPTORS[q.case()])
-        trace = self._derive(q.r, q.n, q.d, q.g)
-        if trace is None:
-            raise IncompleteLedgerError(q.case())
-        return Verdict.general(trace)
+        segments: list[Segment] = []
+        step = self._first_step(*q.case())
+        while step is not None:
+            _extend(segments, step)
+            case = step.premise()
+            if case is None:
+                return Verdict.general(DerivationTrace(tuple(segments)))
+            step = self._first_step(*case)
+        raise IncompleteLedgerError(q.case())
 
-    def _derive(self, r: int, n: int, d: int, g: int) -> Optional[DerivationTrace]:
-        # Iterative worklist instead of recursion: add-line chains are as
-        # long as the degree, which within the documented bounds (10^4)
-        # would overflow the interpreter stack.
-        root = (r, n, d, g)
-        stack = [root]
-        while stack:
-            key = stack[-1]
-            if key in self._memo:
-                stack.pop()
-                continue
-            outcome, pending = self._derivation_step(key)
-            if pending is not None:
-                stack.append(pending)
-                continue
-            self._memo[key] = outcome
-            stack.pop()
-        return self._memo[root]
+    def _first_step(self, r: int, n: int, d: int, g: int) -> Optional[Segment]:
+        """The first segment of the derivation of an admissible case, if any."""
+        threshold = self._threshold(r, n, g)
+        if threshold is not None and d >= threshold.case[2]:
+            if (r, n) == (3, 1):
+                return Segment((r, n, d, g), RULE_DOWNGRADE)
+            if d > threshold.case[2]:
+                return Segment((r, n, d, g), RULE_ADD_LINE, d - threshold.case[2])
+            return threshold
+        entry = self._leaf(r, n, d, g)
+        return entry and Segment((r, n, d, g), RULE_LEDGER, 1, entry.id)
 
-    def _derivation_step(
-        self, key: tuple[int, int, int, int]
-    ) -> tuple[Optional[DerivationTrace], Optional[tuple[int, int, int, int]]]:
-        """Try the rules for one case in order.
-
-        Returns (trace_or_None, None) once the case is decided, or
-        (None, premise_key) when a premise must be derived first; the caller
-        re-runs the step after the premise is memoized.
-        """
-        r, n, d, g = key
-        if (r, n) in ((3, 2), (4, 1)):
-            # add_line: premise (d - 1, g).
-            pd, pg = d - 1, g
-            if in_domain(r, pd, pg) and not self.is_exceptional(r, n, pd, pg):
-                pkey = (r, n, pd, pg)
-                if pkey not in self._memo:
-                    return None, pkey
-                child = self._memo[pkey]
-                if child is not None:
-                    return DerivationTrace(key, RULE_ADD_LINE, (child,)), None
-            # add_canonical: premise (d - 6, g - 8) or (d - 8, g - 10).
-            dd, dg = CANONICAL_STEP[r]
-            pd, pg = d - dd, g - dg
-            if r == 4 and (pd, pg) == (3, -2):
-                entry = self.ledger.lookup(4, 1, 3, -2)
-                if entry is not None and entry.rho_exempt:
-                    leaf = DerivationTrace((4, 1, 3, -2), RULE_LEDGER, entry_id=entry.id)
-                    return DerivationTrace(key, RULE_ADD_CANONICAL, (leaf,)), None
-            elif in_domain(r, pd, pg) and not self.is_exceptional(r, n, pd, pg):
-                pkey = (r, n, pd, pg)
-                if pkey not in self._memo:
-                    return None, pkey
-                child = self._memo[pkey]
-                if child is not None:
-                    return DerivationTrace(key, RULE_ADD_CANONICAL, (child,)), None
-        if (r, n) == (3, 1):
-            # downgrade: vanishing for the quadric section implies it for the
-            # plane section at the same (d, g).
-            if not self.is_exceptional(3, 2, d, g):
-                pkey = (3, 2, d, g)
-                if pkey not in self._memo:
-                    return None, pkey
-                child = self._memo[pkey]
-                if child is not None:
-                    return DerivationTrace(key, RULE_DOWNGRADE, (child,)), None
+    def _leaf(self, r: int, n: int, d: int, g: int) -> Optional[LedgerEntry]:
+        """The ledger entry a case may rest on directly.  Auxiliary bases serve
+        only as premises below genus 0, where no query or sweep reaches."""
         entry = self.ledger.lookup(r, n, d, g)
-        if entry is not None and entry.tag not in AUXILIARY_TAGS:
-            return DerivationTrace(key, RULE_LEDGER, entry_id=entry.id), None
-        return None, None
+        return entry if entry is not None and (entry.tag not in AUXILIARY_TAGS or g < 0) else None
+
+    def _threshold(self, r: int, n: int, g: int) -> Optional[Segment]:
+        """The step deriving f(g); None if nothing at genus g is derivable.
+
+        f(g) is the least of add_canonical at max(a(g), f(g - dg) + dd), the
+        skew-lines step at (11, 8) in P^4 and the lowest ledger leaf from a(g)
+        up; add_canonical, tried first, wins a tie.  (3, 1) downgrades onto
+        the thresholds of (3, 2); the plane pairs have none.
+        """
+        r, n = (3, 2) if (r, n) == (3, 1) else (r, n)
+        if r not in CANONICAL_STEP or g < 0:
+            return None
+        column = self._thresholds.setdefault((r, n), {})
+        if g not in column:
+            dd, dg = CANONICAL_STEP[r]
+            h = g
+            while h >= 0 and h not in column:  # down to the last genus computed
+                h -= dg
+            for h in range(h + dg, g + 1, dg):
+                floor, below = admissible_floor(r, n, h), column.get(h - dg)
+                canonical = None if below is None else max(floor, below.case[2] + dd)
+                skew = (r, n, SKEW_LINES[2], h - dg) == SKEW_LINES and self.ledger.lookup(*SKEW_LINES)
+                if skew and skew.rho_exempt:
+                    canonical = SKEW_LINES[2] + dd
+                step = self._lowest_leaf(r, n, h, floor)
+                if canonical is not None and (step is None or canonical <= step.case[2]):
+                    step = Segment((r, n, canonical, h), RULE_ADD_CANONICAL)
+                column[h] = step
+        return column[g]
+
+    def _lowest_leaf(self, r: int, n: int, g: int, lo: int) -> Optional[Segment]:
+        """The ledger leaf of least degree >= lo at genus g; past the exact
+        entries only a wildcard matches, so the search ends one beyond them."""
+        for d in range(lo, max(lo, self.ledger.exact_ceiling(r, n, g)) + 1):
+            entry = self._leaf(r, n, d, g)
+            if entry is not None:
+                return Segment((r, n, d, g), RULE_LEDGER, 1, entry.id)
+        return None
 
     # -- sweeps --------------------------------------------------------------
+
+    def _row(self, r: int, n: int, g: int, d_max: int) -> str:
+        """Grid codes for d = 1..d_max at genus g, '?' if admissible but
+        underivable.  Only degrees below both the threshold and, with a leaf
+        wildcard, the exact ledger entries are looked up one by one."""
+        low, floor = _domain_floor(r, g), admissible_floor(r, n, g)
+        threshold = self._threshold(r, n, g)
+        top = d_max + 1 if threshold is None else min(threshold.case[2], d_max + 1)
+        beyond = max(floor, self.ledger.exact_ceiling(r, n, g))
+        if beyond < top and self._leaf(r, n, beyond, g):
+            top = beyond
+        band = "".join("G" if self._leaf(r, n, d, g) else "?" for d in range(floor, top))
+        row = "." * (low - 1) + "E" * (floor - low) + band + "G" * (d_max + 1 - top)
+        return row[: max(d_max, 0)]
+
+    def grid(self, r: int, n: int, d_max: int, g_max: int) -> list[str]:
+        """Verdict rows for g = 0..g_max, one character per d = 1..d_max:
+        G general, E exceptional, . invalid.  Raises IncompleteLedgerError
+        for the first underivable case, by genus then degree."""
+        rows = [self._row(r, n, g, d_max) for g in range(0, g_max + 1)]
+        for g, row in enumerate(rows):
+            if "?" in row:
+                raise IncompleteLedgerError((r, n, row.index("?") + 1, g))
+        return rows
 
     def completeness_audit(
         self, r: int, n: int, d_max: int, g_max: int
@@ -436,126 +464,95 @@ class ClassificationEngine:
         """
         if (r, n) not in SUPPORTED_PAIRS:
             raise ValueError(f"unsupported pair ({r}, {n})")
-        missing = []
-        for g in range(0, g_max + 1):
-            for d in range(1, d_max + 1):
-                if not in_domain(r, d, g):
-                    continue
-                if self.is_exceptional(r, n, d, g):
-                    continue
-                if self._derive(r, n, d, g) is None:
-                    missing.append((d, g))
-        return missing
-
-    def minimal_degree_cases(self, r: int, n: int, g: int) -> list[int]:
-        """Degrees d where (d, g) is in-domain and non-exceptional but the
-        add-line premise (d - 1, g) is out of domain or exceptional."""
-        exceptional = EXCEPTIONAL_PAIRS[(r, n)]
-        d_min = 1
-        while not in_domain(r, d_min, g):
-            d_min += 1
-        candidates = set()
-        if (d_min, g) not in exceptional:
-            candidates.add(d_min)
-        for (e, eg) in exceptional:
-            if eg != g:
-                continue
-            d = e + 1
-            while (d, g) in exceptional:
-                d += 1
-            if in_domain(r, d, g):
-                candidates.add(d)
-        return sorted(candidates)
+        return [
+            (d, g)
+            for g in range(0, g_max + 1)
+            for d, code in enumerate(self._row(r, n, g, d_max), start=1)
+            if code == "?"
+        ]
 
     def frontier(self, r: int, n: int, g_max: int) -> list[tuple[int, int]]:
         """Minimal-degree cases that must be seeded by a geometric construction.
 
-        For each genus up to g_max, the minimal-degree in-domain
-        non-exceptional pairs whose derivation bottoms out immediately in a
-        constructive ledger axiom; pairs the engine instead reaches by a rule
-        application or a numeric-gate base are not frontier cases.  Ordered
-        by (g, d).
+        For each genus up to g_max, the least admissible degree if its
+        derivation is a single constructive ledger axiom; cases reached by a
+        rule or a numeric-gate base are not frontier cases.  Ordered by genus.
         """
         if (r, n) not in SUPPORTED_PAIRS:
             raise ValueError(f"unsupported pair ({r}, {n})")
         out = []
         for g in range(0, g_max + 1):
-            for d in self.minimal_degree_cases(r, n, g):
-                trace = self._derive(r, n, d, g)
-                if trace is None or trace.rule != RULE_LEDGER:
-                    continue
-                entry = self.ledger.get(trace.entry_id)
-                if entry.tag in CONSTRUCTIVE_TAGS:
+            d = admissible_floor(r, n, g)
+            step = self._first_step(r, n, d, g)
+            if step and step.rule == RULE_LEDGER:
+                if self.ledger.get(step.entry_id).tag in CONSTRUCTIVE_TAGS:
                     out.append((d, g))
         return out
 
     # -- trace validation ----------------------------------------------------
 
     def validate_trace(self, trace: DerivationTrace) -> list[str]:
-        """Replay a trace bottom-up; returns the list of soundness violations."""
+        """Replay a trace root to leaf; returns the list of soundness violations.
+
+        O(1) per segment: along a run rho is constant while d and g fall, and
+        exceptional cases sit at the bottom of their column below genus 8, so
+        a run's inner premises are admissible iff its last one is."""
         problems: list[str] = []
-        node: Optional[DerivationTrace] = trace
-        while node is not None:
-            node = self._validate_node(node, problems)
+        segments = trace.segments
+        for seg, below in zip(segments, segments[1:] + (None,)):
+            if seg.repeat < 1:
+                problems.append(f"{seg.case}: a segment has at least one step")
+                break
+            last = seg._replace(case=seg.at(seg.repeat - 1), repeat=1)
+            if seg.repeat > 1:
+                self._check_step(last._replace(case=seg.at(seg.repeat - 2)), last, problems)
+            if not self._check_step(last, below, problems):
+                break
         return problems
 
-    def _validate_node(
-        self, node: DerivationTrace, problems: list[str]
-    ) -> Optional[DerivationTrace]:
-        """Check one step and hand back its premise node, if any."""
+    def _check_step(
+        self, node: Segment, child: Optional[Segment], problems: list[str]
+    ) -> bool:
+        """Check one step against its premise; False where the replay stops."""
         r, n, d, g = node.case
         if node.rule == RULE_LEDGER:
-            if node.children:
+            if child is not None:
                 problems.append(f"{node.case}: ledger leaf with children")
             if node.entry_id is None:
                 problems.append(f"{node.case}: ledger leaf without an entry id")
-                return None
-            if not self.ledger.has(node.entry_id):
+            elif not self.ledger.has(node.entry_id):
                 problems.append(f"{node.case}: unknown ledger entry {node.entry_id}")
-                return None
-            entry = self.ledger.get(node.entry_id)
-            if not entry.matches(r, n, d, g):
+            elif not self.ledger.get(node.entry_id).matches(r, n, d, g):
                 problems.append(
-                    f"{node.case}: ledger entry {entry.id} does not cover this case"
+                    f"{node.case}: ledger entry {node.entry_id} does not cover this case"
                 )
-            return None
-        if len(node.children) != 1:
+            return False
+        if child is None:
             problems.append(f"{node.case}: rule {node.rule} needs exactly one premise")
-            return None
-        child = node.children[0]
-        cr, cn, cd, cg = child.case
-        if node.rule == RULE_ADD_LINE:
-            if (cr, cn, cd, cg) != (r, n, d - 1, g):
-                problems.append(f"{node.case}: add_line premise {child.case} has wrong invariants")
-            if not (in_domain(cr, cd, cg) and not self.is_exceptional(cr, cn, cd, cg)):
-                problems.append(f"{node.case}: add_line premise {child.case} not admissible")
-        elif node.rule == RULE_ADD_CANONICAL:
-            dd, dg = CANONICAL_STEP.get(r, (0, 0))
-            if (cr, cn, cd, cg) != (r, n, d - dd, g - dg):
-                problems.append(
-                    f"{node.case}: add_canonical premise {child.case} has wrong invariants"
-                )
-            admissible = in_domain(cr, cd, cg) and not self.is_exceptional(cr, cn, cd, cg)
-            if not admissible:
-                exempt = (
-                    child.rule == RULE_LEDGER
-                    and child.entry_id is not None
-                    and self.ledger.has(child.entry_id)
-                    and self.ledger.get(child.entry_id).rho_exempt
-                )
-                if not exempt:
-                    problems.append(
-                        f"{node.case}: add_canonical premise {child.case} not admissible"
-                    )
-        elif node.rule == RULE_DOWNGRADE:
-            if (r, n) != (3, 1) or (cr, cn, cd, cg) != (3, 2, d, g):
+            return False
+        if node.rule == RULE_DOWNGRADE:
+            if (r, n) != (3, 1) or child.case != (3, 2, d, g):
                 problems.append(f"{node.case}: downgrade must link (3, 1) to (3, 2)")
-        else:
+            return True
+        if node.rule not in (RULE_ADD_LINE, RULE_ADD_CANONICAL):
             problems.append(f"{node.case}: unknown rule {node.rule}")
-            return None
-        if node.rule in (RULE_ADD_LINE, RULE_ADD_CANONICAL) and cd >= d:
+            return False
+        cr, cn, cd, cg = child.case
+        dd, dg = _run_delta(node.rule, r) or (0, 0)
+        if child.case != (r, n, d - dd, g - dg):
+            problems.append(f"{node.case}: {node.rule} premise {child.case} has wrong invariants")
+        exempt = (
+            node.rule == RULE_ADD_CANONICAL
+            and child.rule == RULE_LEDGER
+            and self.ledger.has(child.entry_id)
+            and self.ledger.get(child.entry_id).rho_exempt
+        )
+        admissible = in_domain(cr, cd, cg) and not self.is_exceptional(cr, cn, cd, cg)
+        if not (admissible or exempt):
+            problems.append(f"{node.case}: {node.rule} premise {child.case} not admissible")
+        if cd >= d:
             problems.append(f"{node.case}: premise degree does not decrease")
-        return child
+        return True
 
 
 _DEFAULT_ENGINE: Optional[ClassificationEngine] = None

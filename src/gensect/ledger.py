@@ -84,6 +84,10 @@ class LedgerEntry:
         return (self.r, self.n, self.d, self.g)
 
 
+class LedgerFormatError(ValueError):
+    """A ledger file or entry list that cannot be read as a ledger."""
+
+
 @dataclass
 class Ledger:
     """An immutable-after-load collection of entries with lookup by case."""
@@ -91,11 +95,24 @@ class Ledger:
     entries: tuple[LedgerEntry, ...]
     source: Optional[str] = None
     _by_id: dict = field(default_factory=dict, repr=False)
+    _by_case: dict = field(default_factory=dict, repr=False)
+    _wildcards: dict = field(default_factory=dict, repr=False)
+    _ceilings: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self._by_id = {e.id: e for e in self.entries}
         if len(self._by_id) != len(self.entries):
-            raise ValueError("duplicate ledger entry ids")
+            raise LedgerFormatError("duplicate ledger entry ids")
+        # the first entry per case wins, and the first wildcard per (r, n)
+        for entry in self.entries:
+            if entry.d is None and entry.g is None:
+                self._wildcards.setdefault((entry.r, entry.n), entry)
+            elif entry.is_wildcard:
+                raise LedgerFormatError(f"entry {entry.id}: d and g must both be set or both null")
+            else:
+                self._by_case.setdefault(entry.case_key(), entry)
+                key = (entry.r, entry.n, entry.g)
+                self._ceilings[key] = max(self._ceilings.get(key, 0), entry.d + 1)
 
     def get(self, entry_id: str) -> LedgerEntry:
         return self._by_id[entry_id]
@@ -104,16 +121,12 @@ class Ledger:
         return entry_id in self._by_id
 
     def lookup(self, r: int, n: int, d: int, g: int) -> Optional[LedgerEntry]:
-        """Exact-case entry if present, else a wildcard entry for (r, n)."""
-        wildcard = None
-        for entry in self.entries:
-            if not entry.matches(r, n, d, g):
-                continue
-            if entry.is_wildcard:
-                wildcard = wildcard or entry
-            else:
-                return entry
-        return wildcard
+        """Exact-case entry if present, else the wildcard entry for (r, n)."""
+        return self._by_case.get((r, n, d, g)) or self._wildcards.get((r, n))
+
+    def exact_ceiling(self, r: int, n: int, g: int) -> int:
+        """One above the highest degree of an exact-case entry at genus g, else 0."""
+        return self._ceilings.get((r, n, g), 0)
 
     def invariant_problems(self) -> list[str]:
         """Structural violations: bad tags, empty quotes, rho < 0 without a flag."""
@@ -169,8 +182,12 @@ def load_ledger(path: Optional[str | Path] = None) -> Ledger:
         )
         source = "bundled"
     else:
-        text = Path(path).read_text("utf-8")
+        text = Path(path).read_bytes()
         source = str(path)
-    payload = json.loads(text)
-    entries = tuple(_entry_from_record(rec) for rec in payload["entries"])
-    return Ledger(entries=entries, source=source)
+    try:
+        payload = json.loads(text)
+        entries = tuple(_entry_from_record(rec) for rec in payload["entries"])
+        return Ledger(entries=entries, source=source)
+    except (KeyError, TypeError, ValueError) as exc:
+        reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise LedgerFormatError(f"malformed ledger {source}: {reason}") from None

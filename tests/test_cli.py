@@ -1,4 +1,7 @@
 import json
+from importlib import resources
+
+import pytest
 
 from gensect.cli import main
 from gensect.engine import ClassificationEngine, trace_from_payload
@@ -194,3 +197,44 @@ def test_missing_ledger_file_exit_one(capsys):
         "--ledger", "/nonexistent/ledger.json",
     )
     assert code == 1
+
+
+def _bundled_ledger_text():
+    return resources.files("gensect").joinpath("data/ledger.json").read_text("utf-8")
+
+
+def _duplicate_ids():
+    payload = json.loads(_bundled_ledger_text())
+    payload["entries"].append(payload["entries"][0])
+    return json.dumps(payload)
+
+
+def _entry_without_case():
+    payload = json.loads(_bundled_ledger_text())
+    del payload["entries"][3]["case"]
+    return json.dumps(payload)
+
+
+MALFORMED_LEDGERS = {
+    "truncated": lambda: _bundled_ledger_text()[:500],
+    "no-entries": lambda: json.dumps({"schema_version": "1.0", "records": []}),
+    "entry-without-case": _entry_without_case,
+    "duplicate-ids": _duplicate_ids,
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "table", "verify-all"])
+@pytest.mark.parametrize("defect", sorted(MALFORMED_LEDGERS))
+def test_malformed_ledger_exit_one(defect, command, tmp_path, capsys):
+    path = tmp_path / "ledger.json"
+    path.write_text(MALFORMED_LEDGERS[defect](), encoding="utf-8")
+    flags = {
+        "classify": ("--r", "3", "--n", "2", "--d", "10", "--g", "5"),
+        "table": ("--r", "3", "--n", "2"),
+        "verify-all": (),
+    }[command]
+    code, out, err = run_cli(capsys, command, *flags, "--ledger", str(path))
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert "malformed ledger" in err

@@ -3,11 +3,14 @@ import json
 import pytest
 
 from gensect.engine import (
+    CANONICAL_STEP,
     DESCRIPTORS,
+    EXCEPTIONAL_PAIRS,
     ClassificationEngine,
-    DerivationTrace,
     IncompleteLedgerError,
     Query,
+    Segment,
+    admissible_floor,
     composite_invariants,
     in_domain,
     side_condition_check,
@@ -63,8 +66,8 @@ def test_classify_exceptional_examples(engine):
 def test_classify_general_with_trace(engine):
     v = engine.classify(Query(3, 2, 4, 0))
     assert v.status == "general"
-    assert v.trace.rule == "add_line"
-    child = v.trace.children[0]
+    root, child = v.trace.steps()
+    assert root.rule == "add_line"
     assert child.case == (3, 2, 3, 0)
     assert child.rule == "ledger"
     assert child.entry_id == "r3n2-interp-3-0"
@@ -73,8 +76,7 @@ def test_classify_general_with_trace(engine):
 def test_classify_plane_cases(engine):
     v = engine.classify(Query(2, 2, 12, 11))
     assert v.status == "general"
-    assert v.trace.rule == "ledger"
-    assert v.trace.entry_id == "r2n2-plane"
+    assert v.trace.segments == (Segment((2, 2, 12, 11), "ledger", 1, "r2n2-plane"),)
     assert engine.classify(Query(2, 1, 9, 9)).status == "general"
 
 
@@ -95,17 +97,42 @@ def test_classify_deterministic(engine):
 def test_downgrade_rule(engine):
     v = engine.classify(Query(3, 1, 9, 7))
     assert v.status == "general"
-    assert v.trace.rule == "downgrade"
-    assert v.trace.children[0].case == (3, 2, 9, 7)
+    steps = v.trace.steps()
+    assert steps[0].rule == "downgrade"
+    assert steps[1].case == (3, 2, 9, 7)
 
 
 def test_skew_lines_premise(engine):
     v = engine.classify(Query(4, 1, 11, 8))
     assert v.status == "general"
-    assert v.trace.rule == "add_canonical"
-    leaf = v.trace.children[0]
+    root, leaf = v.trace.steps()
+    assert root.rule == "add_canonical"
     assert leaf.case == (4, 1, 3, -2)
     assert leaf.entry_id == "r4n1-skew-lines"
+
+
+def test_exceptional_cases_sit_below_the_admissible_floor():
+    # this is what makes the derivable degrees at each genus one interval
+    for (r, n), exceptional in EXCEPTIONAL_PAIRS.items():
+        for g in range(0, 41):
+            floor = admissible_floor(r, n, g)
+            admissible = [
+                d for d in range(1, 81) if in_domain(r, d, g) and (d, g) not in exceptional
+            ]
+            assert admissible == list(range(floor, 81))
+        assert all(d < admissible_floor(r, n, g) for d, g in exceptional)
+
+
+def test_derivations_are_short_paths(engine):
+    assert len(engine.classify(Query(3, 2, 10**6, 0)).trace.segments) <= 3
+    for (r, n) in ((3, 2), (3, 1), (4, 1), (2, 1), (2, 2)):
+        dg = CANONICAL_STEP[r][1] if r in CANONICAL_STEP else None
+        for g in range(0, 41):
+            for d in range(1, 61):
+                if not in_domain(r, d, g) or engine.is_exceptional(r, n, d, g):
+                    continue
+                segments = engine.classify(Query(r, n, d, g)).trace.segments
+                assert len(segments) <= (1 if dg is None else 2 * (g // dg) + 3)
 
 
 def test_descriptor_table_shape():
@@ -183,6 +210,7 @@ def test_long_chains_stay_within_the_interpreter_stack(engine):
     # add-line chains are as long as the degree; everything that walks a
     # trace must be iterative
     verdict = engine.classify(Query(3, 2, 3000, 0))
+    assert len(verdict.trace.segments) == 2
     steps = verdict.trace.steps()
     assert len(steps) == 2998
     assert steps[-1].entry_id == "r3n2-interp-3-0"
@@ -192,28 +220,37 @@ def test_long_chains_stay_within_the_interpreter_stack(engine):
     assert rebuilt == verdict.trace
 
 
+def step(case, rule, entry=None):
+    return {"case": list(case), "rule": rule, "entry": entry}
+
+
 def test_validator_rejects_tampered_traces(engine):
-    good = engine.classify(Query(3, 2, 4, 0)).trace
-    wrong_delta = DerivationTrace(
-        case=(3, 2, 5, 0), rule="add_line", children=good.children
-    )
+    good = engine.classify(Query(3, 2, 4, 0)).trace.to_payload()
+    wrong_delta = trace_from_payload([step((3, 2, 5, 0), "add_line")] + good[1:])
     assert engine.validate_trace(wrong_delta) != []
-    bogus_entry = DerivationTrace(case=(3, 2, 3, 0), rule="ledger", entry_id="nope")
+    bogus_entry = trace_from_payload([step((3, 2, 3, 0), "ledger", "nope")])
     assert engine.validate_trace(bogus_entry) != []
-    bad_downgrade = DerivationTrace(
-        case=(3, 2, 9, 7),
-        rule="downgrade",
-        children=(engine.classify(Query(3, 2, 9, 7)).trace,),
+    bad_downgrade = trace_from_payload(
+        [step((3, 2, 9, 7), "downgrade")]
+        + engine.classify(Query(3, 2, 9, 7)).trace.to_payload()
     )
     assert engine.validate_trace(bad_downgrade) != []
-    exceptional_premise = DerivationTrace(
-        case=(3, 2, 5, 1),
-        rule="add_line",
-        children=(
-            DerivationTrace(case=(3, 2, 4, 1), rule="ledger", entry_id="r3n2-interp-3-0"),
-        ),
+    exceptional_premise = trace_from_payload(
+        [step((3, 2, 5, 1), "add_line"), step((3, 2, 4, 1), "ledger", "r3n2-interp-3-0")]
     )
     assert engine.validate_trace(exceptional_premise) != []
+
+
+def test_validator_checks_the_inside_of_a_run(engine):
+    # (6, 2) and (5, 2) are exceptional: the run from (8, 2) crosses (6, 2)
+    # mid-run, before it reaches its last premise
+    crossing = trace_from_payload(
+        [step((3, 2, d, 2), "add_line") for d in (8, 7, 6)]
+        + [step((3, 2, 5, 2), "ledger", "r3n1-genus2-5-2")]
+    )
+    assert crossing.segments[0] == Segment((3, 2, 8, 2), "add_line", 3)
+    problems = engine.validate_trace(crossing)
+    assert "(3, 2, 7, 2): add_line premise (3, 2, 6, 2) not admissible" in problems
 
 
 # -- ledger ------------------------------------------------------------------------
