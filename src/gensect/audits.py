@@ -1,8 +1,12 @@
-"""Numeric audits certifying that each exceptional intersection is not general.
+"""The ten exceptional cases, and the audits certifying that each is not general.
 
-Every exceptional case carries one audit.  Most count conditions: the points
-of intersection lie on (or are cut out by) a linear system that a general
-point collection of the same size would escape.  Two tally family dimensions
+``EXCEPTIONAL`` is the one table of the exceptional cases: per case (r, n, d,
+g) it holds the number d * n of intersection points, a description of the
+intersection, an optional note and the evidence that it is not general.  The
+engine's exceptional lists and verdict descriptors are derived from it, and
+``run_audit`` reads it.  Most evidence counts conditions: the points of
+intersection lie on (or are cut out by) a linear system that a general point
+collection of the same size would escape.  Two cases tally family dimensions
 and exhibit a deficit against the symmetric power of the surface.  One case
 rests on a cited external interpolation bound and is recorded as such rather
 than refabricated.  The module also houses the two self-contained local
@@ -14,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Union
+from typing import Callable, Optional, Union
 
 from . import lattices
 from .lattices import SurfaceModel
@@ -107,140 +111,151 @@ class ExternalFact:
 
 Evidence = Union[ConditionCount, DimensionDeficit, ExternalFact]
 
+Case = tuple[int, int, int, int]
+
 
 @dataclass(frozen=True)
 class AuditReport:
-    case: tuple[int, int, int, int]
+    case: Case
     evidence: Evidence
     verdict: str = "not_general"
 
 
-AUDIT_CASES: tuple[tuple[int, int, int, int], ...] = (
-    (3, 2, 4, 1),
-    (3, 2, 5, 2),
-    (3, 2, 6, 2),
-    (3, 2, 6, 4),
-    (3, 2, 7, 5),
-    (3, 2, 8, 6),
-    (3, 1, 6, 4),
-    (4, 1, 8, 5),
-    (4, 1, 9, 6),
-    (4, 1, 10, 7),
-)
+@dataclass(frozen=True)
+class ExceptionalCase:
+    """One exceptional intersection of ``points`` = d * n points: what it is,
+    and the evidence that it is not a general collection."""
+
+    points: int
+    description: str
+    evidence: Evidence
+    note: Optional[str] = None
 
 
-def _intersection_points(case: tuple[int, int, int, int]) -> int:
+def _count(
+    comparison: str, system: str, ambient: str, degree: Union[int, tuple[int, int]]
+) -> Callable[[int], Evidence]:
+    """Evidence that the points lie on, or are cut out by, members of a system."""
+    h0 = form_space_dim(ambient, degree)
+    return lambda points: ConditionCount(points, h0, comparison, system)
+
+
+def _two_nodal_genus_two(points: int) -> DimensionDeficit:
+    # The source curve is a two-nodal image of a genus-2 curve; its
+    # moduli tally is assembled from individually citable summands.
+    genus = 2
+    # Each ruling pulls back to a degree-3 pencil; its 2-dimensional
+    # section space taken up to scaling contributes 2*2 - 1 = 3.
+    bases = 2 * rr_curve(3, genus) - 1
+    return DimensionDeficit(
+        components=(
+            ("moduli of genus-2 curves", 3 * genus - 3),
+            ("degree-3 line bundle, first ruling", genus),
+            ("degree-3 line bundle, second ruling", genus),
+            ("basis up to scaling, first map", bases),
+            ("basis up to scaling, second map", bases),
+            ("points moving in the fixed linear system", rr_curve(points, genus) - 1),
+        ),
+        ambient_dim=2 * points,
+    )
+
+
+def _genus_four_residual(points: int) -> DimensionDeficit:
+    # the points lie on a curve of bidegree (3, 3), which has genus 4
+    return DimensionDeficit(
+        components=(
+            ("curves of bidegree (3, 3)", form_space_dim("quadric_surface", (3, 3)) - 1),
+            ("effective divisors of degree 2", 2),
+            ("points moving in the twisted series", rr_curve(points, 4) - 1),
+        ),
+        ambient_dim=2 * points,
+    )
+
+
+def _row(
+    case: Case, description: str, evidence: Callable[[int], Evidence], note: Optional[str] = None
+) -> ExceptionalCase:
     r, n, d, _ = case
-    return d * n
+    points = d * n
+    return ExceptionalCase(points, description, evidence(points), note)
 
 
-def run_audit(case: tuple[int, int, int, int]) -> AuditReport:
-    """Reproduce the non-generality evidence for one exceptional case.
-
-    All h0 values are recomputed from form_space_dim, rr_curve or the
-    lattice section counts; the only literals below are the case data
-    themselves (bidegrees, genus tallies, numbers of maps).
-    """
-    if case not in AUDIT_CASES:
-        raise ValueError(f"unknown audit case {case}")
-    points = _intersection_points(case)
-    r, n, d, g = case
-
-    if case == (3, 2, 4, 1):
-        evidence: Evidence = ConditionCount(
-            points=points,
-            h0=form_space_dim("quadric_surface", (2, 2)),
-            comparison="cut_out_by",
-            system="curves of bidegree (2, 2)",
-        )
-    elif case == (3, 2, 5, 2):
-        evidence = ConditionCount(
-            points=points,
-            h0=form_space_dim("quadric_surface", (2, 2)),
-            comparison="lies_on",
-            system="curves of bidegree (2, 2)",
-        )
-    elif case == (3, 2, 6, 4):
-        evidence = ConditionCount(
-            points=points,
-            h0=form_space_dim("quadric_surface", (2, 2)),
-            comparison="lies_on",
-            system="curves of bidegree (2, 2)",
-        )
-    elif case == (3, 2, 8, 6):
-        evidence = ConditionCount(
-            points=points,
-            h0=form_space_dim("quadric_surface", (3, 3)),
-            comparison="lies_on",
-            system="curves of bidegree (3, 3)",
-        )
-    elif case == (3, 2, 6, 2):
-        # The source curve is a two-nodal image of a genus-2 curve; its
-        # moduli tally is assembled from individually citable summands.
-        genus2 = 2
-        moduli = 3 * genus2 - 3
-        picard = genus2
-        # Each ruling pulls back to a degree-3 pencil; its 2-dimensional
-        # section space taken up to scaling contributes 2*2 - 1 = 3.
-        h0_pencil = rr_curve(3, genus2)
-        bases = 2 * h0_pencil - 1
-        series = rr_curve(2 * d, genus2) - 1
-        evidence = DimensionDeficit(
-            components=(
-                ("moduli of genus-2 curves", moduli),
-                ("degree-3 line bundle, first ruling", picard),
-                ("degree-3 line bundle, second ruling", picard),
-                ("basis up to scaling, first map", bases),
-                ("basis up to scaling, second map", bases),
-                ("points moving in the fixed linear system", series),
-            ),
-            ambient_dim=2 * points,
-        )
-    elif case == (3, 2, 7, 5):
-        curve_genus = 4
-        evidence = DimensionDeficit(
-            components=(
-                (
-                    "curves of bidegree (3, 3)",
-                    form_space_dim("quadric_surface", (3, 3)) - 1,
-                ),
-                ("effective divisors of degree 2", 2),
-                (
-                    "points moving in the twisted series",
-                    rr_curve(2 * d, curve_genus) - 1,
-                ),
-            ),
-            ambient_dim=2 * points,
-        )
-    elif case == (3, 1, 6, 4):
-        evidence = ConditionCount(
-            points=points,
-            h0=form_space_dim("plane", 2),
-            comparison="lies_on",
-            system="plane conics",
-        )
-    elif case == (4, 1, 8, 5):
-        evidence = ConditionCount(
-            points=points,
-            h0=form_space_dim("space", 2),
-            comparison="cut_out_by",
-            system="quadric surfaces",
-        )
-    elif case == (4, 1, 9, 6):
-        evidence = ExternalFact(
-            citation=(
+#: The ten exceptional cases of the theorem.  The engine's exceptional lists
+#: and verdict descriptors are read from this table.  All h0 values are
+#: recomputed from form_space_dim, rr_curve or the lattice section counts; the
+#: only literals are the case data themselves (bidegrees, genus tallies).
+EXCEPTIONAL: dict[Case, ExceptionalCase] = {
+    case: _row(case, *rest)
+    for case, *rest in (
+        (
+            (3, 2, 4, 1),
+            "the intersection of two general curves of bidegree (2, 2)",
+            _count("cut_out_by", "curves of bidegree (2, 2)", "quadric_surface", (2, 2)),
+        ),
+        (
+            (3, 2, 5, 2),
+            "a general collection of 10 points on a curve of bidegree (2, 2)",
+            _count("lies_on", "curves of bidegree (2, 2)", "quadric_surface", (2, 2)),
+        ),
+        (
+            (3, 2, 6, 2),
+            "a general collection of 12 points on a two-nodal curve of bidegree (3, 3), "
+            "linearly equivalent to the (2, 2) class on the normalization",
+            _two_nodal_genus_two,
+        ),
+        (
+            (3, 2, 6, 4),
+            "the intersection of two general curves of bidegrees (2, 2) and (3, 3)",
+            _count("lies_on", "curves of bidegree (2, 2)", "quadric_surface", (2, 2)),
+        ),
+        (
+            (3, 2, 7, 5),
+            "14 points on a curve of bidegree (3, 3) whose sum, minus the (2, 2) class, "
+            "is effective",
+            _genus_four_residual,
+        ),
+        (
+            (3, 2, 8, 6),
+            "a general collection of 16 points on a curve of bidegree (3, 3)",
+            _count("lies_on", "curves of bidegree (3, 3)", "quadric_surface", (3, 3)),
+        ),
+        (
+            (3, 1, 6, 4),
+            "a general collection of 6 points on a conic",
+            _count("lies_on", "plane conics", "plane", 2),
+        ),
+        (
+            (4, 1, 8, 5),
+            "the intersection of three general quadrics",
+            _count("cut_out_by", "quadric surfaces", "space", 2),
+        ),
+        (
+            (4, 1, 9, 6),
+            "a general collection of 9 points on an elliptic normal curve of degree 4",
+            lambda _: ExternalFact(
                 "there does not exist an elliptic normal curve in P^3 "
                 "passing through 9 general points"
-            )
-        )
-    else:  # (4, 1, 10, 7)
-        evidence = ConditionCount(
-            points=points,
-            h0=form_space_dim("space", 2),
-            comparison="lies_on",
-            system="quadric surfaces",
-        )
-    return AuditReport(case=case, evidence=evidence)
+            ),
+        ),
+        (
+            (4, 1, 10, 7),
+            "a general collection of 10 points on a quadric",
+            _count("lies_on", "quadric surfaces", "space", 2),
+            "the 10-points-on-a-quadric description accompanies the label (8, 5) in "
+            "the theorem statement; it is assigned to (10, 7) here, matching the "
+            "theorem's exceptional list and the 10-point count",
+        ),
+    )
+}
+
+AUDIT_CASES: tuple[Case, ...] = tuple(EXCEPTIONAL)
+
+
+def run_audit(case: Case) -> AuditReport:
+    """The non-generality evidence for one exceptional case."""
+    if case not in AUDIT_CASES:
+        raise ValueError(f"unknown audit case {case}")
+    return AuditReport(case=case, evidence=EXCEPTIONAL[case].evidence)
 
 
 def audit_evidence_problems(report: AuditReport) -> list[str]:
@@ -255,7 +270,7 @@ def audit_evidence_problems(report: AuditReport) -> list[str]:
     elif isinstance(ev, DimensionDeficit):
         if not ev.total < ev.ambient_dim:
             problems.append(f"{report.case}: family dimension does not fall short")
-        if ev.ambient_dim != 2 * _intersection_points(report.case):
+        if ev.ambient_dim != 2 * EXCEPTIONAL[report.case].points:
             problems.append(f"{report.case}: ambient is not Sym^n of a surface")
     return problems
 

@@ -55,7 +55,7 @@ def _verdict_payload(engine: ClassificationEngine, q: Query, verdict: Verdict) -
         payload["descriptor"] = {
             "case": list(desc.case),
             "description": desc.description,
-            "audit_case": list(desc.audit_case),
+            "audit_case": list(desc.case),
             "note": desc.note,
         }
     else:
@@ -74,7 +74,7 @@ def _verdict_text(engine: ClassificationEngine, q: Query, verdict: Verdict) -> s
         lines.append(f"reason: {verdict.reason}")
     elif verdict.status == "exceptional":
         lines.append(f"intersection: {verdict.descriptor.description}")
-        lines.append(f"audit: {verdict.descriptor.audit_case}")
+        lines.append(f"audit: {verdict.descriptor.case}")
     else:
         lines.append("trace:")
         for depth, node in enumerate(verdict.trace.steps()):

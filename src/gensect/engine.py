@@ -7,7 +7,8 @@ Only five pairs (r, n) admit an affirmative answer outside finitely many
 quadrics, and hyperplane sections in P^4.  The engine classifies a query as
 Invalid, Exceptional (one of the ten known counterexamples) or General, and
 in the last case emits a derivation trace: a path of rule applications
-ending in a cited ledger axiom.
+ending in a cited ledger axiom.  The exceptional lists and descriptors are
+derived from the table of exceptional cases in ``audits``.
 
 Rules mirror the inductive structure of the underlying argument:
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from .audits import EXCEPTIONAL
 from .ledger import (
     AUXILIARY_TAGS,
     CONSTRUCTIVE_TAGS,
@@ -35,17 +37,15 @@ from .ledger import (
     LedgerEntry,
     load_ledger,
 )
-from .numerology import BNIndex, rho
+from .numerology import BNIndex, domain_floor, in_domain, rho
 
 SUPPORTED_PAIRS = frozenset({(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)})
 
-#: The exceptional (d, g) pairs per supported (r, n); these are axioms.
+#: The exceptional (d, g) pairs per supported (r, n), read from the audits
+#: table; these are axioms.
 EXCEPTIONAL_PAIRS: dict[tuple[int, int], frozenset[tuple[int, int]]] = {
-    (2, 1): frozenset(),
-    (2, 2): frozenset(),
-    (3, 2): frozenset({(4, 1), (5, 2), (6, 2), (6, 4), (7, 5), (8, 6)}),
-    (3, 1): frozenset({(6, 4)}),
-    (4, 1): frozenset({(8, 5), (9, 6), (10, 7)}),
+    pair: frozenset((d, g) for r, n, d, g in EXCEPTIONAL if (r, n) == pair)
+    for pair in sorted(SUPPORTED_PAIRS)
 }
 
 #: Attached-curve invariants of the canonical-curve rule per ambient r.
@@ -90,8 +90,14 @@ class ExceptionalDescriptor:
 
     case: tuple[int, int, int, int]
     description: str
-    audit_case: tuple[int, int, int, int]
     note: Optional[str] = None
+
+
+#: The descriptor of each exceptional case, read from the audits table.
+DESCRIPTORS: dict[tuple[int, int, int, int], ExceptionalDescriptor] = {
+    case: ExceptionalDescriptor(case, row.description, row.note)
+    for case, row in EXCEPTIONAL.items()
+}
 
 
 def _run_delta(rule: str, r: int) -> Optional[tuple[int, int]]:
@@ -203,41 +209,6 @@ class Verdict:
         return cls(status="exceptional", descriptor=descriptor)
 
 
-#: Each exceptional case is its own audit case.
-DESCRIPTORS: dict[tuple[int, int, int, int], ExceptionalDescriptor] = {
-    case: ExceptionalDescriptor(case, description, case, *note)
-    for case, description, *note in (
-        ((3, 2, 4, 1), "the intersection of two general curves of bidegree (2, 2)"),
-        ((3, 2, 5, 2), "a general collection of 10 points on a curve of bidegree (2, 2)"),
-        (
-            (3, 2, 6, 2),
-            "a general collection of 12 points on a two-nodal curve of bidegree (3, 3), "
-            "linearly equivalent to the (2, 2) class on the normalization",
-        ),
-        ((3, 2, 6, 4), "the intersection of two general curves of bidegrees (2, 2) and (3, 3)"),
-        (
-            (3, 2, 7, 5),
-            "14 points on a curve of bidegree (3, 3) whose sum, minus the (2, 2) class, "
-            "is effective",
-        ),
-        ((3, 2, 8, 6), "a general collection of 16 points on a curve of bidegree (3, 3)"),
-        ((3, 1, 6, 4), "a general collection of 6 points on a conic"),
-        ((4, 1, 8, 5), "the intersection of three general quadrics"),
-        (
-            (4, 1, 9, 6),
-            "a general collection of 9 points on an elliptic normal curve of degree 4",
-        ),
-        (
-            (4, 1, 10, 7),
-            "a general collection of 10 points on a quadric",
-            "the 10-points-on-a-quadric description accompanies the label (8, 5) in "
-            "the theorem statement; it is assigned to (10, 7) here, matching the "
-            "theorem's exceptional list and the 10-point count",
-        ),
-    )
-}
-
-
 @dataclass(frozen=True)
 class ConditionRow:
     """One evaluated inequality, reported with both sides."""
@@ -299,16 +270,6 @@ def side_condition_check(entry: LedgerEntry) -> SideConditionReport:
     return SideConditionReport(entry_id=entry.id, rows=rows)
 
 
-def _domain_floor(r: int, g: int) -> int:
-    """The least d with rho(d, g, r) >= 0, for r >= 2 and g >= 0."""
-    return -(-r * (g + r + 1) // (r + 1))
-
-
-def in_domain(r: int, d: int, g: int) -> bool:
-    """r >= 2, d >= 1, g >= 0 and rho(d, g, r) >= 0: a general such curve exists."""
-    return r >= 2 and g >= 0 and d >= _domain_floor(r, g)
-
-
 def admissible_floor(r: int, n: int, g: int) -> Optional[int]:
     """The least d with (r, n, d, g) in domain and not exceptional, if any.
 
@@ -317,7 +278,7 @@ def admissible_floor(r: int, n: int, g: int) -> Optional[int]:
     """
     if r < 2 or g < 0:
         return None
-    d = _domain_floor(r, g)
+    d = domain_floor(r, g)
     while (d, g) in EXCEPTIONAL_PAIRS.get((r, n), ()):
         d += 1
     return d
@@ -355,8 +316,8 @@ class ClassificationEngine:
             return Verdict.invalid(f"degree must be at least 1, got {q.d}")
         if q.g < 0:
             return Verdict.invalid(f"genus must be nonnegative, got {q.g}")
-        value = rho(BNIndex(q.r, q.d, q.g))
-        if value < 0:
+        if not in_domain(q.r, q.d, q.g):
+            value = rho(BNIndex(q.r, q.d, q.g))
             return Verdict.invalid(
                 f"rho({q.d}, {q.g}, {q.r}) = {value} < 0: no such general curve"
             )
@@ -434,7 +395,7 @@ class ClassificationEngine:
         """Grid codes for d = 1..d_max at genus g, '?' if admissible but
         underivable.  Only degrees below both the threshold and, with a leaf
         wildcard, the exact ledger entries are looked up one by one."""
-        low, floor = _domain_floor(r, g), admissible_floor(r, n, g)
+        low, floor = domain_floor(r, g), admissible_floor(r, n, g)
         threshold = self._threshold(r, n, g)
         top = d_max + 1 if threshold is None else min(threshold.case[2], d_max + 1)
         beyond = max(floor, self.ledger.exact_ceiling(r, n, g))

@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional
 
-from .numerology import BNIndex, rho
+from .numerology import in_domain
 
 #: Tags whose entries are justified by a numeric gate alone.
 AUTOMATIC_TAGS = frozenset({"Interpolation", "GenusTwo", "PlaneCurve"})
@@ -129,7 +129,8 @@ class Ledger:
         return self._ceilings.get((r, n, g), 0)
 
     def invariant_problems(self) -> list[str]:
-        """Structural violations: bad tags, empty quotes, rho < 0 without a flag."""
+        """Structural violations: bad tags, empty quotes, a case out of domain
+        (no general curve: r < 2, d < 1, g < 0 or rho < 0) without a flag."""
         problems = []
         for entry in self.entries:
             if entry.tag not in KNOWN_TAGS:
@@ -138,12 +139,10 @@ class Ledger:
                 problems.append(f"{entry.id}: empty quote")
             if not entry.citation.strip():
                 problems.append(f"{entry.id}: empty citation")
-            if not entry.is_wildcard and not entry.rho_exempt:
-                value = rho(BNIndex(entry.r, entry.d, entry.g)) if entry.g >= 0 else -1
-                if value < 0:
-                    problems.append(
-                        f"{entry.id}: rho < 0 for case {entry.case_key()} without exemption"
-                    )
+            if not (entry.is_wildcard or entry.rho_exempt or in_domain(entry.r, entry.d, entry.g)):
+                problems.append(
+                    f"{entry.id}: case {entry.case_key()} is out of domain without exemption"
+                )
             if entry.glue is not None:
                 d2, g2, pts = entry.glue.d2, entry.glue.g2, entry.glue.points
                 for pr, pn, pd, pg in entry.premises:

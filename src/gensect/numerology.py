@@ -69,6 +69,20 @@ def rho(ix: BNIndex) -> int:
     return (r + 1) * d - r * g - r * (r + 1)
 
 
+def domain_floor(r: int, g: int) -> int:
+    """The least d with rho(d, g, r) >= 0, for r >= 2 and g >= 0."""
+    return -(-r * (g + r + 1) // (r + 1))
+
+
+def in_domain(r: int, d: int, g: int) -> bool:
+    """r >= 2, d >= 1, g >= 0 and rho(d, g, r) >= 0: a general such curve exists.
+
+    Closed form, so it is total where BNIndex raises; the floor is at least
+    r, so d >= 1 needs no separate test.
+    """
+    return r >= 2 and g >= 0 and d >= domain_floor(r, g)
+
+
 def moduli_dim(ix: BNIndex) -> int:
     """Dimension (r+1)d - (r-3)(g-1) of the space of such maps.
 

@@ -20,7 +20,6 @@ from .engine import (
     ClassificationEngine,
     IncompleteLedgerError,
     Query,
-    in_domain,
     side_condition_check,
 )
 from .lattices import DivisorClass, SurfaceModel
@@ -28,6 +27,7 @@ from .ledger import GLUE_CHECK_TAGS, Ledger
 from .numerology import (
     BNIndex,
     chi_twisted_normal,
+    in_domain,
     interpolation_gates,
     max_general_hypersurface_degree,
     moduli_dim,
@@ -56,6 +56,9 @@ EXPECTED_FRONTIER = {
     ],
 }
 
+#: The rank-2 K3 lattice of the sextic case study: H^2 = 6, H.R = 4, R^2 = -2.
+SEXTIC_K3 = SurfaceModel.polarized(((6, 4), (4, -2)), (0, 0), ("H", "R"), kind_tag="k3")
+
 SWEEP_D_MAX = 60
 SWEEP_G_MAX = 40
 
@@ -76,9 +79,7 @@ def default_surfaces() -> list[SurfaceModel]:
     surfaces = [SurfaceModel.del_pezzo(k) for k in range(2, 7)]
     surfaces.append(SurfaceModel.quadric())
     surfaces.append(SurfaceModel.scroll())
-    surfaces.append(
-        SurfaceModel.polarized(((6, 4), (4, -2)), (0, 0), ("H", "R"), kind_tag="k3")
-    )
+    surfaces.append(SEXTIC_K3)
     return surfaces
 
 
@@ -337,7 +338,6 @@ def check_h0_table() -> CheckResult:
     dp6 = SurfaceModel.del_pezzo(6)
     dp5 = SurfaceModel.del_pezzo(5)
     quadric = SurfaceModel.quadric()
-    k3 = SurfaceModel.polarized(((6, 4), (4, -2)), (0, 0), ("H", "R"), kind_tag="k3")
     anticanonical = -dp6.canonical_class()
     values = [
         lattices.h0_rational(dp6, 2 * anticanonical),
@@ -350,7 +350,7 @@ def check_h0_table() -> CheckResult:
         lattices.h0_rational(dp5, dp5.cls_(3, 0, -1, -1, -1, -1)),
         lattices.h0_rational(quadric, quadric.cls_(3, 3)),
         lattices.h0_rational(dp6, dp6.cls_(0, 1, 0, 0, 0, 0, 0)),
-        lattices.k3_stats(k3, k3.cls_(1, 1), k3.cls_(1, 0)).h0,
+        lattices.k3_stats(SEXTIC_K3, SEXTIC_K3.cls_(1, 1), SEXTIC_K3.cls_(1, 0)).h0,
         audits.rr_curve(6, 2),
         audits.rr_curve(14, 4),
     ]
@@ -552,7 +552,7 @@ def check_scroll_case_study() -> CheckResult:
 
 
 def check_k3_case_study() -> CheckResult:
-    k3 = SurfaceModel.polarized(((6, 4), (4, -2)), (0, 0), ("H", "R"), kind_tag="k3")
+    k3 = SEXTIC_K3
     H, R = k3.cls_(1, 0), k3.cls_(0, 1)
     stats_hr = lattices.k3_stats(k3, H + R, H)
     stats_r = lattices.k3_stats(k3, R, H)

@@ -147,20 +147,44 @@ def test_verify_all_passes(capsys):
     assert "0 failed" in lines[-1]
 
 
-def test_verify_all_detects_missing_ledger_entry(tmp_path, capsys):
-    from importlib import resources
+def _bundled_ledger_text():
+    return resources.files("gensect").joinpath("data/ledger.json").read_text("utf-8")
 
-    payload = json.loads(
-        resources.files("gensect").joinpath("data/ledger.json").read_text("utf-8")
-    )
-    payload["entries"] = [
-        e for e in payload["entries"] if e["id"] != "r3n2-delpezzo-7-4"
-    ]
+
+def _doctored_ledger(tmp_path, edit) -> str:
+    payload = json.loads(_bundled_ledger_text())
+    edit(payload["entries"])
     doctored = tmp_path / "ledger.json"
     doctored.write_text(json.dumps(payload), encoding="utf-8")
-    code, out, _ = run_cli(capsys, "verify-all", "--ledger", str(doctored))
+    return str(doctored)
+
+
+def test_verify_all_detects_missing_ledger_entry(tmp_path, capsys):
+    def drop(entries):
+        entries[:] = [e for e in entries if e["id"] != "r3n2-delpezzo-7-4"]
+
+    code, out, _ = run_cli(capsys, "verify-all", "--ledger", _doctored_ledger(tmp_path, drop))
     assert code == 3
     assert "FAIL  completeness-audit" in out
+
+
+@pytest.mark.parametrize("field, value", [("d", 0), ("r", 1)])
+def test_verify_all_reports_out_of_domain_entry(field, value, tmp_path, capsys):
+    # no general curve has these invariants, so no BNIndex can be built for them
+    def edit(entries):
+        entry = next(e for e in entries if e["id"] == "r3n2-delpezzo-7-4")
+        entry["case"][field] = value
+
+    path = _doctored_ledger(tmp_path, edit)
+    code, out, _ = run_cli(capsys, "verify-all", "--ledger", path)
+    assert code == 3
+    assert "FAIL  ledger-integrity" in out
+    assert "internal-error" not in out
+    code, out, _ = run_cli(capsys, "verify-all", "--ledger", path, "--json")
+    checks = {c["id"]: c for c in json.loads(out)["result"]["checks"]}
+    assert code == 3
+    assert "internal-error" not in checks
+    assert "r3n2-delpezzo-7-4: case" in checks["ledger-integrity"]["detail"]
 
 
 def test_verify_all_json_shape(capsys):
@@ -197,10 +221,6 @@ def test_missing_ledger_file_exit_one(capsys):
         "--ledger", "/nonexistent/ledger.json",
     )
     assert code == 1
-
-
-def _bundled_ledger_text():
-    return resources.files("gensect").joinpath("data/ledger.json").read_text("utf-8")
 
 
 def _duplicate_ids():

@@ -51,7 +51,7 @@ def test_classify_exceptional_examples(engine):
     v = engine.classify(Query(3, 2, 8, 6))
     assert v.status == "exceptional"
     assert "16 points" in v.descriptor.description
-    assert v.descriptor.audit_case == (3, 2, 8, 6)
+    assert v.descriptor.case == (3, 2, 8, 6)
 
     v = engine.classify(Query(3, 1, 6, 4))
     assert v.status == "exceptional"
@@ -148,7 +148,7 @@ def test_every_descriptor_has_an_audit():
 
     assert set(AUDIT_CASES) == set(DESCRIPTORS)
     for descriptor in DESCRIPTORS.values():
-        assert run_audit(descriptor.audit_case).verdict == "not_general"
+        assert run_audit(descriptor.case).verdict == "not_general"
 
 
 # -- sweeps ----------------------------------------------------------------------

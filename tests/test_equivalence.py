@@ -2,7 +2,9 @@
 
 The SHA-256 digests below were recorded from the engine that stored every
 derivation as a tree of single steps, before derivations became run-length
-paths.  A change to any verdict, trace, table, exit code or message on the
+paths; those of the exceptional cases and the whole-battery commands were
+recorded before the exceptional cases became one table in ``audits``.  A
+change to any verdict, trace, table, audit, exit code or message on the
 bundled ledger, or on a ledger missing any one of its 33 entries, changes a
 digest.  ``python tests/test_equivalence.py`` prints the digests of the code
 on the import path.
@@ -47,6 +49,30 @@ TABLE_JSON = {
     (3, 1): "8dce77104eb1e06a73f47af557f72ce57fa868159e56218edbb44fddd8e376cc",
     (3, 2): "b3f4e1094e2c6008a5f2076bf55da461f9767de7f7e12609c40237d23b479bdf",
     (4, 1): "8fe83a6ae8798a4433ccd9481102928eddf190b499b9df4b21c63a2ae7ad8173",
+}
+
+#: Per exceptional case of the theorem: ``classify`` and ``audit --case``, each as text and
+#: with ``--json`` (exit code, stdout, stderr).
+EXCEPTIONAL = {
+    (3, 2, 4, 1): "4418dd728148c0a98e6c0f2692b22ef6dfc62e1d9508b0ed3e4c7410a58020f2",
+    (3, 2, 5, 2): "4590c3dbac28086a72a76fbaa046f9574a7f40d3921100ba23713bfa1450c746",
+    (3, 2, 6, 2): "b380aee8b3b581076a7f16c382129bff24dd0868e3df7b9ff80fa3aa2fd68766",
+    (3, 2, 6, 4): "ccdea9243388eeb72472b61c082720fb8123ddbf7fb99cbf2391421fc28446e5",
+    (3, 2, 7, 5): "df1514a0484908fd5f3f3cd7ed783d0a225f2d6688be4dfd0c7fd494fce824f2",
+    (3, 2, 8, 6): "4423bea3d15d14c8e2e1c822a0b23af45babf47df1972a17d75861bf189281ce",
+    (3, 1, 6, 4): "27eeb50c04fe5f6d36c898f6814df309424e238590667ab9111480d3b5512b4a",
+    (4, 1, 8, 5): "ae1dc275e78b10ec3065ff81b735cc50da602cb1b9a452f3fdc274cd5fe183a6",
+    (4, 1, 9, 6): "c2f84a1381900780796ff98b2ca8655a6420f7e8da401692941d50131c887065",
+    (4, 1, 10, 7): "a9b03d0a6c2ba4c122c7ada5ab21484dd158f8dfca42965af2a6f3b6c41734d8",
+}
+
+#: Whole-battery commands and an unknown audit case (exit code, stdout, stderr).
+COMMANDS = {
+    "audit --all": "6f158375d3c2b314e83ce4a67a1148408b6f63894d20bc49ac7aaad6726d2734",
+    "audit --all --json": "05c335ae8e9484f66df050ed15e8289cdaa4aafa3aac98cbe138a3d0ca23f48c",
+    "verify-all": "1799302489bc1592f335e38d951fd180efdb68e3de7af2c7a7900b70cc4d330c",
+    "verify-all --json": "5d397734ab84fe9cd25adf3e747748e7d42bc749da16e3e508d32f2642ff0bc6",
+    "audit --case 3,2,9,9": "0ff1be943853413242a040432251ea8d1b01b136c7381221f9f7943a1a25e441",
 }
 
 #: Per dropped entry: ``table`` for every pair (exit code, stdout, stderr),
@@ -120,6 +146,14 @@ def _classify_box(r, n):
             yield f"{code}\n{out.getvalue()}"
 
 
+def _exceptional_outputs(case):
+    flags = _query_flags(case)
+    audit_case = ("audit", "--case", ",".join(map(str, case)))
+    for argv in (("classify", *flags), audit_case):
+        yield _run(argv)
+        yield _run((*argv, "--json"))
+
+
 def _bundled_payload() -> dict:
     return json.loads(
         resources.files("gensect").joinpath("data/ledger.json").read_text("utf-8")
@@ -170,8 +204,17 @@ def compute_digests(directory) -> dict:
         (r, n): _digest([_run(("table", "--r", str(r), "--n", str(n), "--json"))])
         for r, n in PAIRS
     }
+    exceptional = {case: _digest(_exceptional_outputs(case)) for case in EXCEPTIONAL}
+    commands = {command: _digest([_run(command.split())]) for command in COMMANDS}
     loo = {e.id: _digest(_leave_one_out_outputs(e.id, directory)[1]) for e in bundled.entries}
-    return {"box": box, "deep": deep, "tables": tables, "leave_one_out": loo}
+    return {
+        "box": box,
+        "deep": deep,
+        "tables": tables,
+        "exceptional": exceptional,
+        "commands": commands,
+        "leave_one_out": loo,
+    }
 
 
 @pytest.mark.parametrize("pair", PAIRS)
@@ -192,6 +235,16 @@ def test_table_json_matches_recorded_digest(pair):
     r, n = pair
     output = _run(("table", "--r", str(r), "--n", str(n), "--json"))
     assert _digest([output]) == TABLE_JSON[pair]
+
+
+@pytest.mark.parametrize("case", list(EXCEPTIONAL))
+def test_exceptional_case_matches_recorded_digest(case):
+    assert _digest(_exceptional_outputs(case)) == EXCEPTIONAL[case]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_matches_recorded_digest(command):
+    assert _digest([_run(command.split())]) == COMMANDS[command]
 
 
 @pytest.mark.parametrize("entry_id", list(LEAVE_ONE_OUT))
