@@ -10,6 +10,8 @@ failure.
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import sys
 from typing import Callable, Optional, Sequence
 
@@ -61,7 +63,7 @@ def _verdict_payload(engine: ClassificationEngine, q: Query, verdict: Verdict) -
     else:
         # a derivation is a path: its one ledger entry is at the leaf
         entry = engine.ledger.get(verdict.trace.segments[-1].entry_id)
-        payload["trace"] = verdict.trace.to_payload()
+        payload["trace"] = verdict.trace  # to_json writes it from its segments
         payload["citations"] = [
             {"entry": entry.id, "tag": entry.tag, "citation": entry.citation, "quote": entry.quote}
         ]
@@ -299,9 +301,11 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
         "passed": sum(r.ok for r in results),
         "failed": sum(not r.ok for r in results),
     }
-    lines = [
-        f"{'PASS' if r.ok else 'FAIL'}  {r.id}: {r.description}" for r in results
-    ]
+    lines = []
+    for r in results:
+        lines.append(f"{'PASS' if r.ok else 'FAIL'}  {r.id}: {r.description}")
+        if not r.ok:
+            lines.append(f"      {r.detail}")
     lines.append(
         f"{len(results)} checks: {payload['passed']} passed, {payload['failed']} failed"
     )
@@ -313,6 +317,14 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser.  It is built once, on the first call; each
+    call returns a shallow copy, so attributes set on one copy (a wrapped
+    ``parse_args``, say) do not carry over to the next call."""
+    return copy.copy(_parser())
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gensect",
         description=(

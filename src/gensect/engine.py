@@ -59,6 +59,7 @@ RULE_ADD_LINE = "add_line"
 RULE_ADD_CANONICAL = "add_canonical"
 RULE_DOWNGRADE = "downgrade"
 RULE_LEDGER = "ledger"
+_RUN_RULES = (RULE_ADD_LINE, RULE_ADD_CANONICAL)  # the rules that repeat
 
 
 class IncompleteLedgerError(RuntimeError):
@@ -118,17 +119,22 @@ class Segment(NamedTuple):
     repeat: int = 1
     entry_id: Optional[str] = None
 
+    @property
+    def delta(self) -> tuple[int, int]:
+        """Degree and genus drop from one step of the segment to the next."""
+        return _run_delta(self.rule, self.case[0]) or (0, 0)
+
     def at(self, i: int) -> tuple[int, int, int, int]:
         """The case of step i; i = repeat is the premise below a run."""
         r, n, d, g = self.case
-        dd, dg = _run_delta(self.rule, r) or (0, 0)
+        dd, dg = self.delta
         return (r, n, d - i * dd, g - i * dg)
 
     def premise(self) -> Optional[tuple[int, int, int, int]]:
         """The case the segment rests on; None for a ledger leaf."""
         if self.rule == RULE_DOWNGRADE:
             return (3, 2) + self.case[2:]
-        return self.at(self.repeat) if self.rule in (RULE_ADD_LINE, RULE_ADD_CANONICAL) else None
+        return self.at(self.repeat) if self.rule in _RUN_RULES else None
 
 
 def _extend(segments: list[Segment], seg: Segment) -> None:
@@ -137,7 +143,7 @@ def _extend(segments: list[Segment], seg: Segment) -> None:
     if (
         last
         and last.rule == seg.rule
-        and seg.rule in (RULE_ADD_LINE, RULE_ADD_CANONICAL)
+        and seg.rule in _RUN_RULES
         and last.entry_id == seg.entry_id
         and last.premise() == seg.case
     ):
@@ -178,12 +184,30 @@ class DerivationTrace:
 
 
 def trace_from_payload(payload: list[dict]) -> DerivationTrace:
-    """Rebuild a trace from its JSON form (for re-validation round trips)."""
+    """Rebuild a trace from its JSON form (for re-validation round trips).
+
+    One scan, run by run: a record continues the open run while it has the
+    run's rule and entry and the run's next case, so each run costs one
+    Segment.  The result equals folding the records one by one into
+    ``_extend``, malformed records included.
+    """
     if not payload:
         raise ValueError("empty trace payload")
     segments: list[Segment] = []
+    repeat = 0  # steps in the open run, which starts at seg
     for record in payload:
-        _extend(segments, Segment(tuple(record["case"]), record["rule"], 1, record.get("entry")))
+        case, rule, entry = tuple(record["case"]), record["rule"], record.get("entry")
+        if repeat and rule == run_rule and entry == run_entry and rule in _RUN_RULES:
+            if repeat == 1:  # unpacked only where _extend would call premise()
+                r, n, d, g = seg.case
+                dd, dg = seg.delta
+            if case == (r, n, d - repeat * dd, g - repeat * dg):
+                repeat += 1
+                continue
+        if repeat:  # a run ends where _extend would not merge: it is maximal
+            segments.append(seg._replace(repeat=repeat))
+        seg, repeat, run_rule, run_entry = Segment(case, rule, 1, entry), 1, rule, entry
+    segments.append(seg._replace(repeat=repeat))
     return DerivationTrace(tuple(segments))
 
 
@@ -495,7 +519,7 @@ class ClassificationEngine:
             if (r, n) != (3, 1) or child.case != (3, 2, d, g):
                 problems.append(f"{node.case}: downgrade must link (3, 1) to (3, 2)")
             return True
-        if node.rule not in (RULE_ADD_LINE, RULE_ADD_CANONICAL):
+        if node.rule not in _RUN_RULES:
             problems.append(f"{node.case}: unknown rule {node.rule}")
             return False
         cr, cn, cd, cg = child.case

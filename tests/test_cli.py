@@ -3,6 +3,7 @@ from importlib import resources
 
 import pytest
 
+from gensect import cli
 from gensect.cli import main
 from gensect.engine import ClassificationEngine, trace_from_payload
 from gensect.lattices import SurfaceModel
@@ -58,6 +59,25 @@ def test_classify_json_trace_revalidates(capsys):
     trace = trace_from_payload(payload["result"]["trace"])
     assert ClassificationEngine().validate_trace(trace) == []
     assert payload["result"]["citations"]
+
+
+def test_parser_is_built_once_and_reused(tmp_path, capsys):
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(_bundled_ledger_text(), encoding="utf-8")
+    runs = [
+        ("classify", "--r", "3", "--n", "2", "--d", "8"),  # a usage error
+        ("classify", "--r", "3", "--n", "2", "--d", "30", "--g", "20", "--json"),
+        ("table", "--r", "3", "--n", "1", "--d-max", "20", "--g-max", "10", "--ledger", str(ledger)),
+        ("classify", "--r", "4", "--n", "1", "--d", "19", "--g", "18"),
+    ]
+    first_calls = []
+    for argv in runs:
+        cli._parser.cache_clear()
+        first_calls.append(run_cli(capsys, *argv))
+    assert [code for code, _, _ in first_calls] == [1, 0, 0, 0]
+    assert "usage" in first_calls[0][2]
+    assert [run_cli(capsys, *argv) for argv in runs] == first_calls
+    assert cli._parser.cache_info().misses == 1
 
 
 def test_trace_subcommand(capsys):
@@ -180,6 +200,8 @@ def test_verify_all_reports_out_of_domain_entry(field, value, tmp_path, capsys):
     assert code == 3
     assert "FAIL  ledger-integrity" in out
     assert "internal-error" not in out
+    detail = out.split("FAIL  ledger-integrity", 1)[1].splitlines()[1]
+    assert detail.startswith("      r3n2-delpezzo-7-4: case")
     code, out, _ = run_cli(capsys, "verify-all", "--ledger", path, "--json")
     checks = {c["id"]: c for c in json.loads(out)["result"]["checks"]}
     assert code == 3
