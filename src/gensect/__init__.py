@@ -38,7 +38,6 @@ from .lattices import (
     SurfaceModel,
     adjunction_genus,
     anticanonical_degree,
-    bpf_decompose,
     enumerate_lines,
     format_class,
     h0_rational,
@@ -52,7 +51,6 @@ from .lattices import (
 from .ledger import Ledger, LedgerEntry, load_ledger
 from .numerology import (
     BNIndex,
-    TwistSpec,
     chi_twisted_normal,
     interpolation_gates,
     max_general_hypersurface_degree,
@@ -82,11 +80,9 @@ __all__ = [
     "Query",
     "SchubertCycle",
     "SurfaceModel",
-    "TwistSpec",
     "Verdict",
     "adjunction_genus",
     "anticanonical_degree",
-    "bpf_decompose",
     "chi_twisted_normal",
     "classify",
     "composite_invariants",

@@ -484,6 +484,9 @@ class ClassificationEngine:
         a run's inner premises are admissible iff its last one is."""
         problems: list[str] = []
         segments = trace.segments
+        for seg in segments:  # type(): a JSON bool is an int to isinstance()
+            if tuple(map(type, seg.case)) != (int, int, int, int):
+                return [f"{seg.case}: case is not four integers"]
         for seg, below in zip(segments, segments[1:] + (None,)):
             if seg.repeat < 1:
                 problems.append(f"{seg.case}: a segment has at least one step")

@@ -11,7 +11,6 @@ positivity grades, vanishing certificates and section counts are all exact.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -207,20 +206,28 @@ def anticanonical_degree(S: SurfaceModel, C: DivisorClass) -> int:
 
 @lru_cache(maxsize=None)
 def _lines_for_blowup(k: int) -> frozenset[tuple[int, ...]]:
-    # Exhaustive bounded search for c with c^2 = -1 and c.K = -1 on the
-    # blowup at k points, c = a L + sum b_i E_i.  The constraints read
-    # a^2 - sum b_i^2 = -1 and 3a + sum b_i = 1.  Cauchy-Schwarz gives
-    # (1 - 3a)^2 <= k (a^2 + 1), which for k <= 6 forces 0 <= a <= 3, and
-    # each |b_i| <= isqrt(a^2 + 1).
+    # Exhaustive search for c with c^2 = -1 and c.K = -1 on the blowup at k
+    # points, c = a L + sum b_i E_i.  The constraints read
+    # sum b_i^2 = a^2 + 1 and 3a + sum b_i = 1.  Cauchy-Schwarz gives
+    # (1 - 3a)^2 <= k (a^2 + 1), which for k <= 6 forces 0 <= a <= 3.  The
+    # search chooses b_1 .. b_{k-1} one at a time, each within what is left
+    # of the norm budget a^2 + 1, solves b_k from the linear constraint and
+    # keeps it iff b_k^2 uses up the budget exactly.  Every solution has its
+    # partial sums of squares within the budget, so no solution is pruned.
     found = set()
+
+    def extend(a: int, prefix: tuple[int, ...], budget: int, total: int) -> None:
+        if len(prefix) == k - 1:
+            last = 1 - 3 * a - total
+            if last * last == budget:
+                found.add((a, *prefix, last))
+            return
+        bound = isqrt(budget)
+        for b in range(-bound, bound + 1):
+            extend(a, prefix + (b,), budget - b * b, total + b)
+
     for a in range(0, 4):
-        bound = isqrt(a * a + 1)
-        for bs in itertools.product(range(-bound, bound + 1), repeat=k):
-            if a * a - sum(b * b for b in bs) != -1:
-                continue
-            if 3 * a + sum(bs) != 1:
-                continue
-            found.add((a,) + bs)
+        extend(a, (), a * a + 1, 0)
     return frozenset(found)
 
 
@@ -341,56 +348,6 @@ def h0_rational(S: SurfaceModel, C: DivisorClass) -> int:
             f"no positivity certificate for class {C.coeffs} on this blowup"
         )
     raise LatticeError(f"h0 is not supported on kind {S.kind!r}")
-
-
-def _bpf_generators(S: SurfaceModel) -> list[DivisorClass]:
-    # The fixed generator set of evidently basepoint-free classes: the
-    # anticanonical class, a line L, the pencils L - E_i, and the conics
-    # 2L - (four distinct E's).
-    k = S.blowup_points
-    if k not in (5, 6):
-        raise LatticeError("basepoint-free decomposition is set up for k = 5, 6")
-    gens = [-S.canonical_class(), S.cls_(1, *([0] * k))]
-    for i in range(k):
-        coeffs = [1] + [0] * k
-        coeffs[1 + i] = -1
-        gens.append(DivisorClass(tuple(coeffs)))
-    for combo in itertools.combinations(range(k), 4):
-        coeffs = [2] + [0] * k
-        for i in combo:
-            coeffs[1 + i] = -1
-        gens.append(DivisorClass(tuple(coeffs)))
-    return gens
-
-
-def bpf_decompose(
-    S: SurfaceModel, C: DivisorClass
-) -> Optional[list[DivisorClass]]:
-    """Write C as a nonnegative sum of evidently basepoint-free generators.
-
-    Returns the generator list (with repetition) or None when the exhaustive
-    search finds no decomposition; failure is a value, not a fault.
-    """
-    _check_class(S, C)
-    generators = _bpf_generators(S)
-
-    def search(idx: int, remaining: tuple[int, ...]) -> Optional[list[DivisorClass]]:
-        if all(c == 0 for c in remaining):
-            return []
-        if idx == len(generators):
-            return None
-        if remaining[0] < 0 or any(c > 0 for c in remaining[1:]):
-            return None
-        gen = generators[idx]
-        max_mult = remaining[0] // gen.coeffs[0]
-        for mult in range(max_mult, -1, -1):
-            rest = tuple(r - mult * gc for r, gc in zip(remaining, gen.coeffs))
-            tail = search(idx + 1, rest)
-            if tail is not None:
-                return [gen] * mult + tail
-        return None
-
-    return search(0, C.coeffs)
 
 
 def k3_stats(S: SurfaceModel, C: DivisorClass, H: DivisorClass) -> K3Stats:

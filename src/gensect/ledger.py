@@ -153,15 +153,27 @@ class Ledger:
         return problems
 
 
+_INT_OR_NULL = (int, type(None))
+
+
 def _entry_from_record(record: dict) -> LedgerEntry:
     case = record["case"]
+    r, n, d, g = case["r"], case["n"], case["d"], case["g"]
+    # type() rather than isinstance(): JSON true and false load as bools
+    if not (
+        type(r) is int and type(n) is int and type(d) in _INT_OR_NULL and type(g) in _INT_OR_NULL
+    ):
+        raise LedgerFormatError(
+            f"entry {record['id']}: case r, n, d, g must be integers (d and g may be null), "
+            f"got {r!r}, {n!r}, {d!r}, {g!r}"
+        )
     glue = record.get("glue")
     return LedgerEntry(
         id=record["id"],
-        r=case["r"],
-        n=case["n"],
-        d=case["d"],
-        g=case["g"],
+        r=r,
+        n=n,
+        d=d,
+        g=g,
         tag=record["tag"],
         citation=record["citation"],
         quote=record["quote"],

@@ -5,6 +5,12 @@ it numerically: the Brill-Noether number, the dimension of the space of such
 maps, Euler characteristics of twisted normal bundles, and the inequality
 gates that decide when a twisted normal bundle interpolates.  All arithmetic
 is over Python integers; nothing here is approximate.
+
+Each formula is written once, in a core named ``<function>_at`` that takes
+plain values and does no validation; the public function validates its
+``BNIndex`` (and twist) and calls the core.  A core uses only +, - and *, so
+it evaluates on polynomials too, which is how the verify battery proves the
+identities between them for all integers.
 """
 
 from __future__ import annotations
@@ -35,37 +41,17 @@ class BNIndex:
             raise ValueError(f"genus g must be >= 0, got {self.g}")
 
 
-@dataclass(frozen=True)
-class TwistSpec:
-    """A normal-bundle twist k together with the hypersurface degree n.
-
-    The intersection of a curve with a degree-n hypersurface is controlled by
-    the twist k = n, but the two play distinct roles in the inequality gates,
-    so they are carried separately.
-    """
-
-    k: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ValueError(f"twist k must be >= 0, got {self.k}")
-        if self.n < 1:
-            raise ValueError(f"hypersurface degree n must be >= 1, got {self.n}")
-
-    @classmethod
-    def for_hypersurface(cls, n: int) -> "TwistSpec":
-        """The twist matching a degree-n hypersurface section."""
-        return cls(k=n, n=n)
-
-
 def rho(ix: BNIndex) -> int:
     """Brill-Noether number (r+1)d - rg - r(r+1).
 
     Nonnegativity is exactly the existence condition for a curve of these
     invariants moving in a family dominating the moduli of curves.
     """
-    r, d, g = ix.r, ix.d, ix.g
+    return rho_at(ix.r, ix.d, ix.g)
+
+
+def rho_at(r, d, g):
+    """``rho`` on plain values, unchecked."""
     return (r + 1) * d - r * g - r * (r + 1)
 
 
@@ -88,7 +74,11 @@ def moduli_dim(ix: BNIndex) -> int:
 
     For r = 3 this collapses to 4d, independent of the genus.
     """
-    r, d, g = ix.r, ix.d, ix.g
+    return moduli_dim_at(ix.r, ix.d, ix.g)
+
+
+def moduli_dim_at(r, d, g):
+    """``moduli_dim`` on plain values, unchecked."""
     return (r + 1) * d - (r - 3) * (g - 1)
 
 
@@ -102,7 +92,11 @@ def chi_twisted_normal(ix: BNIndex, k: int) -> int:
     """
     if k < 0:
         raise ValueError(f"twist k must be >= 0, got {k}")
-    r, d, g = ix.r, ix.d, ix.g
+    return chi_twisted_normal_at(ix.r, ix.d, ix.g, k)
+
+
+def chi_twisted_normal_at(r, d, g, k):
+    """``chi_twisted_normal`` on plain values, unchecked."""
     degree = (r + 1) * d + 2 * (g - 1) - k * (r - 1) * d
     return degree + (r - 1) * (1 - g)
 
@@ -166,4 +160,9 @@ def rho_canonical_reduction_delta(ix: BNIndex) -> int:
     r, d, g = ix.r, ix.d, ix.g
     if d <= r or g <= r:
         raise ValueError(f"reduction needs d > r and g > r, got (r={r}, d={d}, g={g})")
-    return rho(BNIndex(r, d - r, g - r - 1)) - rho(ix)
+    return rho_canonical_reduction_delta_at(r, d, g)
+
+
+def rho_canonical_reduction_delta_at(r, d, g):
+    """``rho_canonical_reduction_delta`` on plain values, unchecked."""
+    return rho_at(r, d - r, g - r - 1) - rho_at(r, d, g)

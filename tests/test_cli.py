@@ -257,11 +257,20 @@ def _entry_without_case():
     return json.dumps(payload)
 
 
+def _degree_set_to(value):
+    payload = json.loads(_bundled_ledger_text())
+    payload["entries"][3]["case"]["d"] = value
+    return json.dumps(payload)
+
+
 MALFORMED_LEDGERS = {
     "truncated": lambda: _bundled_ledger_text()[:500],
     "no-entries": lambda: json.dumps({"schema_version": "1.0", "records": []}),
     "entry-without-case": _entry_without_case,
     "duplicate-ids": _duplicate_ids,
+    "float-degree": lambda: _degree_set_to(7.5),
+    "bool-degree": lambda: _degree_set_to(True),
+    "string-degree": lambda: _degree_set_to("7"),
 }
 
 
@@ -280,3 +289,5 @@ def test_malformed_ledger_exit_one(defect, command, tmp_path, capsys):
     assert out == ""
     assert len(err.strip().splitlines()) == 1
     assert "malformed ledger" in err
+    if defect.endswith("-degree"):
+        assert "entry r3n2-scroll-5-1: case r, n, d, g must be integers" in err

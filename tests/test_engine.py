@@ -239,6 +239,12 @@ def test_validator_rejects_tampered_traces(engine):
         [step((3, 2, 5, 1), "add_line"), step((3, 2, 4, 1), "ledger", "r3n2-interp-3-0")]
     )
     assert engine.validate_trace(exceptional_premise) != []
+    short_case = trace_from_payload([{"case": [3, 2, 9], "rule": "ledger", "entry": "x"}])
+    assert engine.validate_trace(short_case) == ["(3, 2, 9): case is not four integers"]
+    bool_premise = trace_from_payload(
+        [step((3, 2, 5, 0), "add_line"), step((3, 2, 4, False), "ledger", "r3n2-interp-3-0")]
+    )
+    assert engine.validate_trace(bool_premise) == ["(3, 2, 4, False): case is not four integers"]
 
 
 def test_validator_checks_the_inside_of_a_run(engine):

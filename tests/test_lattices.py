@@ -10,7 +10,6 @@ from gensect.lattices import (
     SurfaceModel,
     adjunction_genus,
     anticanonical_degree,
-    bpf_decompose,
     enumerate_lines,
     format_class,
     h0_rational,
@@ -251,69 +250,6 @@ def test_h0_refuses_uncertified():
 
 def test_riemann_roch_chi_scroll_hyperplane():
     assert riemann_roch_chi(SCROLL, SCROLL.cls_(2, -1)) == 5
-
-
-# -- basepoint-free decompositions ---------------------------------------------
-
-
-def as_multiset(classes):
-    return sorted(c.coeffs for c in classes)
-
-
-def test_bpf_decompose_cubic():
-    C = DP6.cls_(5, -2, -2, -1, -1, -1, -1)
-    got = bpf_decompose(DP6, C)
-    assert got is not None
-    assert as_multiset(got) == as_multiset(
-        [
-            -DP6.canonical_class(),
-            DP6.cls_(1, -1, 0, 0, 0, 0, 0),
-            DP6.cls_(1, 0, -1, 0, 0, 0, 0),
-        ]
-    )
-    assert sum(got[1:], got[0]).coeffs == C.coeffs
-
-
-def test_bpf_decompose_quartic():
-    C = DP5.cls_(5, -2, -1, -1, -1, -1)
-    got = bpf_decompose(DP5, C)
-    assert got is not None
-    assert as_multiset(got) == as_multiset(
-        [
-            -DP5.canonical_class(),
-            DP5.cls_(1, -1, 0, 0, 0, 0),
-            DP5.cls_(1, 0, 0, 0, 0, 0),
-        ]
-    )
-
-
-def test_bpf_decompose_failure_is_a_value():
-    assert bpf_decompose(DP6, DP6.cls_(0, 1, 0, 0, 0, 0, 0)) is None
-
-
-def test_bpf_case_classes_decompose():
-    for S, coeffs in [
-        (DP6, (5, -2, -1, -1, -1, -1, -1)),
-        (DP6, (6, -1, -1, -2, -2, -2, -2)),
-        (DP6, (6, -1, -2, -2, -2, -2, -2)),
-        (DP5, (6, -1, -2, -2, -2, -2)),
-    ]:
-        got = bpf_decompose(S, DivisorClass(coeffs))
-        assert got is not None
-        total = got[0]
-        for extra in got[1:]:
-            total = total + extra
-        assert total.coeffs == coeffs
-
-
-def test_bpf_generators_are_nef():
-    # sanity of the generator list: nonnegative against every line
-    from gensect.lattices import _bpf_generators
-
-    for S in (DP5, DP6):
-        lines = enumerate_lines(S)
-        for gen in _bpf_generators(S):
-            assert all(intersect(S, gen, line) >= 0 for line in lines)
 
 
 # -- K3 and scroll -------------------------------------------------------------

@@ -2,7 +2,6 @@ import pytest
 
 from gensect.numerology import (
     BNIndex,
-    TwistSpec,
     chi_twisted_normal,
     interpolation_gates,
     is_interpolation_exception,
@@ -123,12 +122,3 @@ def test_index_validation():
         BNIndex(3, 3, -1)
     with pytest.raises(ValueError):
         chi_twisted_normal(BNIndex(3, 3, 0), -1)
-
-
-def test_twist_spec():
-    twist = TwistSpec.for_hypersurface(2)
-    assert (twist.k, twist.n) == (2, 2)
-    with pytest.raises(ValueError):
-        TwistSpec(-1, 1)
-    with pytest.raises(ValueError):
-        TwistSpec(0, 0)

@@ -1,0 +1,242 @@
+"""The rewritten verify checks answer exactly as the per-cell loops they
+replace: on the bundled code, on mutated numerology cores and on a mutated
+exceptional table, down to the first failing cell they name."""
+
+import pytest
+
+from gensect import engine as engine_module, numerology, verify
+from gensect.audits import EXCEPTIONAL
+from gensect.engine import (
+    ClassificationEngine,
+    ExceptionalDescriptor,
+    IncompleteLedgerError,
+    Query,
+)
+from gensect.numerology import (
+    BNIndex,
+    chi_twisted_normal,
+    in_domain,
+    moduli_dim,
+    rho_canonical_reduction_delta,
+)
+
+# -- the identity checks ----------------------------------------------------------
+# Each reference is the check's box loop over the public functions, which call
+# whatever core is in place.
+
+
+def box_chi_anchors():
+    for d in range(1, 101):
+        for g in range(0, 101):
+            if chi_twisted_normal(BNIndex(3, d, g), 1) != 2 * d:
+                yield (3, d, g, 1)
+            if chi_twisted_normal(BNIndex(3, d, g), 2) != 0:
+                yield (3, d, g, 2)
+            if chi_twisted_normal(BNIndex(4, d, g), 1) != 2 * d - g + 1:
+                yield (4, d, g, 1)
+
+
+def box_chi_untwisted():
+    for r in range(3, 7):
+        for d in range(1, 61):
+            for g in range(0, 61):
+                if chi_twisted_normal(BNIndex(r, d, g), 0) != (r + 1) * d + (r - 3) * (1 - g):
+                    yield (r, d, g)
+
+
+def box_rho_invariance():
+    for r in range(3, 7):
+        for d in range(r + 1, 61):
+            for g in range(r + 1, 61):
+                if rho_canonical_reduction_delta(BNIndex(r, d, g)) != 0:
+                    yield (r, d, g)
+
+
+def box_moduli_plane_collapse():
+    for d in range(1, 101):
+        for g in range(0, 101):
+            if moduli_dim(BNIndex(3, d, g)) != 4 * d:
+                yield (d, g)
+
+
+CHI = numerology.chi_twisted_normal_at
+RHO = numerology.rho_at
+DELTA = numerology.rho_canonical_reduction_delta_at
+MODULI = numerology.moduli_dim_at
+
+#: (core, mutant, check, reference loop).  The mutants that compare their
+#: arguments with == branch on them; the polynomials refuse that, so those
+#: checks must fall back to the box.
+MUTANTS = {
+    "chi-anchors, polynomial": (
+        "chi_twisted_normal_at",
+        lambda r, d, g, k: CHI(r, d, g, k) + k * (k - 1) * (g - 7),
+        verify.check_chi_anchors,
+        box_chi_anchors,
+    ),
+    "chi-anchors, one cell": (
+        "chi_twisted_normal_at",
+        lambda r, d, g, k: CHI(r, d, g, k) + (r == 4) * (d == 60) * (g == 40),
+        verify.check_chi_anchors,
+        box_chi_anchors,
+    ),
+    "chi-untwisted, polynomial": (
+        "chi_twisted_normal_at",
+        lambda r, d, g, k: CHI(r, d, g, k) + (r - 3) * (r - 4) * (r - 5) * (d - 1),
+        verify.check_chi_untwisted_identity,
+        box_chi_untwisted,
+    ),
+    "chi-untwisted, one cell": (
+        "chi_twisted_normal_at",
+        lambda r, d, g, k: CHI(r, d, g, k) - (r == 5) * (d == 17) * (g == 0),
+        verify.check_chi_untwisted_identity,
+        box_chi_untwisted,
+    ),
+    "rho-invariance, rho polynomial": (
+        "rho_at",
+        lambda r, d, g: RHO(r, d, g) + d * g,
+        verify.check_rho_invariance,
+        box_rho_invariance,
+    ),
+    "rho-invariance, delta one cell": (
+        "rho_canonical_reduction_delta_at",
+        lambda r, d, g: DELTA(r, d, g) + (r == 5) * (d == 30) * (g == 31),
+        verify.check_rho_invariance,
+        box_rho_invariance,
+    ),
+    "moduli-plane-collapse, polynomial": (
+        "moduli_dim_at",
+        lambda r, d, g: MODULI(r, d, g) + (g - 1) * (d - 1) * (d - 2),
+        verify.check_moduli_plane_collapse,
+        box_moduli_plane_collapse,
+    ),
+    "moduli-plane-collapse, one cell": (
+        "moduli_dim_at",
+        lambda r, d, g: MODULI(r, d, g) + (d == 1) * (g == 100),
+        verify.check_moduli_plane_collapse,
+        box_moduli_plane_collapse,
+    ),
+    # wrong only outside the box: both the box loop and the check pass
+    "moduli-plane-collapse, outside the box": (
+        "moduli_dim_at",
+        lambda r, d, g: MODULI(r, d, g) + (d == 101),
+        verify.check_moduli_plane_collapse,
+        box_moduli_plane_collapse,
+    ),
+}
+
+
+def patch_core(monkeypatch, name, replacement):
+    for module in (numerology, verify):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, replacement)
+
+
+@pytest.mark.parametrize("label", list(MUTANTS))
+def test_identity_check_names_the_box_loops_first_failure(label, monkeypatch):
+    name, mutant, check, box = MUTANTS[label]
+    patch_core(monkeypatch, name, mutant)
+    first = next(box(), None)
+    result = check()
+    assert result.ok is (first is None)
+    if first is not None:
+        assert result.detail == f"first failure {first}"
+    assert label.endswith("outside the box") is result.ok
+
+
+@pytest.mark.parametrize(
+    "name, check",
+    [
+        ("chi_twisted_normal_at", verify.check_chi_anchors),
+        ("chi_twisted_normal_at", verify.check_chi_untwisted_identity),
+        ("rho_canonical_reduction_delta_at", verify.check_rho_invariance),
+        ("moduli_dim_at", verify.check_moduli_plane_collapse),
+    ],
+)
+def test_bundled_identities_are_proved_without_the_box(name, check, monkeypatch):
+    core = getattr(numerology, name)
+    integer_calls = []
+
+    def counting(*args):
+        if all(isinstance(a, int) for a in args):
+            integer_calls.append(args)
+        return core(*args)
+
+    patch_core(monkeypatch, name, counting)
+    assert check().ok
+    assert integer_calls == []
+
+
+def test_polynomial_equality_answers_only_where_every_point_agrees():
+    d, g = verify._D, verify._G
+    assert (d + g) * (d - g) == d * d - g * g
+    assert (d + 1 == d) is False
+    with pytest.raises(TypeError):
+        d == 5
+    with pytest.raises(TypeError):
+        bool(d - d)
+    with pytest.raises(TypeError):
+        d < g
+    with pytest.raises(TypeError):
+        d // 2
+
+
+# -- the exceptional sweep ----------------------------------------------------------
+
+
+def per_cell_sweep(engine):
+    """The reference: classify every in-domain cell of the box."""
+    problems = []
+    for (r, n), expected in sorted(verify.EXPECTED_EXCEPTIONAL.items()):
+        found, underivable = set(), 0
+        for g in range(0, verify.SWEEP_G_MAX + 1):
+            for d in range(1, verify.SWEEP_D_MAX + 1):
+                if not in_domain(r, d, g):
+                    continue
+                try:
+                    verdict = engine.classify(Query(r, n, d, g))
+                except IncompleteLedgerError:
+                    underivable += 1
+                    continue
+                if verdict.status == "exceptional":
+                    found.add((d, g))
+        if found != set(expected):
+            problems.append(f"({r}, {n}): found {sorted(found)}")
+        if underivable:
+            problems.append(f"({r}, {n}): {underivable} cases underivable")
+    return not problems, problems
+
+
+def test_sweep_matches_per_cell_reference_on_bundled_ledger():
+    result = verify.check_exceptional_sweep(ClassificationEngine())
+    assert result.ok
+    assert per_cell_sweep(ClassificationEngine()) == (True, [])
+
+
+def test_sweep_fails_when_an_exceptional_pair_is_added_mid_column(monkeypatch):
+    # (20, 5) is not at the bottom of its genus column, so the grid rows read
+    # it as general; only classifying it shows that it is exceptional
+    pairs = engine_module.EXCEPTIONAL_PAIRS
+    monkeypatch.setitem(pairs, (3, 2), pairs[(3, 2)] | {(20, 5)})
+    monkeypatch.setitem(
+        engine_module.DESCRIPTORS, (3, 2, 20, 5), ExceptionalDescriptor((3, 2, 20, 5), "mutant")
+    )
+    result = verify.check_exceptional_sweep(ClassificationEngine())
+    ok, problems = per_cell_sweep(ClassificationEngine())
+    assert not result.ok and not ok
+    assert result.detail == "; ".join(problems)
+    assert "(3, 2): found [(4, 1), (5, 2), (6, 2), (6, 4), (7, 5), (8, 6), (20, 5)]" in problems
+
+
+def test_sweep_classifies_only_the_exceptional_table(monkeypatch):
+    calls = []
+    classify = ClassificationEngine.classify
+
+    def counting(self, q):
+        calls.append(q.case())
+        return classify(self, q)
+
+    monkeypatch.setattr(ClassificationEngine, "classify", counting)
+    assert verify.check_exceptional_sweep(ClassificationEngine()).ok
+    expected_cells = sum(len(cells) for cells in verify.EXPECTED_EXCEPTIONAL.values())
+    assert len(calls) <= len(EXCEPTIONAL) + expected_cells
