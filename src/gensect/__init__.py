@@ -6,111 +6,87 @@ general point configuration on the hypersurface; classification comes with
 machine-checkable derivation traces, and every finite computation feeding
 the argument (lattice intersection theory, Euler characteristics, incidence
 counts, dimension tallies) is reproducible through the verify battery.
+
+Importing the package loads none of its submodules.  Each public name is
+imported from the submodule that defines it on first access (PEP 562), so
+``gensect.ClassificationEngine()`` loads the engine, the ledger and the
+numerology, and never the lattice, Schubert or verify layers.
 """
 
-from .audits import (
-    AuditReport,
-    ConditionCount,
-    DimensionDeficit,
-    ExternalFact,
-    form_space_dim,
-    local_determinant_check,
-    rr_curve,
-    run_audit,
-    scroll_case_study,
-    surface_restriction_isomorphism_check,
-)
-from .engine import (
-    ClassificationEngine,
-    DerivationTrace,
-    ExceptionalDescriptor,
-    IncompleteLedgerError,
-    Query,
-    Verdict,
-    classify,
-    composite_invariants,
-    side_condition_check,
-)
-from .lattices import (
-    CertificateError,
-    DivisorClass,
-    LatticeError,
-    SurfaceModel,
-    adjunction_genus,
-    anticanonical_degree,
-    enumerate_lines,
-    format_class,
-    h0_rational,
-    intersect,
-    k3_stats,
-    kv_vanishing_certificate,
-    positivity,
-    restricted_degree,
-    riemann_roch_chi,
-)
-from .ledger import Ledger, LedgerEntry, load_ledger
-from .numerology import (
-    BNIndex,
-    chi_twisted_normal,
-    interpolation_gates,
-    max_general_hypersurface_degree,
-    moduli_dim,
-    rho,
-    rho_canonical_reduction_delta,
-)
-from .schubert import SchubertCycle, format_cycle, multiply, pieri, sigma, top_degree
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuditReport",
-    "BNIndex",
-    "CertificateError",
-    "ClassificationEngine",
-    "ConditionCount",
-    "DerivationTrace",
-    "DimensionDeficit",
-    "DivisorClass",
-    "ExceptionalDescriptor",
-    "ExternalFact",
-    "IncompleteLedgerError",
-    "LatticeError",
-    "Ledger",
-    "LedgerEntry",
-    "Query",
-    "SchubertCycle",
-    "SurfaceModel",
-    "Verdict",
-    "adjunction_genus",
-    "anticanonical_degree",
-    "chi_twisted_normal",
-    "classify",
-    "composite_invariants",
-    "enumerate_lines",
-    "form_space_dim",
-    "format_class",
-    "format_cycle",
-    "h0_rational",
-    "interpolation_gates",
-    "intersect",
-    "k3_stats",
-    "kv_vanishing_certificate",
-    "load_ledger",
-    "local_determinant_check",
-    "max_general_hypersurface_degree",
-    "moduli_dim",
-    "multiply",
-    "pieri",
-    "positivity",
-    "restricted_degree",
-    "rho",
-    "rho_canonical_reduction_delta",
-    "riemann_roch_chi",
-    "rr_curve",
-    "run_audit",
-    "scroll_case_study",
-    "side_condition_check",
-    "sigma",
-    "surface_restriction_isomorphism_check",
-    "top_degree",
-]
+#: The submodule defining each public name.
+_EXPORTS = {
+    "audits": (
+        "AuditReport",
+        "ConditionCount",
+        "DimensionDeficit",
+        "ExternalFact",
+        "form_space_dim",
+        "local_determinant_check",
+        "rr_curve",
+        "run_audit",
+        "scroll_case_study",
+        "surface_restriction_isomorphism_check",
+    ),
+    "engine": (
+        "ClassificationEngine",
+        "DerivationTrace",
+        "ExceptionalDescriptor",
+        "IncompleteLedgerError",
+        "Query",
+        "Verdict",
+        "classify",
+        "side_condition_check",
+    ),
+    "lattices": (
+        "CertificateError",
+        "DivisorClass",
+        "LatticeError",
+        "SurfaceModel",
+        "adjunction_genus",
+        "anticanonical_degree",
+        "enumerate_lines",
+        "format_class",
+        "h0_rational",
+        "intersect",
+        "k3_stats",
+        "kv_vanishing_certificate",
+        "positivity",
+        "restricted_degree",
+        "riemann_roch_chi",
+    ),
+    "ledger": ("Ledger", "LedgerEntry", "load_ledger"),
+    "numerology": (
+        "BNIndex",
+        "chi_twisted_normal",
+        "interpolation_gates",
+        "max_general_hypersurface_degree",
+        "moduli_dim",
+        "rho",
+        "rho_canonical_reduction_delta",
+    ),
+    "schubert": ("SchubertCycle", "format_cycle", "multiply", "pieri", "sigma", "top_degree"),
+}
+
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name: str):
+    # Only names not yet in the module globals reach here; a submodule name
+    # such as ``cli`` raises, so ``from gensect import cli`` imports it.
+    try:
+        module = _SOURCE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | _SOURCE.keys())

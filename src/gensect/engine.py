@@ -254,21 +254,6 @@ class SideConditionReport:
         return all(row.holds for row in self.rows)
 
 
-def composite_invariants(
-    f1: tuple[int, int], glue: tuple[int, int, int]
-) -> tuple[int, int]:
-    """Degree and genus of a curve glued to another at n points.
-
-    Attaching a degree-d2 genus-g2 curve at n points gives
-    (d + d2, g + g2 + n - 1).
-    """
-    d, g = f1
-    d2, g2, n = glue
-    if n < 1:
-        raise ValueError(f"gluing needs at least one point, got {n}")
-    return (d + d2, g + g2 + n - 1)
-
-
 def side_condition_check(entry: LedgerEntry) -> SideConditionReport:
     """Evaluate the gluing side conditions attached to a ledger entry.
 

@@ -11,9 +11,8 @@ flag on the command line swaps it out for fault-injection runs.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
-from importlib import resources
-from pathlib import Path
 from typing import Optional
 
 from .numerology import in_domain
@@ -154,9 +153,12 @@ class Ledger:
 
 
 _INT_OR_NULL = (int, type(None))
+_FOUR_INTS = (int, int, int, int)
+_TEXT_FIELDS = ("id", "tag", "citation", "quote")
 
 
 def _entry_from_record(record: dict) -> LedgerEntry:
+    entry_id = record["id"]
     case = record["case"]
     r, n, d, g = case["r"], case["n"], case["d"], case["g"]
     # type() rather than isinstance(): JSON true and false load as bools
@@ -164,12 +166,23 @@ def _entry_from_record(record: dict) -> LedgerEntry:
         type(r) is int and type(n) is int and type(d) in _INT_OR_NULL and type(g) in _INT_OR_NULL
     ):
         raise LedgerFormatError(
-            f"entry {record['id']}: case r, n, d, g must be integers (d and g may be null), "
+            f"entry {entry_id}: case r, n, d, g must be integers (d and g may be null), "
             f"got {r!r}, {n!r}, {d!r}, {g!r}"
         )
+    for name in _TEXT_FIELDS:
+        if type(record[name]) is not str:
+            raise LedgerFormatError(
+                f"entry {entry_id}: {name} must be a string, got {record[name]!r}"
+            )
+    premises = record.get("premises", [])
+    for premise in premises:
+        if type(premise) is not list or tuple(map(type, premise)) != _FOUR_INTS:
+            raise LedgerFormatError(
+                f"entry {entry_id}: premise {premise!r} must be four integers"
+            )
     glue = record.get("glue")
     return LedgerEntry(
-        id=record["id"],
+        id=entry_id,
         r=r,
         n=n,
         d=d,
@@ -177,7 +190,7 @@ def _entry_from_record(record: dict) -> LedgerEntry:
         tag=record["tag"],
         citation=record["citation"],
         quote=record["quote"],
-        premises=tuple(tuple(p) for p in record.get("premises", [])),
+        premises=tuple(map(tuple, premises)),
         glue=GlueData(**glue) if glue else None,
         rho_exempt=record.get("rho_exempt", False),
         premises_stated_only=record.get("premises_stated_only", False),
@@ -185,16 +198,19 @@ def _entry_from_record(record: dict) -> LedgerEntry:
     )
 
 
-def load_ledger(path: Optional[str | Path] = None) -> Ledger:
+#: The ledger shipped with the package, found by a plain path: importing
+#: importlib.resources or pathlib costs tens of milliseconds at start-up.
+_BUNDLED_LEDGER = os.path.join(os.path.dirname(__file__), "data", "ledger.json")
+
+
+def load_ledger(path: Optional[str | os.PathLike] = None) -> Ledger:
     """Load the bundled ledger, or the JSON file at ``path`` if given."""
     if path is None:
-        text = (
-            resources.files("gensect").joinpath("data/ledger.json").read_text("utf-8")
-        )
-        source = "bundled"
+        path, source = _BUNDLED_LEDGER, "bundled"
     else:
-        text = Path(path).read_bytes()
         source = str(path)
+    with open(os.fspath(path), "rb") as file:
+        text = file.read()
     try:
         payload = json.loads(text)
         entries = tuple(_entry_from_record(rec) for rec in payload["entries"])

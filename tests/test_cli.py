@@ -263,6 +263,19 @@ def _degree_set_to(value):
     return json.dumps(payload)
 
 
+def _quote_set_to_null():
+    payload = json.loads(_bundled_ledger_text())
+    payload["entries"][3]["quote"] = None
+    return json.dumps(payload)
+
+
+def _three_number_premise():
+    payload = json.loads(_bundled_ledger_text())
+    assert payload["entries"][6]["id"] == "r3n2-hglue-7-2"
+    payload["entries"][6]["premises"] = [[3, 2, 9]]
+    return json.dumps(payload)
+
+
 MALFORMED_LEDGERS = {
     "truncated": lambda: _bundled_ledger_text()[:500],
     "no-entries": lambda: json.dumps({"schema_version": "1.0", "records": []}),
@@ -271,6 +284,8 @@ MALFORMED_LEDGERS = {
     "float-degree": lambda: _degree_set_to(7.5),
     "bool-degree": lambda: _degree_set_to(True),
     "string-degree": lambda: _degree_set_to("7"),
+    "null-quote": _quote_set_to_null,
+    "three-number-premise": _three_number_premise,
 }
 
 
@@ -291,3 +306,7 @@ def test_malformed_ledger_exit_one(defect, command, tmp_path, capsys):
     assert "malformed ledger" in err
     if defect.endswith("-degree"):
         assert "entry r3n2-scroll-5-1: case r, n, d, g must be integers" in err
+    if defect == "null-quote":
+        assert "entry r3n2-scroll-5-1: quote must be a string, got None" in err
+    if defect == "three-number-premise":
+        assert "entry r3n2-hglue-7-2: premise [3, 2, 9] must be four integers" in err

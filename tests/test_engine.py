@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -11,7 +12,6 @@ from gensect.engine import (
     Query,
     Segment,
     admissible_floor,
-    composite_invariants,
     in_domain,
     side_condition_check,
     trace_from_payload,
@@ -328,22 +328,19 @@ def test_side_conditions_rejects_plain_entries(engine):
         side_condition_check(engine.ledger.get("r3n2-interp-3-0"))
 
 
-def test_composite_invariants():
-    assert composite_invariants((6, 1), (4, 3, 6)) == (10, 9)
-    assert composite_invariants((7, 3), (9, 6, 7)) == (16, 15)
-    assert composite_invariants((11, 4), (1, 0, 1)) == (12, 4)
-    with pytest.raises(ValueError):
-        composite_invariants((6, 1), (4, 3, 0))
-
-
 def test_glue_arithmetic_reaches_case(engine):
-    for entry in engine.ledger.entries:
-        if entry.glue is None:
-            continue
-        for (r, n, d, g) in entry.premises:
-            assert composite_invariants(
-                (d, g), (entry.glue.d2, entry.glue.g2, entry.glue.points)
-            ) == (entry.d, entry.g)
+    glued = [e for e in engine.ledger.entries if e.glue is not None and e.premises]
+    assert glued
+    problems = engine.ledger.invariant_problems()
+    assert not [p for p in problems if "glue arithmetic" in p]
+    # the same check trips when an attached curve's genus is off by one
+    bent = dataclasses.replace(
+        glued[0], glue=dataclasses.replace(glued[0].glue, g2=glued[0].glue.g2 + 1)
+    )
+    doctored = Ledger(entries=(bent,), source="doctored")
+    assert f"{bent.id}: glue arithmetic does not reach the case from premise" in (
+        doctored.invariant_problems()
+    )
 
 
 # -- fault injection -----------------------------------------------------------------
