@@ -16,9 +16,8 @@ ring of polynomials truncated past degree one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
-from typing import Callable, Optional, Union
 
 
 def rr_curve(deg: int, g: int) -> int:
@@ -49,7 +48,7 @@ def general_bundle_h0(deg: int, g: int) -> int:
     return max(0, deg - g + 1)
 
 
-def form_space_dim(ambient: str, degree: Union[int, tuple[int, int]]) -> int:
+def form_space_dim(ambient: str, degree: int | tuple[int, int]) -> int:
     """Dimension of the space of forms of the given degree on the ambient.
 
     ``plane``: (m+1)(m+2)/2; ``space``: C(m+3, 3); ``quadric_surface``:
@@ -67,8 +66,7 @@ def form_space_dim(ambient: str, degree: Union[int, tuple[int, int]]) -> int:
     raise ValueError(f"unknown ambient {ambient!r}")
 
 
-@dataclass(frozen=True)
-class ConditionCount:
+class ConditionCount(namedtuple("ConditionCount", "points h0 comparison system")):
     """n points against an h0-dimensional system; slack = h0 - n.
 
     ``comparison`` records the sense of the failure: ``cut_out_by`` means the
@@ -77,62 +75,52 @@ class ConditionCount:
     general collection of that size would miss (needs n >= h0).
     """
 
-    points: int
-    h0: int
-    comparison: str
-    system: str
+    __slots__ = ()
 
     @property
     def slack(self) -> int:
         return self.h0 - self.points
 
 
-@dataclass(frozen=True)
-class DimensionDeficit:
-    """A labeled family-dimension tally falling short of the ambient."""
+class DimensionDeficit(namedtuple("DimensionDeficit", "components ambient_dim")):
+    """A labeled family-dimension tally, (label, dimension) pairs, falling
+    short of the ambient."""
 
-    components: tuple[tuple[str, int], ...]
-    ambient_dim: int
+    __slots__ = ()
 
     @property
     def total(self) -> int:
         return sum(v for _, v in self.components)
 
 
-@dataclass(frozen=True)
-class ExternalFact:
+class ExternalFact(namedtuple("ExternalFact", "citation")):
     """A cited fact used as-is; no local arithmetic reproduces it."""
 
-    citation: str
+    __slots__ = ()
 
-
-Evidence = Union[ConditionCount, DimensionDeficit, ExternalFact]
 
 Case = tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    case: Case
-    evidence: Evidence
-    verdict: str = "not_general"
+class AuditReport(namedtuple("AuditReport", "case evidence verdict", defaults=("not_general",))):
+    """The evidence, a ``ConditionCount``, ``DimensionDeficit`` or
+    ``ExternalFact``, that one case is not general."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ExceptionalCase:
+class ExceptionalCase(
+    namedtuple("ExceptionalCase", "points description evidence note", defaults=(None,))
+):
     """One exceptional intersection of ``points`` = d * n points: what it is,
     and the evidence that it is not a general collection."""
 
-    points: int
-    description: str
-    evidence: Evidence
-    note: Optional[str] = None
+    __slots__ = ()
 
 
-def _count(
-    comparison: str, system: str, ambient: str, degree: Union[int, tuple[int, int]]
-) -> Callable[[int], Evidence]:
-    """Evidence that the points lie on, or are cut out by, members of a system."""
+def _count(comparison: str, system: str, ambient: str, degree: int | tuple[int, int]):
+    """Evidence that the points lie on, or are cut out by, members of a
+    system, as a function of the number of points."""
     h0 = form_space_dim(ambient, degree)
     return lambda points: ConditionCount(points, h0, comparison, system)
 
@@ -169,9 +157,9 @@ def _genus_four_residual(points: int) -> DimensionDeficit:
     )
 
 
-def _row(
-    case: Case, description: str, evidence: Callable[[int], Evidence], note: Optional[str] = None
-) -> ExceptionalCase:
+def _row(case: Case, description: str, evidence, note: str | None = None) -> ExceptionalCase:
+    """One row of the table; ``evidence`` maps the number of points to the
+    evidence that they are not general."""
     r, n, d, _ = case
     points = d * n
     return ExceptionalCase(points, description, evidence(points), note)
@@ -275,13 +263,10 @@ def audit_evidence_problems(report: AuditReport) -> list[str]:
 # -- cubic scroll case study -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CheckLine:
+class CheckLine(namedtuple("CheckLine", "name computed expected")):
     """One named sub-check with its computed and expected values."""
 
-    name: str
-    computed: object
-    expected: object
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -333,12 +318,10 @@ def scroll_case_study() -> list[CheckLine]:
 # -- truncated polynomial determinant ----------------------------------------
 
 
-@dataclass(frozen=True)
-class Jet:
+class Jet(namedtuple("Jet", "c0 c1")):
     """An element c0 + c1 t of the polynomial ring truncated past degree 1."""
 
-    c0: int
-    c1: int
+    __slots__ = ()
 
     def __add__(self, other: "Jet") -> "Jet":
         return Jet(self.c0 + other.c0, self.c1 + other.c1)
@@ -348,6 +331,9 @@ class Jet:
 
     def __mul__(self, other: "Jet") -> "Jet":
         return Jet(self.c0 * other.c0, self.c0 * other.c1 + self.c1 * other.c0)
+
+    def __rmul__(self, other):  # not the tuple's repetition
+        return NotImplemented
 
     def is_zero(self) -> bool:
         return self.c0 == 0 and self.c1 == 0

@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import copy
 import functools
+import os
 import sys
-from typing import Callable, Optional, Sequence
+from collections.abc import Callable, Sequence
 
 from . import audits, lattices, schubert, verify
 from .engine import (
@@ -32,7 +33,33 @@ EXIT_INVALID = 2
 EXIT_VERIFICATION = 3
 
 
+def _terminal_columns() -> int:
+    """The columns ``shutil.get_terminal_size()`` reports, found the same way
+    without importing shutil (and with it bz2, lzma, zlib and fnmatch)."""
+    try:
+        columns = int(os.environ["COLUMNS"])
+    except (KeyError, ValueError):
+        columns = 0
+    if columns <= 0:
+        try:
+            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
+        except (AttributeError, ValueError, OSError):
+            columns = 0
+    return columns or 80
+
+
+class _Formatter(argparse.HelpFormatter):
+    # argparse's own default width, which it gets from shutil
+    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None) -> None:
+        if width is None:
+            width = _terminal_columns() - 2
+        super().__init__(prog, indent_increment, max_help_position, width)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs) -> None:
+        super().__init__(formatter_class=_Formatter, **kwargs)
+
     # argparse exits with status 2 on bad flags; the contract reserves 2 for
     # invalid queries, so usage errors are remapped to 1.
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -386,7 +413,7 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -25,8 +25,7 @@ Rules mirror the inductive structure of the underlying argument:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .audits import EXCEPTIONAL
 from .ledger import (
@@ -74,24 +73,19 @@ class IncompleteLedgerError(RuntimeError):
         self.case = case
 
 
-@dataclass(frozen=True)
-class Query:
-    r: int
-    n: int
-    d: int
-    g: int
+class Query(namedtuple("Query", "r n d g")):
+    __slots__ = ()
 
     def case(self) -> tuple[int, int, int, int]:
         return (self.r, self.n, self.d, self.g)
 
 
-@dataclass(frozen=True)
-class ExceptionalDescriptor:
+class ExceptionalDescriptor(
+    namedtuple("ExceptionalDescriptor", "case description note", defaults=(None,))
+):
     """Structured description of one exceptional intersection."""
 
-    case: tuple[int, int, int, int]
-    description: str
-    note: Optional[str] = None
+    __slots__ = ()
 
 
 #: The descriptor of each exceptional case, read from the audits table.
@@ -101,23 +95,20 @@ DESCRIPTORS: dict[tuple[int, int, int, int], ExceptionalDescriptor] = {
 }
 
 
-def _run_delta(rule: str, r: int) -> Optional[tuple[int, int]]:
+def _run_delta(rule: str, r: int) -> tuple[int, int] | None:
     """Degree and genus drop of one step of a rule that can repeat, else None."""
     if rule == RULE_ADD_CANONICAL:
         return CANONICAL_STEP.get(r)
     return (1, 0) if rule == RULE_ADD_LINE else None
 
 
-class Segment(NamedTuple):
+class Segment(namedtuple("Segment", "case rule repeat entry_id", defaults=(1, None))):
     """``repeat`` steps of one rule from ``case``, each resting on the next.
 
     Only ``add_line`` and ``add_canonical`` repeat; leaves carry an entry id.
     """
 
-    case: tuple[int, int, int, int]
-    rule: str
-    repeat: int = 1
-    entry_id: Optional[str] = None
+    __slots__ = ()
 
     @property
     def delta(self) -> tuple[int, int]:
@@ -130,7 +121,7 @@ class Segment(NamedTuple):
         dd, dg = self.delta
         return (r, n, d - i * dd, g - i * dg)
 
-    def premise(self) -> Optional[tuple[int, int, int, int]]:
+    def premise(self) -> tuple[int, int, int, int] | None:
         """The case the segment rests on; None for a ledger leaf."""
         if self.rule == RULE_DOWNGRADE:
             return (3, 2) + self.case[2:]
@@ -152,19 +143,20 @@ def _extend(segments: list[Segment], seg: Segment) -> None:
         segments.append(seg)
 
 
-@dataclass(frozen=True)
-class DerivationTrace:
+class DerivationTrace(namedtuple("DerivationTrace", "segments")):
     """A derivation: the path from the queried case down to a ledger leaf.
 
     Every rule has exactly one premise, so a derivation is a path, stored as
-    maximal runs of one rule: O(g / 8) segments however large d is.
+    maximal runs of one rule (a tuple of ``Segment``): O(g / 8) segments
+    however large d is.
     """
 
-    segments: tuple[Segment, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.segments:
+    def __new__(cls, segments: tuple[Segment, ...]) -> DerivationTrace:
+        if not segments:
             raise ValueError("a derivation has at least one step")
+        return super().__new__(cls, segments)
 
     def steps(self) -> list[Segment]:
         """The single steps from root to leaf."""
@@ -183,42 +175,78 @@ class DerivationTrace:
         ]
 
 
+_STR_OR_NULL = (str, type(None))
+
+
+def _trace_record(index: int, record: dict) -> tuple[tuple, str, str | None]:
+    """The case, rule and entry of one JSON trace record.
+
+    Raises ValueError naming the record's index unless it is an object with
+    a case of four integers (not booleans), a string rule and a string or
+    null entry.
+    """
+    case = record.get("case") if type(record) is dict else None
+    if not (
+        isinstance(case, (list, tuple))
+        and tuple(map(type, case)) == (int, int, int, int)
+        and type(record.get("rule")) is str
+        and type(record.get("entry")) in _STR_OR_NULL
+    ):
+        raise ValueError(
+            f"trace record {index}: not an object with a case of four integers, "
+            "a string rule and a string or null entry"
+        )
+    return tuple(case), record["rule"], record.get("entry")
+
+
 def trace_from_payload(payload: list[dict]) -> DerivationTrace:
     """Rebuild a trace from its JSON form (for re-validation round trips).
 
     One scan, run by run: a record continues the open run while it has the
     run's rule and entry and the run's next case, so each run costs one
-    Segment.  The result equals folding the records one by one into
-    ``_extend``, malformed records included.
+    Segment.  A record that starts a run is checked by ``_trace_record``.
+    A record that continues a run equals the case computed for it, so it is
+    not checked again: a number equal to that case's, such as 5.0, passes
+    there.  Apart from that, the result equals checking every record and
+    folding it into ``_extend``.
     """
+    if type(payload) is not list:
+        raise ValueError("a trace payload is a list of records")
     if not payload:
         raise ValueError("empty trace payload")
     segments: list[Segment] = []
     repeat = 0  # steps in the open run, which starts at seg
-    for record in payload:
-        case, rule, entry = tuple(record["case"]), record["rule"], record.get("entry")
-        if repeat and rule == run_rule and entry == run_entry and rule in _RUN_RULES:
-            if repeat == 1:  # unpacked only where _extend would call premise()
-                r, n, d, g = seg.case
-                dd, dg = seg.delta
-            if case == (r, n, d - repeat * dd, g - repeat * dg):
-                repeat += 1
-                continue
+    for index, record in enumerate(payload):
+        try:
+            case, rule, entry = tuple(record["case"]), record["rule"], record.get("entry")
+        except (AttributeError, KeyError, TypeError):
+            rule = None  # malformed: it starts a run, where _trace_record rejects it
+        if (
+            repeat
+            and rule == run_rule
+            and entry == run_entry
+            and rule in _RUN_RULES
+            and case == (r, n, d - repeat * dd, g - repeat * dg)
+        ):
+            repeat += 1
+            continue
         if repeat:  # a run ends where _extend would not merge: it is maximal
             segments.append(seg._replace(repeat=repeat))
+        case, rule, entry = _trace_record(index, record)
         seg, repeat, run_rule, run_entry = Segment(case, rule, 1, entry), 1, rule, entry
+        (r, n, d, g), (dd, dg) = case, seg.delta
     segments.append(seg._replace(repeat=repeat))
     return DerivationTrace(tuple(segments))
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a classification query."""
+class Verdict(
+    namedtuple("Verdict", "status reason trace descriptor", defaults=(None, None, None))
+):
+    """Outcome of a classification query: ``status`` is "general",
+    "exceptional" or "invalid", with a ``trace``, a ``descriptor`` or a
+    ``reason`` to match."""
 
-    status: str  # "general" | "exceptional" | "invalid"
-    reason: Optional[str] = None
-    trace: Optional[DerivationTrace] = None
-    descriptor: Optional[ExceptionalDescriptor] = None
+    __slots__ = ()
 
     @classmethod
     def invalid(cls, reason: str) -> "Verdict":
@@ -233,21 +261,14 @@ class Verdict:
         return cls(status="exceptional", descriptor=descriptor)
 
 
-@dataclass(frozen=True)
-class ConditionRow:
+class ConditionRow(namedtuple("ConditionRow", "name lhs relation rhs holds")):
     """One evaluated inequality, reported with both sides."""
 
-    name: str
-    lhs: int
-    relation: str
-    rhs: int
-    holds: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SideConditionReport:
-    entry_id: str
-    rows: tuple[ConditionRow, ...]
+class SideConditionReport(namedtuple("SideConditionReport", "entry_id rows")):
+    __slots__ = ()
 
     @property
     def all_hold(self) -> bool:
@@ -279,7 +300,7 @@ def side_condition_check(entry: LedgerEntry) -> SideConditionReport:
     return SideConditionReport(entry_id=entry.id, rows=rows)
 
 
-def admissible_floor(r: int, n: int, g: int) -> Optional[int]:
+def admissible_floor(r: int, n: int, g: int) -> int | None:
     """The least d with (r, n, d, g) in domain and not exceptional, if any.
 
     Every exceptional (d, g) sits at the bottom of its genus column, so the
@@ -302,9 +323,9 @@ class ClassificationEngine:
     deriving f(g), computed once per genus, which recurses only in genus.
     """
 
-    def __init__(self, ledger: Optional[Ledger] = None) -> None:
+    def __init__(self, ledger: Ledger | None = None) -> None:
         self.ledger = ledger if ledger is not None else load_ledger()
-        self._thresholds: dict[tuple[int, int], dict[int, Optional[Segment]]] = {}
+        self._thresholds: dict[tuple[int, int], dict[int, Segment | None]] = {}
 
     # -- domain predicates -------------------------------------------------
 
@@ -342,7 +363,7 @@ class ClassificationEngine:
             step = self._first_step(*case)
         raise IncompleteLedgerError(q.case())
 
-    def _first_step(self, r: int, n: int, d: int, g: int) -> Optional[Segment]:
+    def _first_step(self, r: int, n: int, d: int, g: int) -> Segment | None:
         """The first segment of the derivation of an admissible case, if any."""
         threshold = self._threshold(r, n, g)
         if threshold is not None and d >= threshold.case[2]:
@@ -354,13 +375,13 @@ class ClassificationEngine:
         entry = self._leaf(r, n, d, g)
         return entry and Segment((r, n, d, g), RULE_LEDGER, 1, entry.id)
 
-    def _leaf(self, r: int, n: int, d: int, g: int) -> Optional[LedgerEntry]:
+    def _leaf(self, r: int, n: int, d: int, g: int) -> LedgerEntry | None:
         """The ledger entry a case may rest on directly.  Auxiliary bases serve
         only as premises below genus 0, where no query or sweep reaches."""
         entry = self.ledger.lookup(r, n, d, g)
         return entry if entry is not None and (entry.tag not in AUXILIARY_TAGS or g < 0) else None
 
-    def _threshold(self, r: int, n: int, g: int) -> Optional[Segment]:
+    def _threshold(self, r: int, n: int, g: int) -> Segment | None:
         """The step deriving f(g); None if nothing at genus g is derivable.
 
         f(g) is the least of add_canonical at max(a(g), f(g - dg) + dd), the
@@ -389,7 +410,7 @@ class ClassificationEngine:
                 column[h] = step
         return column[g]
 
-    def _lowest_leaf(self, r: int, n: int, g: int, lo: int) -> Optional[Segment]:
+    def _lowest_leaf(self, r: int, n: int, g: int, lo: int) -> Segment | None:
         """The ledger leaf of least degree >= lo at genus g; past the exact
         entries only a wildcard matches, so the search ends one beyond them."""
         for d in range(lo, max(lo, self.ledger.exact_ceiling(r, n, g)) + 1):
@@ -484,7 +505,7 @@ class ClassificationEngine:
         return problems
 
     def _check_step(
-        self, node: Segment, child: Optional[Segment], problems: list[str]
+        self, node: Segment, child: Segment | None, problems: list[str]
     ) -> bool:
         """Check one step against its premise; False where the replay stops."""
         r, n, d, g = node.case
@@ -528,7 +549,7 @@ class ClassificationEngine:
         return True
 
 
-_DEFAULT_ENGINE: Optional[ClassificationEngine] = None
+_DEFAULT_ENGINE: ClassificationEngine | None = None
 
 
 def default_engine() -> ClassificationEngine:

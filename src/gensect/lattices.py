@@ -11,10 +11,10 @@ positivity grades, vanishing certificates and section counts are all exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from functools import lru_cache
 from math import isqrt
-from typing import Iterable, Optional
 
 
 class LatticeError(ValueError):
@@ -25,14 +25,13 @@ class CertificateError(LatticeError):
     """A section count was requested for a class with no positivity certificate."""
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(namedtuple("DivisorClass", "coeffs")):
     """Integer coefficient vector in the basis of a surface lattice."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+    def __new__(cls, coeffs: Iterable[int]) -> DivisorClass:
+        return super().__new__(cls, tuple(int(c) for c in coeffs))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if len(self.coeffs) != len(other.coeffs):
@@ -50,9 +49,15 @@ class DivisorClass:
     def __rmul__(self, m: int) -> "DivisorClass":
         return DivisorClass(tuple(m * a for a in self.coeffs))
 
+    def __mul__(self, other):  # not the tuple's repetition
+        return NotImplemented
 
-@dataclass(frozen=True)
-class SurfaceModel:
+
+class SurfaceModel(
+    namedtuple(
+        "SurfaceModel", "kind gram canonical basis_names kind_tag", defaults=("rational",)
+    )
+):
     """A polarized integer lattice: Gram matrix, canonical vector, basis names.
 
     ``kind`` is one of ``del_pezzo`` (blowup of the plane at k points,
@@ -62,26 +67,30 @@ class SurfaceModel:
     which changes which Riemann-Roch conventions apply.
     """
 
-    kind: str
-    gram: tuple[tuple[int, ...], ...]
-    canonical: tuple[int, ...]
-    basis_names: tuple[str, ...]
-    kind_tag: str = "rational"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.gram)
-        if any(len(row) != n for row in self.gram):
+    def __new__(
+        cls,
+        kind: str,
+        gram: tuple[tuple[int, ...], ...],
+        canonical: tuple[int, ...],
+        basis_names: tuple[str, ...],
+        kind_tag: str = "rational",
+    ) -> SurfaceModel:
+        n = len(gram)
+        if any(len(row) != n for row in gram):
             raise LatticeError("Gram matrix must be square")
-        if len(self.canonical) != n or len(self.basis_names) != n:
+        if len(canonical) != n or len(basis_names) != n:
             raise LatticeError("canonical vector and basis must match the Gram rank")
         for i in range(n):
             for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise LatticeError("Gram matrix must be symmetric")
-        if self.kind_tag not in ("rational", "k3"):
-            raise LatticeError(f"unknown kind tag {self.kind_tag!r}")
-        if self.kind_tag == "k3" and any(c != 0 for c in self.canonical):
+        if kind_tag not in ("rational", "k3"):
+            raise LatticeError(f"unknown kind tag {kind_tag!r}")
+        if kind_tag == "k3" and any(c != 0 for c in canonical):
             raise LatticeError("a K3 lattice has trivial canonical class")
+        return super().__new__(cls, kind, gram, canonical, basis_names, kind_tag)
 
     @property
     def rank(self) -> int:
@@ -150,22 +159,16 @@ class SurfaceModel:
         return DivisorClass(self.canonical)
 
 
-@dataclass(frozen=True)
-class Positivity:
+class Positivity(namedtuple("Positivity", "nef big ample")):
     """Numeric positivity grades of a divisor class."""
 
-    nef: bool
-    big: bool
-    ample: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class K3Stats:
+class K3Stats(namedtuple("K3Stats", "genus degree h0")):
     """Genus, polarized degree and section count of a curve class on a K3."""
 
-    genus: int
-    degree: int
-    h0: int
+    __slots__ = ()
 
 
 def _check_class(S: SurfaceModel, c: DivisorClass) -> None:
@@ -294,7 +297,7 @@ def riemann_roch_chi(S: SurfaceModel, C: DivisorClass) -> int:
 
 def _peel_fixed_lines(
     S: SurfaceModel, C: DivisorClass
-) -> Optional[tuple[DivisorClass, list[DivisorClass]]]:
+) -> tuple[DivisorClass, list[DivisorClass]] | None:
     # Strip distinct pairwise-disjoint lines that meet the class negatively:
     # such a line is in the base locus, and removing it does not change h^0.
     # Only the conservative pattern the case analysis needs is accepted: the

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Optional
+from collections import namedtuple
 
 from .numerology import in_domain
 
@@ -34,38 +33,28 @@ KNOWN_TAGS = AUTOMATIC_TAGS | CONSTRUCTIVE_TAGS | AUXILIARY_TAGS
 GLUE_CHECK_TAGS = frozenset({"HyperplaneGlue", "PlaneCurveGlue"})
 
 
-@dataclass(frozen=True)
-class GlueData:
+class GlueData(namedtuple("GlueData", "d2 g2 points twist")):
     """Invariants of an attached curve: degree, genus, attachment points, twist."""
 
-    d2: int
-    g2: int
-    points: int
-    twist: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(
+    namedtuple(
+        "LedgerEntry",
+        "id r n d g tag citation quote premises glue rho_exempt premises_stated_only note",
+        defaults=((), None, False, False, None),
+    )
+):
     """One base-case axiom.
 
     ``d`` and ``g`` of None match every degree and genus for the given
     (r, n); the two plane entries use this, since plane sections are
-    handled uniformly.
+    handled uniformly.  ``premises`` is a tuple of (r, n, d, g) cases,
+    ``glue`` a ``GlueData`` or None, and ``note`` a string or None.
     """
 
-    id: str
-    r: int
-    n: int
-    d: Optional[int]
-    g: Optional[int]
-    tag: str
-    citation: str
-    quote: str
-    premises: tuple[tuple[int, int, int, int], ...] = ()
-    glue: Optional[GlueData] = None
-    rho_exempt: bool = False
-    premises_stated_only: bool = False
-    note: Optional[str] = None
+    __slots__ = ()
 
     @property
     def is_wildcard(self) -> bool:
@@ -79,7 +68,7 @@ class LedgerEntry:
             and (self.g is None or self.g == g)
         )
 
-    def case_key(self) -> tuple[int, int, Optional[int], Optional[int]]:
+    def case_key(self) -> tuple[int, int, int | None, int | None]:
         return (self.r, self.n, self.d, self.g)
 
 
@@ -87,23 +76,20 @@ class LedgerFormatError(ValueError):
     """A ledger file or entry list that cannot be read as a ledger."""
 
 
-@dataclass
 class Ledger:
     """An immutable-after-load collection of entries with lookup by case."""
 
-    entries: tuple[LedgerEntry, ...]
-    source: Optional[str] = None
-    _by_id: dict = field(default_factory=dict, repr=False)
-    _by_case: dict = field(default_factory=dict, repr=False)
-    _wildcards: dict = field(default_factory=dict, repr=False)
-    _ceilings: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self) -> None:
-        self._by_id = {e.id: e for e in self.entries}
-        if len(self._by_id) != len(self.entries):
+    def __init__(self, entries: tuple[LedgerEntry, ...], source: str | None = None) -> None:
+        self.entries = entries
+        self.source = source
+        self._by_id = {e.id: e for e in entries}
+        if len(self._by_id) != len(entries):
             raise LedgerFormatError("duplicate ledger entry ids")
+        self._by_case: dict = {}
+        self._wildcards: dict = {}
+        self._ceilings: dict = {}
         # the first entry per case wins, and the first wildcard per (r, n)
-        for entry in self.entries:
+        for entry in entries:
             if entry.d is None and entry.g is None:
                 self._wildcards.setdefault((entry.r, entry.n), entry)
             elif entry.is_wildcard:
@@ -119,7 +105,7 @@ class Ledger:
     def has(self, entry_id: str) -> bool:
         return entry_id in self._by_id
 
-    def lookup(self, r: int, n: int, d: int, g: int) -> Optional[LedgerEntry]:
+    def lookup(self, r: int, n: int, d: int, g: int) -> LedgerEntry | None:
         """Exact-case entry if present, else the wildcard entry for (r, n)."""
         return self._by_case.get((r, n, d, g)) or self._wildcards.get((r, n))
 
@@ -155,6 +141,7 @@ class Ledger:
 _INT_OR_NULL = (int, type(None))
 _FOUR_INTS = (int, int, int, int)
 _TEXT_FIELDS = ("id", "tag", "citation", "quote")
+_GLUE_FIELDS = frozenset(GlueData._fields)
 
 
 def _entry_from_record(record: dict) -> LedgerEntry:
@@ -181,6 +168,17 @@ def _entry_from_record(record: dict) -> LedgerEntry:
                 f"entry {entry_id}: premise {premise!r} must be four integers"
             )
     glue = record.get("glue")
+    if glue is not None:
+        if not (
+            type(glue) is dict
+            and glue.keys() == _GLUE_FIELDS
+            and all(type(value) is int for value in glue.values())
+        ):
+            raise LedgerFormatError(
+                f"entry {entry_id}: glue must be an object of integers d2, g2, points "
+                f"and twist, got {glue!r}"
+            )
+        glue = GlueData(**glue)
     return LedgerEntry(
         id=entry_id,
         r=r,
@@ -191,7 +189,7 @@ def _entry_from_record(record: dict) -> LedgerEntry:
         citation=record["citation"],
         quote=record["quote"],
         premises=tuple(map(tuple, premises)),
-        glue=GlueData(**glue) if glue else None,
+        glue=glue,
         rho_exempt=record.get("rho_exempt", False),
         premises_stated_only=record.get("premises_stated_only", False),
         note=record.get("note"),
@@ -203,7 +201,7 @@ def _entry_from_record(record: dict) -> LedgerEntry:
 _BUNDLED_LEDGER = os.path.join(os.path.dirname(__file__), "data", "ledger.json")
 
 
-def load_ledger(path: Optional[str | os.PathLike] = None) -> Ledger:
+def load_ledger(path: str | os.PathLike | None = None) -> Ledger:
     """Load the bundled ledger, or the JSON file at ``path`` if given."""
     if path is None:
         path, source = _BUNDLED_LEDGER, "bundled"

@@ -15,7 +15,7 @@ identities between them for all integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 #: (d, g, r) triples whose normal bundle fails interpolation even though the
 #: curve is nonspecial.  Each is a degree r+2, genus 2 curve; the vanishing
@@ -24,21 +24,19 @@ from dataclasses import dataclass
 INTERPOLATION_EXCEPTIONS = frozenset({(5, 2, 3), (6, 2, 4), (7, 2, 5)})
 
 
-@dataclass(frozen=True)
-class BNIndex:
+class BNIndex(namedtuple("BNIndex", "r d g")):
     """The triple (r, d, g): a degree-d, genus-g curve mapped to P^r."""
 
-    r: int
-    d: int
-    g: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.r < 2:
-            raise ValueError(f"ambient dimension r must be >= 2, got {self.r}")
-        if self.d < 1:
-            raise ValueError(f"degree d must be >= 1, got {self.d}")
-        if self.g < 0:
-            raise ValueError(f"genus g must be >= 0, got {self.g}")
+    def __new__(cls, r: int, d: int, g: int) -> BNIndex:
+        if r < 2:
+            raise ValueError(f"ambient dimension r must be >= 2, got {r}")
+        if d < 1:
+            raise ValueError(f"degree d must be >= 1, got {d}")
+        if g < 0:
+            raise ValueError(f"genus g must be >= 0, got {g}")
+        return super().__new__(cls, r, d, g)
 
 
 def rho(ix: BNIndex) -> int:

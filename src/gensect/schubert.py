@@ -11,7 +11,7 @@ no multiplication table is hard-coded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 
 class SchubertError(ValueError):
@@ -23,29 +23,29 @@ def _check_partition(n: int, a: int, b: int) -> None:
         raise SchubertError(f"({a}, {b}) is not a two-row partition for G(1, {n})")
 
 
-@dataclass(frozen=True)
-class SchubertCycle:
+class SchubertCycle(namedtuple("SchubertCycle", "ambient_n terms")):
     """An integer combination of two-row Schubert classes in G(1, n).
 
     Terms map partitions (a, b) to nonzero integer coefficients; zero
     coefficients are dropped on construction.
     """
 
-    ambient_n: int
-    terms: tuple[tuple[tuple[int, int], int], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.ambient_n < 2:
-            raise SchubertError(f"ambient n must be >= 2, got {self.ambient_n}")
+    def __new__(
+        cls, ambient_n: int, terms: tuple[tuple[tuple[int, int], int], ...]
+    ) -> SchubertCycle:
+        if ambient_n < 2:
+            raise SchubertError(f"ambient n must be >= 2, got {ambient_n}")
         cleaned = {}
-        for (a, b), coeff in self.terms:
-            _check_partition(self.ambient_n, a, b)
+        for (a, b), coeff in terms:
+            _check_partition(ambient_n, a, b)
             if coeff:
                 cleaned[(a, b)] = cleaned.get((a, b), 0) + coeff
         normalized = tuple(
             sorted(((part, coeff) for part, coeff in cleaned.items() if coeff))
         )
-        object.__setattr__(self, "terms", normalized)
+        return super().__new__(cls, ambient_n, normalized)
 
     @classmethod
     def from_dict(cls, n: int, terms: dict[tuple[int, int], int]) -> "SchubertCycle":
@@ -78,6 +78,9 @@ class SchubertCycle:
 
     def __mul__(self, other: "SchubertCycle") -> "SchubertCycle":
         return multiply(self, other)
+
+    def __rmul__(self, other):  # not the tuple's repetition
+        return NotImplemented
 
 
 def sigma(n: int, a: int, b: int = 0) -> SchubertCycle:

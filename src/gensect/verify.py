@@ -12,8 +12,8 @@ battery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 
 from . import audits, lattices, schubert
 from . import engine as engine_module
@@ -64,12 +64,8 @@ SWEEP_D_MAX = 60
 SWEEP_G_MAX = 40
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    id: str
-    description: str
-    ok: bool
-    detail: str
+class CheckResult(namedtuple("CheckResult", "id description ok detail")):
+    __slots__ = ()
 
 
 def _result(check_id: str, description: str, ok: bool, detail: str) -> CheckResult:
@@ -149,7 +145,7 @@ _R, _D, _G = _Poly({(1, 0, 0): 1}), _Poly({(0, 1, 0): 1}), _Poly({(0, 0, 1): 1})
 
 def _first_failure(
     holds: Callable[..., bool], symbolic: Sequence[tuple], box: Iterable[tuple]
-) -> Optional[tuple]:
+) -> tuple | None:
     """The first cell of ``box`` where the identity ``holds`` fails, or None.
 
     ``holds`` compares a numerology core with the value it should take.  It
@@ -699,8 +695,8 @@ def check_restriction_isomorphisms() -> CheckResult:
 
 
 def run_all(
-    ledger: Optional[Ledger] = None,
-    surfaces: Optional[Sequence[SurfaceModel]] = None,
+    ledger: Ledger | None = None,
+    surfaces: Sequence[SurfaceModel] | None = None,
 ) -> list[CheckResult]:
     """Run the full battery in a fixed order and return one result per check."""
     engine = ClassificationEngine(ledger)

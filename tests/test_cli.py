@@ -80,6 +80,17 @@ def test_parser_is_built_once_and_reused(tmp_path, capsys):
     assert cli._parser.cache_info().misses == 1
 
 
+@pytest.mark.parametrize("columns", [None, "40", "200", "0", "-3", "wide"])
+def test_help_width_is_the_one_shutil_reports(columns, monkeypatch):
+    import shutil
+
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    assert cli._terminal_columns() == shutil.get_terminal_size().columns
+
+
 def test_trace_subcommand(capsys):
     code, out, _ = run_cli(capsys, "trace", "--r", "3", "--n", "2", "--d", "10", "--g", "9")
     assert code == 0
@@ -225,12 +236,9 @@ def test_verify_all_deterministic_bytes(capsys):
 
 def test_corrupted_gram_matrix_fails_lattice_check():
     # built behind the constructor's back, as a corrupted data file would be
-    bad = object.__new__(SurfaceModel)
-    object.__setattr__(bad, "kind", "polarized")
-    object.__setattr__(bad, "gram", ((0, 1), (2, 0)))
-    object.__setattr__(bad, "canonical", (0, 0))
-    object.__setattr__(bad, "basis_names", ("A", "B"))
-    object.__setattr__(bad, "kind_tag", "rational")
+    bad = tuple.__new__(
+        SurfaceModel, ("polarized", ((0, 1), (2, 0)), (0, 0), ("A", "B"), "rational")
+    )
     results = run_all(surfaces=[bad])
     by_id = {r.id: r for r in results}
     assert not by_id["lattice-invariants"].ok
@@ -276,6 +284,13 @@ def _three_number_premise():
     return json.dumps(payload)
 
 
+def _glue_changed(change):
+    payload = json.loads(_bundled_ledger_text())
+    assert payload["entries"][6]["id"] == "r3n2-hglue-7-2"
+    change(payload["entries"][6]["glue"])
+    return json.dumps(payload)
+
+
 MALFORMED_LEDGERS = {
     "truncated": lambda: _bundled_ledger_text()[:500],
     "no-entries": lambda: json.dumps({"schema_version": "1.0", "records": []}),
@@ -286,6 +301,8 @@ MALFORMED_LEDGERS = {
     "string-degree": lambda: _degree_set_to("7"),
     "null-quote": _quote_set_to_null,
     "three-number-premise": _three_number_premise,
+    "string-glue-points": lambda: _glue_changed(lambda glue: glue.update(points="3")),
+    "glue-without-twist": lambda: _glue_changed(lambda glue: glue.pop("twist")),
 }
 
 
@@ -310,3 +327,5 @@ def test_malformed_ledger_exit_one(defect, command, tmp_path, capsys):
         assert "entry r3n2-scroll-5-1: quote must be a string, got None" in err
     if defect == "three-number-premise":
         assert "entry r3n2-hglue-7-2: premise [3, 2, 9] must be four integers" in err
+    if "glue" in defect:
+        assert "entry r3n2-hglue-7-2: glue must be an object of integers d2, g2, points" in err

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -8,6 +7,7 @@ from gensect.engine import (
     DESCRIPTORS,
     EXCEPTIONAL_PAIRS,
     ClassificationEngine,
+    DerivationTrace,
     IncompleteLedgerError,
     Query,
     Segment,
@@ -239,10 +239,14 @@ def test_validator_rejects_tampered_traces(engine):
         [step((3, 2, 5, 1), "add_line"), step((3, 2, 4, 1), "ledger", "r3n2-interp-3-0")]
     )
     assert engine.validate_trace(exceptional_premise) != []
-    short_case = trace_from_payload([{"case": [3, 2, 9], "rule": "ledger", "entry": "x"}])
+    # trace_from_payload rejects these records; a trace built directly reaches the validator
+    short_case = DerivationTrace((Segment((3, 2, 9), "ledger", 1, "x"),))
     assert engine.validate_trace(short_case) == ["(3, 2, 9): case is not four integers"]
-    bool_premise = trace_from_payload(
-        [step((3, 2, 5, 0), "add_line"), step((3, 2, 4, False), "ledger", "r3n2-interp-3-0")]
+    bool_premise = DerivationTrace(
+        (
+            Segment((3, 2, 5, 0), "add_line"),
+            Segment((3, 2, 4, False), "ledger", 1, "r3n2-interp-3-0"),
+        )
     )
     assert engine.validate_trace(bool_premise) == ["(3, 2, 4, False): case is not four integers"]
 
@@ -334,9 +338,7 @@ def test_glue_arithmetic_reaches_case(engine):
     problems = engine.ledger.invariant_problems()
     assert not [p for p in problems if "glue arithmetic" in p]
     # the same check trips when an attached curve's genus is off by one
-    bent = dataclasses.replace(
-        glued[0], glue=dataclasses.replace(glued[0].glue, g2=glued[0].glue.g2 + 1)
-    )
+    bent = glued[0]._replace(glue=glued[0].glue._replace(g2=glued[0].glue.g2 + 1))
     doctored = Ledger(entries=(bent,), source="doctored")
     assert f"{bent.id}: glue arithmetic does not reach the case from premise" in (
         doctored.invariant_problems()

@@ -1,5 +1,7 @@
-"""The package namespace: lazy public names and what a ready engine imports."""
+"""The package namespace: lazy public names, what a ready engine imports, and
+the records it is built from."""
 
+import ast
 import json
 import os
 import subprocess
@@ -8,8 +10,18 @@ import sys
 import pytest
 
 import gensect
+from gensect.audits import Jet
+from gensect.engine import Query, Verdict
+from gensect.lattices import DivisorClass
+from gensect.ledger import load_ledger
+from gensect.schubert import sigma
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+#: Standard-library modules that no gensect command needs: records are
+#: namedtuples and annotations stay strings, and the help width is found
+#: without shutil.
+NOT_FOR_ANY_COMMAND = ("dataclasses", "typing", "inspect", "shutil")
 
 #: The command line; the layers that only ``verify-all`` and the
 #: ``lines``/``schubert`` commands use; and two standard-library packages that
@@ -22,7 +34,7 @@ NOT_FOR_THE_ENGINE = (
     "gensect.cli",
     "importlib.resources",
     "pathlib",
-)
+) + NOT_FOR_ANY_COMMAND
 
 PROBE = """
 import json, sys
@@ -57,6 +69,68 @@ def test_a_ready_engine_loads_only_what_it_uses():
     assert probe["status"] == "general"
     assert "gensect.engine" in probe["loaded"]
     assert [m for m in NOT_FOR_THE_ENGINE if m in probe["loaded"]] == []
+
+
+def test_verify_all_loads_no_record_or_terminal_machinery():
+    probe = fresh_interpreter(
+        "import contextlib, io, json, sys\n"
+        "from gensect import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['verify-all', '--json'])\n"
+        "print(json.dumps({'code': code, 'loaded': sorted(sys.modules)}))\n"
+    )
+    assert probe["code"] == 0
+    assert "gensect.verify" in probe["loaded"]
+    assert [m for m in NOT_FOR_ANY_COMMAND if m in probe["loaded"]] == []
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    package = os.path.join(SRC, "gensect")
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as file:
+            tree = ast.parse(file.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            found += [
+                f"{name}: {m}" for m in modules if m.split(".")[0] in ("dataclasses", "typing")
+            ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "record, field",
+    [
+        (Query(3, 2, 30, 20), "d"),
+        (load_ledger().entries[0], "tag"),
+        (DivisorClass((1, 0)), "coeffs"),
+        (Verdict.invalid("no"), "status"),
+    ],
+    ids=["Query", "LedgerEntry", "DivisorClass", "Verdict"],
+)
+def test_records_are_immutable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        record.unknown = None
+
+
+def test_algebraic_records_do_not_repeat_as_tuples():
+    for product in (
+        lambda: DivisorClass((1, 0)) * 2,
+        lambda: 2 * Jet(1, 0),
+        lambda: 2 * sigma(3, 1),
+    ):
+        with pytest.raises(TypeError):
+            product()
+    assert 2 * DivisorClass((1, -1)) == DivisorClass((2, -2))
 
 
 @pytest.mark.parametrize("name", gensect.__all__)

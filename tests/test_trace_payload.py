@@ -1,5 +1,6 @@
 """Property tests: rebuilding a trace from its JSON form run by run gives what
-folding its records one by one into ``_extend`` gives, on any payload."""
+checking its records and folding them one by one into ``_extend`` gives, on
+any payload."""
 
 import pytest
 
@@ -12,6 +13,7 @@ from gensect.engine import (  # noqa: E402
     Query,
     Segment,
     _extend,
+    _trace_record,
     trace_from_payload,
 )
 
@@ -25,12 +27,15 @@ QUERIES = (
 
 
 def fold(payload: list) -> DerivationTrace:
-    """The reference: one Segment per record, merged by ``_extend``."""
+    """The reference: each record checked, one Segment each, merged by ``_extend``."""
+    if type(payload) is not list:
+        raise ValueError("a trace payload is a list of records")
     if not payload:
         raise ValueError("empty trace payload")
     segments: list = []
-    for record in payload:
-        _extend(segments, Segment(tuple(record["case"]), record["rule"], 1, record.get("entry")))
+    for index, record in enumerate(payload):
+        case, rule, entry = _trace_record(index, record)
+        _extend(segments, Segment(case, rule, 1, entry))
     return DerivationTrace(tuple(segments))
 
 
@@ -111,20 +116,32 @@ glued_runs = st.builds(
     st.lists(mutation, max_size=4),
 )
 
+# JSON values that are never a case, rule or entry; a case list holds only
+# ints, since a float or bool equal to a run's next case continues the run
+# unchecked (test_a_record_continuing_a_run_is_compared_not_rechecked)
+scalars = st.one_of(
+    st.none(), st.booleans(), ints, st.floats(allow_nan=False), st.text(max_size=4)
+)
+
 arbitrary = st.lists(
-    st.fixed_dictionaries(
-        {
-            "case": st.lists(ints, min_size=0, max_size=6),
-            "rule": st.sampled_from(RULES),
-            "entry": st.sampled_from(ENTRIES),
-        }
+    st.one_of(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "case": st.one_of(st.lists(ints, min_size=0, max_size=6), scalars),
+                "rule": st.one_of(st.sampled_from(RULES), scalars),
+                "entry": st.one_of(st.sampled_from(ENTRIES), scalars),
+            },
+        ),
+        scalars,
+        st.lists(ints, max_size=4),
     ),
     max_size=8,
 )
 
 
 @settings(max_examples=400, deadline=None, database=None)
-@given(st.one_of(tampered, glued_runs, arbitrary))
+@given(st.one_of(tampered, glued_runs, arbitrary, scalars))
 def test_scan_equals_the_per_record_fold(payload):
     scanned, folded = outcome(trace_from_payload, payload), outcome(fold, payload)
     assert scanned == folded
@@ -134,11 +151,34 @@ def test_scan_equals_the_per_record_fold(payload):
         )
 
 
-def test_wrong_length_cases_fail_only_where_read_as_a_run():
-    # a wrong-length case only fails where the fold reads it as a run
-    short = [{"case": [3, 2, 9], "rule": "add_line"}] * 2
-    assert outcome(trace_from_payload, short) == outcome(fold, short)
-    assert outcome(fold, short)[1] is ValueError
-    lone = [{"case": [3, 2, 9], "rule": "add_line"}, {"case": [3, 2, 8, 0], "rule": "ledger"}]
-    assert trace_from_payload(lone) == fold(lone)
+def test_malformed_records_raise_naming_their_index():
+    good = {"case": [3, 2, 9, 0], "rule": "add_line", "entry": None}
+    for bad in (
+        [3, 2, 9, 0],
+        "add_line",
+        None,
+        {"case": 5, "rule": "add_line"},
+        {"case": [3, 2, 9], "rule": "add_line"},
+        {"case": [3, 2, 9, True], "rule": "ledger"},
+        {"case": [3, 2, 9, 0], "rule": 7},
+        {"case": [3, 2, 9, 0], "rule": ["add_line"]},
+        {"case": [3, 2, 9, 0]},
+        {"case": [3, 2, 9, 0], "rule": "ledger", "entry": 3},
+    ):
+        for payload, index in (([bad], 0), ([good, bad], 1), ([good, good, bad], 2)):
+            assert outcome(trace_from_payload, payload) == outcome(fold, payload)
+            with pytest.raises(ValueError, match=f"^trace record {index}: "):
+                trace_from_payload(payload)
+    for payload in (5, None, "add_line", good):
+        with pytest.raises(ValueError, match="a trace payload is a list of records"):
+            trace_from_payload(payload)
     assert outcome(trace_from_payload, []) == outcome(fold, [])
+
+
+def test_a_record_continuing_a_run_is_compared_not_rechecked():
+    # the record after a run's start is read as the run's next case when it
+    # equals it, so a float there passes; the reference fold rejects it
+    ints_only = [{"case": [3, 2, d, 0], "rule": "add_line", "entry": None} for d in (9, 8, 7)]
+    with_float = [ints_only[0], dict(ints_only[1], case=[3, 2, 8.0, 0]), ints_only[2]]
+    assert trace_from_payload(with_float) == trace_from_payload(ints_only)
+    assert outcome(fold, with_float)[1] is ValueError
