@@ -20,9 +20,9 @@ __version__ = "0.1.0"
 #: The submodule defining each public name.
 _EXPORTS = {
     "audits": (
-        "AuditReport",
         "ConditionCount",
         "DimensionDeficit",
+        "ExceptionalCase",
         "ExternalFact",
         "form_space_dim",
         "local_determinant_check",
@@ -34,7 +34,6 @@ _EXPORTS = {
     "engine": (
         "ClassificationEngine",
         "DerivationTrace",
-        "ExceptionalDescriptor",
         "IncompleteLedgerError",
         "Query",
         "Verdict",

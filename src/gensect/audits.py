@@ -1,10 +1,11 @@
 """The ten exceptional cases, and the audits certifying that each is not general.
 
 ``EXCEPTIONAL`` is the one table of the exceptional cases: per case (r, n, d,
-g) it holds the number d * n of intersection points, a description of the
-intersection, an optional note and the evidence that it is not general.  The
-engine's exceptional lists and verdict descriptors are derived from it, and
-``run_audit`` reads it.  Most evidence counts conditions: the points of
+g) one record holding the case, the number d * n of intersection points, a
+description of the intersection, an optional note and the evidence that it
+is not general.  The engine's exceptional lists are derived from it, and the
+same record is an exceptional verdict's descriptor and ``run_audit``'s
+answer.  Most evidence counts conditions: the points of
 intersection lie on (or are cut out by) a linear system that a general point
 collection of the same size would escape.  Two cases tally family dimensions
 and exhibit a deficit against the symmetric power of the surface.  One case
@@ -102,18 +103,12 @@ class ExternalFact(namedtuple("ExternalFact", "citation")):
 Case = tuple[int, int, int, int]
 
 
-class AuditReport(namedtuple("AuditReport", "case evidence verdict", defaults=("not_general",))):
-    """The evidence, a ``ConditionCount``, ``DimensionDeficit`` or
-    ``ExternalFact``, that one case is not general."""
-
-    __slots__ = ()
-
-
 class ExceptionalCase(
-    namedtuple("ExceptionalCase", "points description evidence note", defaults=(None,))
+    namedtuple("ExceptionalCase", "case points description evidence note", defaults=(None,))
 ):
-    """One exceptional intersection of ``points`` = d * n points: what it is,
-    and the evidence that it is not a general collection."""
+    """The exceptional intersection of ``points`` = d * n points of ``case``:
+    what it is, and the evidence (a ``ConditionCount``, ``DimensionDeficit``
+    or ``ExternalFact``) that it is not a general collection."""
 
     __slots__ = ()
 
@@ -162,7 +157,7 @@ def _row(case: Case, description: str, evidence, note: str | None = None) -> Exc
     evidence that they are not general."""
     r, n, d, _ = case
     points = d * n
-    return ExceptionalCase(points, description, evidence(points), note)
+    return ExceptionalCase(case, points, description, evidence(points), note)
 
 
 #: The ten exceptional cases of the theorem.  The engine's exceptional lists
@@ -236,14 +231,14 @@ EXCEPTIONAL: dict[Case, ExceptionalCase] = {
 AUDIT_CASES: tuple[Case, ...] = tuple(EXCEPTIONAL)
 
 
-def run_audit(case: Case) -> AuditReport:
-    """The non-generality evidence for one exceptional case."""
+def run_audit(case: Case) -> ExceptionalCase:
+    """The exceptional case, with the evidence that it is not general."""
     if case not in AUDIT_CASES:
         raise ValueError(f"unknown audit case {case}")
-    return AuditReport(case=case, evidence=EXCEPTIONAL[case].evidence)
+    return EXCEPTIONAL[case]
 
 
-def audit_evidence_problems(report: AuditReport) -> list[str]:
+def audit_evidence_problems(report: ExceptionalCase) -> list[str]:
     """Internal consistency of one report (slack sense, ambient dimension)."""
     problems = []
     ev = report.evidence
@@ -255,7 +250,7 @@ def audit_evidence_problems(report: AuditReport) -> list[str]:
     elif isinstance(ev, DimensionDeficit):
         if not ev.total < ev.ambient_dim:
             problems.append(f"{report.case}: family dimension does not fall short")
-        if ev.ambient_dim != 2 * EXCEPTIONAL[report.case].points:
+        if ev.ambient_dim != 2 * report.points:
             problems.append(f"{report.case}: ambient is not Sym^n of a surface")
     return problems
 

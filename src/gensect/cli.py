@@ -105,15 +105,17 @@ def _verdict_text(engine: ClassificationEngine, q: Query, verdict: Verdict) -> s
         lines.append(f"intersection: {verdict.descriptor.description}")
         lines.append(f"audit: {verdict.descriptor.case}")
     else:
+        # one line per segment, indented by its depth; a run says how long it is
         lines.append("trace:")
-        for depth, node in enumerate(verdict.trace.steps()):
+        for depth, seg in enumerate(verdict.trace.segments):
             indent = "  " * (depth + 1)
-            r, n, d, g = node.case
-            if node.rule == "ledger":
-                entry = engine.ledger.get(node.entry_id)
+            r, n, d, g = seg.case
+            if seg.rule == "ledger":
+                entry = engine.ledger.get(seg.entry_id)
                 lines.append(f"{indent}({r},{n},{d},{g})  base [{entry.id}] {entry.citation}")
             else:
-                lines.append(f"{indent}({r},{n},{d},{g})  {node.rule}")
+                run = f" x{seg.repeat}" if seg.repeat > 1 else ""
+                lines.append(f"{indent}({r},{n},{d},{g})  {seg.rule}{run}")
     return "\n".join(lines)
 
 
@@ -195,9 +197,9 @@ def _parse_case(text: str) -> tuple[int, int, int, int]:
     return parts
 
 
-def _audit_payload(report: audits.AuditReport) -> dict:
+def _audit_payload(report: audits.ExceptionalCase) -> dict:
     ev = report.evidence
-    payload: dict = {"case": list(report.case), "verdict": report.verdict}
+    payload: dict = {"case": list(report.case), "verdict": "not_general"}
     if isinstance(ev, audits.ConditionCount):
         payload["evidence"] = {
             "kind": "condition_count",
@@ -219,7 +221,7 @@ def _audit_payload(report: audits.AuditReport) -> dict:
     return payload
 
 
-def _audit_text(report: audits.AuditReport) -> str:
+def _audit_text(report: audits.ExceptionalCase) -> str:
     ev = report.evidence
     case = report.case
     if isinstance(ev, audits.ConditionCount):

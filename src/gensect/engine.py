@@ -8,7 +8,7 @@ quadrics, and hyperplane sections in P^4.  The engine classifies a query as
 Invalid, Exceptional (one of the ten known counterexamples) or General, and
 in the last case emits a derivation trace: a path of rule applications
 ending in a cited ledger axiom.  The exceptional lists and descriptors are
-derived from the table of exceptional cases in ``audits``.
+read from the table of exceptional cases in ``audits``.
 
 Rules mirror the inductive structure of the underlying argument:
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .audits import EXCEPTIONAL
+from .audits import EXCEPTIONAL, ExceptionalCase
 from .ledger import (
     AUXILIARY_TAGS,
     CONSTRUCTIVE_TAGS,
@@ -78,21 +78,6 @@ class Query(namedtuple("Query", "r n d g")):
 
     def case(self) -> tuple[int, int, int, int]:
         return (self.r, self.n, self.d, self.g)
-
-
-class ExceptionalDescriptor(
-    namedtuple("ExceptionalDescriptor", "case description note", defaults=(None,))
-):
-    """Structured description of one exceptional intersection."""
-
-    __slots__ = ()
-
-
-#: The descriptor of each exceptional case, read from the audits table.
-DESCRIPTORS: dict[tuple[int, int, int, int], ExceptionalDescriptor] = {
-    case: ExceptionalDescriptor(case, row.description, row.note)
-    for case, row in EXCEPTIONAL.items()
-}
 
 
 def _run_delta(rule: str, r: int) -> tuple[int, int] | None:
@@ -243,8 +228,8 @@ class Verdict(
     namedtuple("Verdict", "status reason trace descriptor", defaults=(None, None, None))
 ):
     """Outcome of a classification query: ``status`` is "general",
-    "exceptional" or "invalid", with a ``trace``, a ``descriptor`` or a
-    ``reason`` to match."""
+    "exceptional" or "invalid", with a ``trace``, a ``descriptor`` (the
+    case's ``audits.ExceptionalCase`` row) or a ``reason`` to match."""
 
     __slots__ = ()
 
@@ -257,7 +242,7 @@ class Verdict(
         return cls(status="general", trace=trace)
 
     @classmethod
-    def exceptional(cls, descriptor: ExceptionalDescriptor) -> "Verdict":
+    def exceptional(cls, descriptor: ExceptionalCase) -> "Verdict":
         return cls(status="exceptional", descriptor=descriptor)
 
 
@@ -352,7 +337,7 @@ class ClassificationEngine:
                 f"rho({q.d}, {q.g}, {q.r}) = {value} < 0: no such general curve"
             )
         if self.is_exceptional(q.r, q.n, q.d, q.g):
-            return Verdict.exceptional(DESCRIPTORS[q.case()])
+            return Verdict.exceptional(EXCEPTIONAL[q.case()])
         segments: list[Segment] = []
         step = self._first_step(*q.case())
         while step is not None:
@@ -411,9 +396,14 @@ class ClassificationEngine:
         return column[g]
 
     def _lowest_leaf(self, r: int, n: int, g: int, lo: int) -> Segment | None:
-        """The ledger leaf of least degree >= lo at genus g; past the exact
-        entries only a wildcard matches, so the search ends one beyond them."""
-        for d in range(lo, max(lo, self.ledger.exact_ceiling(r, n, g)) + 1):
+        """The ledger leaf of least degree >= lo at genus g.  A degree without
+        an exact entry can only match a wildcard, so besides the exact entries'
+        degrees only the least such degree from lo up is looked up."""
+        exact = self.ledger.exact_degrees(r, n, g)
+        free = lo
+        while free in exact:
+            free += 1
+        for d in sorted({free, *(e for e in exact if e >= lo)}):
             entry = self._leaf(r, n, d, g)
             if entry is not None:
                 return Segment((r, n, d, g), RULE_LEDGER, 1, entry.id)
@@ -428,7 +418,8 @@ class ClassificationEngine:
         low, floor = domain_floor(r, g), admissible_floor(r, n, g)
         threshold = self._threshold(r, n, g)
         top = d_max + 1 if threshold is None else min(threshold.case[2], d_max + 1)
-        beyond = max(floor, self.ledger.exact_ceiling(r, n, g))
+        exact = self.ledger.exact_degrees(r, n, g)
+        beyond = max(floor, exact[-1] + 1) if exact else floor
         if beyond < top and self._leaf(r, n, beyond, g):
             top = beyond
         band = "".join("G" if self._leaf(r, n, d, g) else "?" for d in range(floor, top))

@@ -14,7 +14,7 @@ import json
 import os
 from collections import namedtuple
 
-from .numerology import in_domain
+from .numerology import BNIndex, in_domain, interpolation_gates, is_interpolation_exception
 
 #: Tags whose entries are justified by a numeric gate alone.
 AUTOMATIC_TAGS = frozenset({"Interpolation", "GenusTwo", "PlaneCurve"})
@@ -28,6 +28,14 @@ CONSTRUCTIVE_TAGS = frozenset(
 AUXILIARY_TAGS = frozenset({"SkewLines"})
 
 KNOWN_TAGS = AUTOMATIC_TAGS | CONSTRUCTIVE_TAGS | AUXILIARY_TAGS
+
+#: The numeric gate proving an exact automatic entry, from its BNIndex and n:
+#: an Interpolation entry passes the interpolation gates at twist k = n, and
+#: a GenusTwo entry is one of the interpolation exceptions.
+_GATES = {
+    "Interpolation": lambda ix, n: n in (0, 1, 2) and interpolation_gates(ix, n),
+    "GenusTwo": lambda ix, n: is_interpolation_exception(ix),
+}
 
 #: Tags that carry hyperplane-gluing side conditions.
 GLUE_CHECK_TAGS = frozenset({"HyperplaneGlue", "PlaneCurveGlue"})
@@ -87,7 +95,7 @@ class Ledger:
             raise LedgerFormatError("duplicate ledger entry ids")
         self._by_case: dict = {}
         self._wildcards: dict = {}
-        self._ceilings: dict = {}
+        degrees: dict = {}
         # the first entry per case wins, and the first wildcard per (r, n)
         for entry in entries:
             if entry.d is None and entry.g is None:
@@ -96,8 +104,8 @@ class Ledger:
                 raise LedgerFormatError(f"entry {entry.id}: d and g must both be set or both null")
             else:
                 self._by_case.setdefault(entry.case_key(), entry)
-                key = (entry.r, entry.n, entry.g)
-                self._ceilings[key] = max(self._ceilings.get(key, 0), entry.d + 1)
+                degrees.setdefault((entry.r, entry.n, entry.g), set()).add(entry.d)
+        self._degrees = {key: tuple(sorted(ds)) for key, ds in degrees.items()}
 
     def get(self, entry_id: str) -> LedgerEntry:
         return self._by_id[entry_id]
@@ -109,13 +117,14 @@ class Ledger:
         """Exact-case entry if present, else the wildcard entry for (r, n)."""
         return self._by_case.get((r, n, d, g)) or self._wildcards.get((r, n))
 
-    def exact_ceiling(self, r: int, n: int, g: int) -> int:
-        """One above the highest degree of an exact-case entry at genus g, else 0."""
-        return self._ceilings.get((r, n, g), 0)
+    def exact_degrees(self, r: int, n: int, g: int) -> tuple[int, ...]:
+        """The degrees of the exact-case entries at genus g, ascending."""
+        return self._degrees.get((r, n, g), ())
 
     def invariant_problems(self) -> list[str]:
         """Structural violations: bad tags, empty quotes, a case out of domain
-        (no general curve: r < 2, d < 1, g < 0 or rho < 0) without a flag."""
+        (no general curve: r < 2, d < 1, g < 0 or rho < 0) without a flag, an
+        exact Interpolation or GenusTwo entry its numeric gate fails."""
         problems = []
         for entry in self.entries:
             if entry.tag not in KNOWN_TAGS:
@@ -124,10 +133,14 @@ class Ledger:
                 problems.append(f"{entry.id}: empty quote")
             if not entry.citation.strip():
                 problems.append(f"{entry.id}: empty citation")
-            if not (entry.is_wildcard or entry.rho_exempt or in_domain(entry.r, entry.d, entry.g)):
+            exact_in_domain = not entry.is_wildcard and in_domain(entry.r, entry.d, entry.g)
+            if not (entry.is_wildcard or entry.rho_exempt or exact_in_domain):
                 problems.append(
                     f"{entry.id}: case {entry.case_key()} is out of domain without exemption"
                 )
+            gate = _GATES.get(entry.tag)
+            if gate and exact_in_domain and not gate(BNIndex(entry.r, entry.d, entry.g), entry.n):
+                problems.append(f"{entry.id}: the {entry.tag} gate does not hold")
             if entry.glue is not None:
                 d2, g2, pts = entry.glue.d2, entry.glue.g2, entry.glue.points
                 for pr, pn, pd, pg in entry.premises:

@@ -166,9 +166,11 @@ def test_criterion_10_schubert():
     report(10, "incidence counts 1 and 2, and the duality pairing, for all n <= 6")
 
 
-def test_criterion_11_audits():
-    for case in audits.AUDIT_CASES:
-        assert audits.run_audit(case).verdict == "not_general"
+def test_criterion_11_audits(capsys):
+    assert main(["audit", "--all", "--json"]) == 0
+    verdicts = json.loads(capsys.readouterr().out)["result"]["audits"]
+    assert sorted(tuple(v["case"]) for v in verdicts) == sorted(audits.AUDIT_CASES)
+    assert all(v["verdict"] == "not_general" for v in verdicts)
     six_two = audits.run_audit((3, 2, 6, 2)).evidence
     assert (six_two.total, six_two.ambient_dim) == (23, 24)
     seven_five = audits.run_audit((3, 2, 7, 5)).evidence

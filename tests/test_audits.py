@@ -1,7 +1,11 @@
+import json
+
 import pytest
 
+from gensect import cli
 from gensect.audits import (
     AUDIT_CASES,
+    EXCEPTIONAL,
     RESTRICTION_CASES,
     ConditionCount,
     DimensionDeficit,
@@ -63,7 +67,7 @@ def test_audit_count_cases():
     }
     for case, (points, h0, comparison) in expected.items():
         report = run_audit(case)
-        assert report.verdict == "not_general"
+        assert report.case == case
         ev = report.evidence
         assert isinstance(ev, ConditionCount)
         assert (ev.points, ev.h0, ev.comparison) == (points, h0, comparison)
@@ -91,12 +95,16 @@ def test_audit_external_fact():
     assert "9 general points" in ev.citation
 
 
-def test_every_exceptional_case_has_one_audit():
+def test_every_exceptional_case_has_one_audit(capsys):
     assert len(AUDIT_CASES) == 10
     for case in AUDIT_CASES:
         report = run_audit(case)
-        assert report.verdict == "not_general"
+        assert report is EXCEPTIONAL[case]  # the table's own row
         assert audit_evidence_problems(report) == []
+    assert cli.main(["audit", "--all", "--json"]) == 0
+    audits = json.loads(capsys.readouterr().out)["result"]["audits"]
+    assert [tuple(a["case"]) for a in audits] == sorted(AUDIT_CASES)
+    assert {a["verdict"] for a in audits} == {"not_general"}
 
 
 def test_deficit_ambient_is_symmetric_power_dimension():

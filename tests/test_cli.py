@@ -1,11 +1,13 @@
+import contextlib
 import json
+import signal
 from importlib import resources
 
 import pytest
 
 from gensect import cli
 from gensect.cli import main
-from gensect.engine import ClassificationEngine, trace_from_payload
+from gensect.engine import ClassificationEngine, Query, trace_from_payload
 from gensect.lattices import SurfaceModel
 from gensect.verify import run_all
 
@@ -95,6 +97,17 @@ def test_trace_subcommand(capsys):
     code, out, _ = run_cli(capsys, "trace", "--r", "3", "--n", "2", "--d", "10", "--g", "9")
     assert code == 0
     assert "r3n2-pglue-10-9" in out
+
+
+def test_text_trace_prints_one_line_per_segment(capsys):
+    flags = ("--r", "3", "--n", "2", "--d", "30000", "--g", "20")
+    code, out, _ = run_cli(capsys, "classify", *flags)
+    assert code == 0
+    segments = ClassificationEngine().classify(Query(3, 2, 30000, 20)).trace.segments
+    lines = out.splitlines()
+    assert len(lines) == 3 + len(segments)  # query, verdict and "trace:" first
+    assert lines[3] == "  (3,2,30000,20)  add_line x29982"
+    assert lines[4] == "    (3,2,18,20)  add_canonical"
 
 
 def test_table_deterministic_bytes(capsys):
@@ -218,6 +231,60 @@ def test_verify_all_reports_out_of_domain_entry(field, value, tmp_path, capsys):
     assert code == 3
     assert "internal-error" not in checks
     assert "r3n2-delpezzo-7-4: case" in checks["ledger-integrity"]["detail"]
+
+
+@pytest.mark.parametrize(
+    "entry_id, tag",
+    [("r3n1-genus2-5-2", "Interpolation"), ("r3n2-interp-3-0", "GenusTwo")],
+)
+def test_verify_all_checks_the_automatic_tags(entry_id, tag, tmp_path, capsys):
+    # retagged, the entry is no longer proved by its tag's numeric gate
+    def edit(entries):
+        next(e for e in entries if e["id"] == entry_id)["tag"] = tag
+
+    path = _doctored_ledger(tmp_path, edit)
+    code, out, _ = run_cli(capsys, "verify-all", "--ledger", path, "--json")
+    failed = {c["id"]: c["detail"] for c in json.loads(out)["result"]["checks"] if not c["ok"]}
+    assert code == 3
+    assert failed == {"ledger-integrity": f"{entry_id}: the {tag} gate does not hold"}
+
+
+class _Expired(BaseException):
+    """Not an Exception, so verify-all does not report it as a failed check."""
+
+
+@contextlib.contextmanager
+def _time_cap(seconds):
+    def expire(signum, frame):
+        raise _Expired(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--r", "3", "--n", "2", "--d", "8", "--g", "4"),
+        ("table", "--r", "3", "--n", "2"),
+        ("verify-all",),
+    ],
+)
+def test_huge_entry_degree_is_not_walked(argv, tmp_path, capsys):
+    # with the (7, 4) entry moved to degree 10^12 the ledger derives nothing
+    # at genus 4 below it; the leaf search visits entries, not degrees
+    def edit(entries):
+        next(e for e in entries if e["id"] == "r3n2-delpezzo-7-4")["case"]["d"] = 10**12
+
+    path = _doctored_ledger(tmp_path, edit)
+    with _time_cap(5):
+        code, _, _ = run_cli(capsys, *argv, "--ledger", path)
+    assert code == 3
 
 
 def test_verify_all_json_shape(capsys):

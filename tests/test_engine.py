@@ -4,7 +4,7 @@ import pytest
 
 from gensect.engine import (
     CANONICAL_STEP,
-    DESCRIPTORS,
+    EXCEPTIONAL,
     EXCEPTIONAL_PAIRS,
     ClassificationEngine,
     DerivationTrace,
@@ -136,19 +136,26 @@ def test_derivations_are_short_paths(engine):
 
 
 def test_descriptor_table_shape():
-    assert len(DESCRIPTORS) == 10
+    assert len(EXCEPTIONAL) == 10
     by_pair = {}
-    for (r, n, d, g) in DESCRIPTORS:
+    for (r, n, d, g) in EXCEPTIONAL:
         by_pair.setdefault((r, n), set()).add((d, g))
     assert by_pair == {k: v for k, v in THEOREM_LISTS.items() if v}
 
 
-def test_every_descriptor_has_an_audit():
+def test_every_descriptor_has_an_audit(engine, capsys):
     from gensect.audits import AUDIT_CASES, run_audit
+    from gensect.cli import main
 
-    assert set(AUDIT_CASES) == set(DESCRIPTORS)
-    for descriptor in DESCRIPTORS.values():
-        assert run_audit(descriptor.case).verdict == "not_general"
+    assert set(AUDIT_CASES) == set(EXCEPTIONAL)
+    for case in AUDIT_CASES:
+        # one record per case: the verdict's descriptor is the audit
+        descriptor = engine.classify(Query(*case)).descriptor
+        assert descriptor is run_audit(case) is EXCEPTIONAL[case]
+        assert descriptor.case == case
+        assert main(["audit", "--case", ",".join(map(str, case)), "--json"]) == 0
+        (audit,) = json.loads(capsys.readouterr().out)["result"]["audits"]
+        assert audit["verdict"] == "not_general"
 
 
 # -- sweeps ----------------------------------------------------------------------

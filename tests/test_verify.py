@@ -1,17 +1,13 @@
-"""The rewritten verify checks answer exactly as the per-cell loops they
-replace: on the bundled code, on mutated numerology cores and on a mutated
-exceptional table, down to the first failing cell they name."""
+"""The verify checks against independent references: the identity checks
+prove their identities for all integers and fail on every mutated numerology
+core, and the exceptional sweep answers as the per-cell loop it replaces, on
+the bundled code and on a mutated exceptional table."""
 
 import pytest
 
 from gensect import engine as engine_module, numerology, verify
 from gensect.audits import EXCEPTIONAL
-from gensect.engine import (
-    ClassificationEngine,
-    ExceptionalDescriptor,
-    IncompleteLedgerError,
-    Query,
-)
+from gensect.engine import ClassificationEngine, IncompleteLedgerError, Query
 from gensect.numerology import (
     BNIndex,
     chi_twisted_normal,
@@ -21,8 +17,8 @@ from gensect.numerology import (
 )
 
 # -- the identity checks ----------------------------------------------------------
-# Each reference is the check's box loop over the public functions, which call
-# whatever core is in place.
+# Each reference is a box loop over the public functions, which call whatever
+# core is in place; it shows the mutant is wrong somewhere in the box.
 
 
 def box_chi_anchors():
@@ -65,8 +61,8 @@ DELTA = numerology.rho_canonical_reduction_delta_at
 MODULI = numerology.moduli_dim_at
 
 #: (core, mutant, check, reference loop).  The mutants that compare their
-#: arguments with == branch on them; the polynomials refuse that, so those
-#: checks must fall back to the box.
+#: arguments with == branch on them; the polynomials refuse that, so no proof
+#: exists and the check fails.
 MUTANTS = {
     "chi-anchors, polynomial": (
         "chi_twisted_normal_at",
@@ -116,7 +112,7 @@ MUTANTS = {
         verify.check_moduli_plane_collapse,
         box_moduli_plane_collapse,
     ),
-    # wrong only outside the box: both the box loop and the check pass
+    # wrong only outside the box: the box loop passes, the check does not
     "moduli-plane-collapse, outside the box": (
         "moduli_dim_at",
         lambda r, d, g: MODULI(r, d, g) + (d == 101),
@@ -134,14 +130,29 @@ def patch_core(monkeypatch, name, replacement):
 
 @pytest.mark.parametrize("label", list(MUTANTS))
 def test_identity_check_names_the_box_loops_first_failure(label, monkeypatch):
+    # every mutant fails its check, which names the identity it could not
+    # prove; the box loop finds a failing cell for all but the one outside it
     name, mutant, check, box = MUTANTS[label]
     patch_core(monkeypatch, name, mutant)
     first = next(box(), None)
     result = check()
-    assert result.ok is (first is None)
-    if first is not None:
-        assert result.detail == f"first failure {first}"
-    assert label.endswith("outside the box") is result.ok
+    assert not result.ok
+    assert result.detail.startswith("not proved")
+    assert (first is None) is label.endswith("outside the box")
+
+
+def test_chi_anchors_names_the_anchor_it_cannot_prove(monkeypatch):
+    mutant = lambda r, d, g, k: CHI(r, d, g, k) + (r - 3) * (k - 2) * d
+    patch_core(monkeypatch, "chi_twisted_normal_at", mutant)
+    assert verify.check_chi_anchors().detail == "not proved at (r, k) = [(4, 1)]"
+
+
+def test_rho_invariance_proves_the_engine_step(monkeypatch):
+    assert "rho(d - 8, g - 10, 4) = rho(d, g, 4)" in verify.check_rho_invariance().detail
+    monkeypatch.setitem(engine_module.CANONICAL_STEP, 4, (8, 9))
+    result = verify.check_rho_invariance()
+    assert not result.ok
+    assert result.detail == "not proved: rho(d - 8, g - 9, 4) = rho(d, g, 4)"
 
 
 @pytest.mark.parametrize(
@@ -218,9 +229,8 @@ def test_sweep_fails_when_an_exceptional_pair_is_added_mid_column(monkeypatch):
     # it as general; only classifying it shows that it is exceptional
     pairs = engine_module.EXCEPTIONAL_PAIRS
     monkeypatch.setitem(pairs, (3, 2), pairs[(3, 2)] | {(20, 5)})
-    monkeypatch.setitem(
-        engine_module.DESCRIPTORS, (3, 2, 20, 5), ExceptionalDescriptor((3, 2, 20, 5), "mutant")
-    )
+    row = EXCEPTIONAL[(3, 2, 8, 6)]._replace(case=(3, 2, 20, 5), description="mutant")
+    monkeypatch.setitem(EXCEPTIONAL, (3, 2, 20, 5), row)
     result = verify.check_exceptional_sweep(ClassificationEngine())
     ok, problems = per_cell_sweep(ClassificationEngine())
     assert not result.ok and not ok
