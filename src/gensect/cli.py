@@ -134,6 +134,10 @@ def _emit(
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    # a JSON trace grows with d and the threshold walk with g
+    if args.d > 1_000_000 or args.g > 1_000_000:
+        print("--d and --g above 10^6 are rejected", file=sys.stderr)
+        return EXIT_USAGE
     engine = _engine_for(args)
     q = Query(args.r, args.n, args.d, args.g)
     try:
@@ -151,8 +155,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    if args.d_max > 10_000 or args.g_max > 10_000:
-        print("bounds above 10^4 are rejected", file=sys.stderr)
+    if not (0 <= args.d_max <= 10_000 and 0 <= args.g_max <= 10_000):
+        print("--d-max and --g-max must lie in 0..10^4", file=sys.stderr)
         return EXIT_USAGE
     engine = _engine_for(args)
     if (args.r, args.n) not in SUPPORTED_PAIRS:
@@ -423,7 +427,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FileNotFoundError, LedgerFormatError) as exc:
+    except (OSError, LedgerFormatError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
 

@@ -446,12 +446,12 @@ class ClassificationEngine:
         """
         if (r, n) not in SUPPORTED_PAIRS:
             raise ValueError(f"unsupported pair ({r}, {n})")
-        return [
-            (d, g)
-            for g in range(0, g_max + 1)
-            for d, code in enumerate(self._row(r, n, g, d_max), start=1)
-            if code == "?"
-        ]
+        holes = []
+        for g in range(0, g_max + 1):
+            row = self._row(r, n, g, d_max)
+            if "?" in row:
+                holes.extend((d, g) for d, code in enumerate(row, start=1) if code == "?")
+        return holes
 
     def frontier(self, r: int, n: int, g_max: int) -> list[tuple[int, int]]:
         """Minimal-degree cases that must be seeded by a geometric construction.

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from functools import lru_cache
+from functools import cache
 from math import isqrt
 
 
@@ -103,12 +103,13 @@ class SurfaceModel(
         return self.rank - 1
 
     @classmethod
+    @cache
     def del_pezzo(cls, k: int) -> "SurfaceModel":
         """Blowup of the plane at k general points, 2 <= k <= 6.
 
         Basis L, E1..Ek with Gram diag(1, -1, ..., -1) and canonical class
         -3L + E1 + ... + Ek.  Anticanonically embedded these are the del
-        Pezzo surfaces of degree 9 - k.
+        Pezzo surfaces of degree 9 - k.  The model is built once per k.
         """
         if not 2 <= k <= 6:
             raise LatticeError(f"del Pezzo blowup needs 2 <= k <= 6, got {k}")
@@ -179,14 +180,17 @@ def _check_class(S: SurfaceModel, c: DivisorClass) -> None:
 
 
 def intersect(S: SurfaceModel, a: DivisorClass, b: DivisorClass) -> int:
-    """Gram-bilinear intersection pairing a . b."""
+    """Gram-bilinear intersection pairing a . b = sum_ij a_i G_ij b_j."""
     _check_class(S, a)
     _check_class(S, b)
+    # a paired with G b one row at a time; a zero a_i skips its row
     return sum(
-        a.coeffs[i] * S.gram[i][j] * b.coeffs[j]
-        for i in range(S.rank)
-        for j in range(S.rank)
+        ai * _dot(row, b.coeffs) for ai, row in zip(a.coeffs, S.gram) if ai
     )
+
+
+def _dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    return sum(x * y for x, y in zip(u, v))
 
 
 def adjunction_genus(S: SurfaceModel, C: DivisorClass) -> int:
@@ -207,31 +211,50 @@ def anticanonical_degree(S: SurfaceModel, C: DivisorClass) -> int:
     return -intersect(S, C, S.canonical_class())
 
 
-@lru_cache(maxsize=None)
-def _lines_for_blowup(k: int) -> frozenset[tuple[int, ...]]:
+@cache
+def _lines_for_blowup(k: int) -> frozenset[DivisorClass]:
     # Exhaustive search for c with c^2 = -1 and c.K = -1 on the blowup at k
     # points, c = a L + sum b_i E_i.  The constraints read
     # sum b_i^2 = a^2 + 1 and 3a + sum b_i = 1.  Cauchy-Schwarz gives
-    # (1 - 3a)^2 <= k (a^2 + 1), which for k <= 6 forces 0 <= a <= 3.  The
-    # search chooses b_1 .. b_{k-1} one at a time, each within what is left
-    # of the norm budget a^2 + 1, solves b_k from the linear constraint and
-    # keeps it iff b_k^2 uses up the budget exactly.  Every solution has its
-    # partial sums of squares within the budget, so no solution is pruned.
+    # (1 - 3a)^2 <= k (a^2 + 1), which for k <= 6 forces 0 <= a <= 3.  Both
+    # constraints are symmetric in the b_i, so every solution is a
+    # permutation of its sorted form b_1 >= ... >= b_k, and a search over
+    # sorted tuples that adds the distinct permutations of each one it finds
+    # misses nothing.  The search chooses b_1 .. b_{k-1} one at a time, each
+    # at most the one before and within what is left of the norm budget
+    # a^2 + 1, solves b_k from the linear constraint and keeps it iff it is
+    # at most b_{k-1} and b_k^2 uses up the budget exactly.  Every solution
+    # has its partial sums of squares within the budget, so no sorted
+    # solution is pruned.
     found = set()
 
     def extend(a: int, prefix: tuple[int, ...], budget: int, total: int) -> None:
         if len(prefix) == k - 1:
             last = 1 - 3 * a - total
-            if last * last == budget:
-                found.add((a, *prefix, last))
+            if last * last == budget and (not prefix or last <= prefix[-1]):
+                found.update((a, *b) for b in _distinct_permutations(prefix + (last,)))
             return
         bound = isqrt(budget)
-        for b in range(-bound, bound + 1):
+        top = min(bound, prefix[-1]) if prefix else bound
+        for b in range(-bound, top + 1):
             extend(a, prefix + (b,), budget - b * b, total + b)
 
     for a in range(0, 4):
         extend(a, (), a * a + 1, 0)
-    return frozenset(found)
+    return frozenset(DivisorClass(v) for v in found)
+
+
+def _distinct_permutations(values: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+    # Each distinct ordering of a multiset once.  itertools.permutations
+    # yields all k! orderings with repeats: 720 for each sorted line at
+    # k = 6, where 6, 15 or 6 are distinct.
+    if not values:
+        yield ()
+        return
+    for v in set(values):
+        i = values.index(v)
+        for rest in _distinct_permutations(values[:i] + values[i + 1 :]):
+            yield (v, *rest)
 
 
 def enumerate_lines(S: SurfaceModel) -> frozenset[DivisorClass]:
@@ -239,11 +262,21 @@ def enumerate_lines(S: SurfaceModel) -> frozenset[DivisorClass]:
 
     Cardinalities are 3, 6, 10, 16, 27 for k = 2..6; classically these are
     the E_i, the L - E_i - E_j, and for k >= 5 the conics 2L through five
-    of the points.
+    of the points.  The set is built once per k.
     """
     if S.kind != "del_pezzo":
         raise LatticeError("line enumeration is defined on del Pezzo blowups only")
-    return frozenset(DivisorClass(v) for v in _lines_for_blowup(S.blowup_points))
+    return _lines_for_blowup(S.blowup_points)
+
+
+@cache
+def _line_images(S: SurfaceModel) -> tuple[tuple[DivisorClass, tuple[int, ...]], ...]:
+    # Each line with its Gram image G l, sorted by coefficients: C . l is
+    # then one dot product with C.  Built once per surface, from its Gram.
+    return tuple(
+        (line, tuple(_dot(row, line.coeffs) for row in S.gram))
+        for line in sorted(enumerate_lines(S), key=lambda l: l.coeffs)
+    )
 
 
 def positivity(S: SurfaceModel, C: DivisorClass) -> Positivity:
@@ -257,7 +290,7 @@ def positivity(S: SurfaceModel, C: DivisorClass) -> Positivity:
     """
     _check_class(S, C)
     if S.kind == "del_pezzo":
-        products = [intersect(S, C, line) for line in enumerate_lines(S)]
+        products = [_dot(C.coeffs, image) for _, image in _line_images(S)]
         nef = all(p >= 0 for p in products)
         square = intersect(S, C, C)
         return Positivity(
@@ -303,27 +336,29 @@ def _peel_fixed_lines(
     # Only the conservative pattern the case analysis needs is accepted: the
     # peeled lines must be mutually disjoint and end up orthogonal to the
     # remaining nef part, so they contribute no sections at all.
-    lines = sorted(enumerate_lines(S), key=lambda l: l.coeffs)
-    peeled: list[DivisorClass] = []
+    lines = _line_images(S)
+    peeled: list[tuple[DivisorClass, tuple[int, ...]]] = []
     current = C
     while True:
         negative = [
-            l for l in lines if l not in peeled and intersect(S, current, l) < 0
+            (l, image)
+            for l, image in lines
+            if (l, image) not in peeled and _dot(current.coeffs, image) < 0
         ]
         if not negative:
             break
-        line = negative[0]
-        if any(intersect(S, line, other) != 0 for other in peeled):
+        line, image = negative[0]
+        if any(_dot(line.coeffs, other) != 0 for _, other in peeled):
             return None
         current = current - line
-        peeled.append(line)
+        peeled.append((line, image))
     if not peeled:
         return None
     if not positivity(S, current).nef:
         return None
-    if any(intersect(S, current, l) != 0 for l in peeled):
+    if any(_dot(current.coeffs, image) != 0 for _, image in peeled):
         return None
-    return current, peeled
+    return current, [l for l, _ in peeled]
 
 
 def h0_rational(S: SurfaceModel, C: DivisorClass) -> int:

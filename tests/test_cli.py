@@ -128,6 +128,18 @@ def test_table_rejects_oversized_bounds(capsys):
     assert code == 1
 
 
+def test_table_rejects_negative_bounds(capsys):
+    code, out, err = run_cli(
+        capsys, "table", "--r", "3", "--n", "2", "--d-max", "-5", "--g-max", "-3"
+    )
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    for flag in ("--d-max", "--g-max"):
+        code, _, _ = run_cli(capsys, "table", "--r", "3", "--n", "2", flag, "-1")
+        assert code == 1
+
+
 def test_table_text_grid(capsys):
     code, out, _ = run_cli(capsys, "table", "--r", "4", "--n", "1", "--d-max", "20", "--g-max", "17")
     assert code == 0
@@ -318,6 +330,39 @@ def test_missing_ledger_file_exit_one(capsys):
         "--ledger", "/nonexistent/ledger.json",
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["classify", "table", "verify-all"])
+def test_directory_as_ledger_exit_one(command, tmp_path, capsys):
+    flags = {
+        "classify": ("--r", "3", "--n", "2", "--d", "10", "--g", "5"),
+        "table": ("--r", "3", "--n", "2"),
+        "verify-all": (),
+    }[command]
+    code, out, err = run_cli(capsys, command, *flags, "--ledger", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["classify", "trace"])
+@pytest.mark.parametrize(
+    "d, g", [(10, 1_000_000_000), (1_000_001, 0), (2_000_000_000, 1_000_000_000)]
+)
+def test_query_above_the_bound_exit_one(command, d, g, capsys):
+    with _time_cap(5):
+        code, out, err = run_cli(
+            capsys, command, "--r", "3", "--n", "2", "--d", str(d), "--g", str(g), "--json"
+        )
+    assert code == 1
+    assert out == ""
+    assert err == "--d and --g above 10^6 are rejected\n"
+
+
+def test_query_at_the_bound_is_answered(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--r", "3", "--n", "2", "--d", "1000000", "--g", "0")
+    assert code == 0
+    assert "add_line x999997" in out
 
 
 def _duplicate_ids():

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from gensect.lattices import (
     CertificateError,
@@ -72,6 +73,44 @@ def test_intersection_symmetry_randomized():
 def test_intersection_rank_mismatch():
     with pytest.raises(LatticeError):
         intersect(DP6, DP6.cls_(1, 0, 0, 0, 0, 0, 0), DivisorClass((1, 0)))
+
+
+SMALL = st.integers(-6, 6)
+
+
+def classes(rank):
+    return st.lists(SMALL, min_size=rank, max_size=rank).map(DivisorClass)
+
+
+@st.composite
+def symmetric_lattices(draw):
+    rank = draw(st.integers(1, 7))
+    upper = {(i, j): draw(SMALL) for i in range(rank) for j in range(i, rank)}
+    gram = [[upper[min(i, j), max(i, j)] for j in range(rank)] for i in range(rank)]
+    return SurfaceModel.polarized(gram, [0] * rank, [f"e{i}" for i in range(rank)])
+
+
+@given(symmetric_lattices().flatmap(lambda S: st.tuples(
+    st.just(S), classes(S.rank), classes(S.rank), classes(S.rank), SMALL
+)))
+def test_intersect_is_the_symmetric_bilinear_gram_form(drawn):
+    S, a, b, c, m = drawn
+    explicit = sum(
+        a.coeffs[i] * S.gram[i][j] * b.coeffs[j] for i in range(S.rank) for j in range(S.rank)
+    )
+    assert intersect(S, a, b) == explicit == intersect(S, b, a)
+    assert intersect(S, a + c, b) == intersect(S, a, b) + intersect(S, c, b)
+    assert intersect(S, m * a, b) == m * intersect(S, a, b)
+
+
+@given(symmetric_lattices(), st.integers(1, 8), st.data())
+def test_intersect_rejects_a_class_of_another_rank(S, other_rank, data):
+    if other_rank == S.rank:
+        other_rank += 1
+    good, bad = data.draw(classes(S.rank)), data.draw(classes(other_rank))
+    for a, b in ((good, bad), (bad, good), (bad, bad)):
+        with pytest.raises(LatticeError):
+            intersect(S, a, b)
 
 
 def test_adjunction_genus_examples():
@@ -164,6 +203,23 @@ def test_positivity_quadric():
     assert pos.nef and pos.big and pos.ample
     ruling = positivity(QUADRIC, QUADRIC.cls_(1, 0))
     assert ruling.nef and not ruling.big
+
+
+@given(st.integers(2, 6).flatmap(lambda k: st.tuples(
+    st.just(k), st.integers(0, 9), st.lists(st.integers(-3, 1), min_size=k, max_size=k)
+)))
+@example((6, 3, [-1] * 6))  # the anticanonical class: ample
+@example((6, 6, [-3, -3, -2, -2, -2, -2]))  # nef and big, not ample
+def test_positivity_is_its_definition_against_every_line(drawn):
+    k, a, b = drawn
+    S = SurfaceModel.del_pezzo(k)
+    C = S.cls_(a, *b)
+    products = [intersect(S, C, line) for line in enumerate_lines(S)]
+    square = intersect(S, C, C)
+    nef = all(p >= 0 for p in products)
+    assert positivity(S, C) == (
+        nef, nef and square > 0, all(p > 0 for p in products) and square > 0
+    )
 
 
 def test_positivity_rejects_scroll_and_k3():

@@ -159,3 +159,15 @@ def test_unknown_names_raise_and_submodules_still_import():
 
     assert cli.__name__ == "gensect.cli"
     assert gensect.__version__ == "0.1.0"
+
+
+def test_python_m_gensect_runs_from_a_source_checkout():
+    done = subprocess.run(
+        [sys.executable, "-m", "gensect", "verify-all"],
+        env={"PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith("24 checks: 24 passed, 0 failed\n")
