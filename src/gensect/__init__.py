@@ -13,7 +13,7 @@ imported from the submodule that defines it on first access (PEP 562), so
 numerology, and never the lattice, Schubert or verify layers.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,11 @@ def __getattr__(name: str):
         module = _SOURCE[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    # __import__ and sys.modules, not importlib, which a ready engine would
+    # otherwise load together with warnings
+    qualified = f"{__name__}.{module}"
+    __import__(qualified)
+    value = getattr(sys.modules[qualified], name)
     globals()[name] = value
     return value
 

@@ -4,14 +4,16 @@ Each entry records one case (r, n, d, g) whose twisted-normal-bundle
 vanishing is taken as an axiom, together with a justification tag, the
 cases it quotes as premises, any attached gluing data, and a citation
 string carrying a verbatim quote of the statement it rests on.  The ledger
-ships as a JSON data file and is part of the public contract; a single
-flag on the command line swaps it out for fault-injection runs.
+ships as a JSON data file, ``data/ledger.json``, which is part of the public
+contract; a single flag on the command line swaps in another such file for
+fault-injection runs.  The package also ships the same records as Python
+literals in ``_bundled_ledger``, generated from the JSON file by
+``python tools/bundle_ledger.py``, so loading the bundled ledger needs no
+JSON parser.  Both kinds of record pass the same validation.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from collections import namedtuple
 
 from .numerology import BNIndex, in_domain, interpolation_gates, is_interpolation_exception
@@ -209,23 +211,23 @@ def _entry_from_record(record: dict) -> LedgerEntry:
     )
 
 
-#: The ledger shipped with the package, found by a plain path: importing
-#: importlib.resources or pathlib costs tens of milliseconds at start-up.
-_BUNDLED_LEDGER = os.path.join(os.path.dirname(__file__), "data", "ledger.json")
-
-
-def load_ledger(path: str | os.PathLike | None = None) -> Ledger:
-    """Load the bundled ledger, or the JSON file at ``path`` if given."""
+def load_ledger(path: str | None = None) -> Ledger:
+    """Load the bundled ledger, or the JSON file at ``path`` (a str or
+    path-like) if given."""
     if path is None:
-        path, source = _BUNDLED_LEDGER, "bundled"
+        from ._bundled_ledger import RECORDS as records
+
+        source = "bundled"
     else:
+        import json
+
         source = str(path)
-    with open(os.fspath(path), "rb") as file:
-        text = file.read()
+        with open(path, "rb") as file:
+            text = file.read()
     try:
-        payload = json.loads(text)
-        entries = tuple(_entry_from_record(rec) for rec in payload["entries"])
-        return Ledger(entries=entries, source=source)
+        if path is not None:
+            records = json.loads(text)["entries"]
+        return Ledger(entries=tuple(map(_entry_from_record, records)), source=source)
     except (KeyError, TypeError, ValueError) as exc:
         reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
         raise LedgerFormatError(f"malformed ledger {source}: {reason}") from None

@@ -32,7 +32,6 @@ from .numerology import (
     interpolation_gates,
     max_general_hypersurface_degree,
     moduli_dim_at,
-    rho,
     rho_at,
     rho_canonical_reduction_delta_at,
 )
@@ -302,17 +301,27 @@ def check_degree_bound() -> CheckResult:
 
 
 def check_low_genus_nonspecial() -> CheckResult:
-    bad = []
-    for r in range(2, 7):
-        for g in range(0, r + 1):
-            for d in range(1, 61):
-                if rho(BNIndex(r, d, g)) >= 0 and d < g + r:
-                    bad.append((r, d, g))
+    # rho rises by r + 1 with each degree, for all integers r, d, g; so for
+    # g <= r it is >= 0 exactly from d = g + r on if it is >= 0 there and < 0
+    # one degree below
+    slope = _proved(lambda r, d, g: rho_at(r, d + 1, g) - rho_at(r, d, g) == r + 1, _R, _D, _G)
+    bad = [
+        (r, g)
+        for r in range(2, 7)
+        for g in range(0, r + 1)
+        if not rho_at(r, g + r, g) >= 0 > rho_at(r, g + r - 1, g)
+    ]
+    if not slope:
+        detail = "not proved: rho(d + 1, g, r) - rho(d, g, r) = r + 1"
+    elif bad:
+        detail = f"rho(d, g, r) >= 0 does not start at d = g + r for (r, g) = {bad[0]}"
+    else:
+        detail = "implication holds"
     return _result(
         "low-genus-nonspecial",
-        "rho >= 0 forces d >= g + r whenever g <= r (checked g <= r <= 6, d <= 60)",
-        not bad,
-        f"first failure {bad[0]}" if bad else "implication holds",
+        "rho >= 0 forces d >= g + r whenever g <= r (checked g <= r <= 6, every d)",
+        slope and not bad,
+        detail,
     )
 
 

@@ -4,8 +4,8 @@ The SHA-256 digests below were recorded from the engine that stored every
 derivation as a tree of single steps, before derivations became run-length
 paths; those of the exceptional cases and the whole-battery commands were
 recorded before the exceptional cases became one table in ``audits``,
-except the two ``verify-all`` digests, recorded when the four identity
-checks began to state their identities for all integers.  A
+except the two ``verify-all`` digests, recorded when the
+``low-genus-nonspecial`` check began to cover every degree.  A
 change to any verdict, trace, table, audit, exit code or message on the
 bundled ledger, or on a ledger missing any one of its 33 entries, changes a
 digest.  ``python tests/test_equivalence.py`` prints the digests of the code
@@ -72,8 +72,8 @@ EXCEPTIONAL = {
 COMMANDS = {
     "audit --all": "6f158375d3c2b314e83ce4a67a1148408b6f63894d20bc49ac7aaad6726d2734",
     "audit --all --json": "05c335ae8e9484f66df050ed15e8289cdaa4aafa3aac98cbe138a3d0ca23f48c",
-    "verify-all": "a13ac4ea32c20c2de87d2e4613da8a16dd4cef95239bb2b5554b5df4f2a7d0e8",
-    "verify-all --json": "84253dd4dd4122c547e0c2f4c9c355b08a2052538a9a2c03a5f29a3e2190ee83",
+    "verify-all": "69e4df30bbda1cc2524533523cc4ab5a2c8404c22e6da87ec9eafbca8996c079",
+    "verify-all --json": "b77783fe4be7c9e8aea62fa3f40bba18f668f4bb3214f432057ba970c7738632",
     "audit --case 3,2,9,9": "0ff1be943853413242a040432251ea8d1b01b136c7381221f9f7943a1a25e441",
 }
 

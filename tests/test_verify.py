@@ -192,6 +192,60 @@ def test_polynomial_equality_answers_only_where_every_point_agrees():
         d // 2
 
 
+# -- low-genus-nonspecial -------------------------------------------------------------
+
+
+def test_low_genus_nonspecial_holds_for_every_degree_without_a_degree_loop(monkeypatch):
+    integer_calls = []
+
+    def counting(r, d, g):
+        if all(isinstance(a, int) for a in (r, d, g)):
+            integer_calls.append((r, d, g))
+        return RHO(r, d, g)
+
+    patch_core(monkeypatch, "rho_at", counting)
+    result = verify.check_low_genus_nonspecial()
+    assert result.ok
+    assert result.detail == "implication holds"
+    # two degrees per (r, g) with g <= r <= 6, not one call per cell of a box
+    assert len(integer_calls) == 2 * sum(r + 1 for r in range(2, 7))
+
+
+@pytest.mark.parametrize(
+    "offset, first",
+    # one more: at g = r, rho is already 0 at d = g + r - 1; one less: at
+    # g = 0, rho is still -1 at d = g + r
+    [(1, (2, 2)), (-1, (2, 0))],
+    ids=["one more", "one less"],
+)
+def test_low_genus_nonspecial_fails_on_a_rho_wrong_by_one(offset, first, monkeypatch):
+    patch_core(monkeypatch, "rho_at", lambda r, d, g: RHO(r, d, g) + offset)
+    result = verify.check_low_genus_nonspecial()
+    assert not result.ok
+    assert result.detail == (
+        f"rho(d, g, r) >= 0 does not start at d = g + r for (r, g) = {first}"
+    )
+
+
+def test_low_genus_nonspecial_needs_the_slope(monkeypatch):
+    # right at the two degrees the check evaluates, wrong everywhere else:
+    # only the slope proof sees it, and the old box loop finds the failure
+    patch_core(
+        monkeypatch,
+        "rho_at",
+        lambda r, d, g: RHO(r, d, g) + (d - g - r) * (d - g - r + 1),
+    )
+    result = verify.check_low_genus_nonspecial()
+    assert not result.ok
+    assert result.detail == "not proved: rho(d + 1, g, r) - rho(d, g, r) = r + 1"
+    assert any(
+        numerology.rho(BNIndex(r, d, g)) >= 0 and d < g + r
+        for r in range(2, 7)
+        for g in range(0, r + 1)
+        for d in range(1, 61)
+    )
+
+
 # -- the exceptional sweep ----------------------------------------------------------
 
 
