@@ -67,11 +67,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _engine_for(args: argparse.Namespace) -> ClassificationEngine:
-    ledger = load_ledger(args.ledger) if getattr(args, "ledger", None) else None
-    return ClassificationEngine(ledger)
-
-
 def _verdict_payload(engine: ClassificationEngine, q: Query, verdict: Verdict) -> dict:
     payload: dict = {
         "query": {"r": q.r, "n": q.n, "d": q.d, "g": q.g},
@@ -138,7 +133,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.d > 1_000_000 or args.g > 1_000_000:
         print("--d and --g above 10^6 are rejected", file=sys.stderr)
         return EXIT_USAGE
-    engine = _engine_for(args)
+    engine = ClassificationEngine(load_ledger(args.ledger))
     q = Query(args.r, args.n, args.d, args.g)
     try:
         verdict = engine.classify(q)
@@ -158,7 +153,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if not (0 <= args.d_max <= 10_000 and 0 <= args.g_max <= 10_000):
         print("--d-max and --g-max must lie in 0..10^4", file=sys.stderr)
         return EXIT_USAGE
-    engine = _engine_for(args)
+    engine = ClassificationEngine(load_ledger(args.ledger))
     if (args.r, args.n) not in SUPPORTED_PAIRS:
         print(f"unsupported pair (r, n) = ({args.r}, {args.n})", file=sys.stderr)
         return EXIT_INVALID
@@ -274,6 +269,10 @@ def _parse_partition(text: str) -> tuple[int, int]:
 
 
 def _cmd_schubert(args: argparse.Namespace) -> int:
+    # each factor costs about n^2, and up to 2(n - 1) keep the product nonzero
+    if args.n > 200:
+        print("--n above 200 is rejected", file=sys.stderr)
+        return EXIT_USAGE
     try:
         partitions = [_parse_partition(p) for p in args.classes]
         product = schubert.SchubertCycle.identity(args.n)
@@ -324,8 +323,7 @@ def _cmd_lines(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> int:
-    ledger = load_ledger(args.ledger) if args.ledger else None
-    results = verify.run_all(ledger=ledger)
+    results = verify.run_all(ledger=load_ledger(args.ledger))
     payload = {
         "checks": [
             {"id": r.id, "description": r.description, "ok": r.ok, "detail": r.detail}

@@ -8,7 +8,8 @@ quadrics, and hyperplane sections in P^4.  The engine classifies a query as
 Invalid, Exceptional (one of the ten known counterexamples) or General, and
 in the last case emits a derivation trace: a path of rule applications
 ending in a cited ledger axiom.  The exceptional lists and descriptors are
-read from the table of exceptional cases in ``audits``.
+read from the table of exceptional cases in ``audits``.  Engines share the
+bundled ledger, which is built once per process, so one is cheap to make.
 
 Rules mirror the inductive structure of the underlying argument:
 
@@ -80,13 +81,6 @@ class Query(namedtuple("Query", "r n d g")):
         return (self.r, self.n, self.d, self.g)
 
 
-def _run_delta(rule: str, r: int) -> tuple[int, int] | None:
-    """Degree and genus drop of one step of a rule that can repeat, else None."""
-    if rule == RULE_ADD_CANONICAL:
-        return CANONICAL_STEP.get(r)
-    return (1, 0) if rule == RULE_ADD_LINE else None
-
-
 class Segment(namedtuple("Segment", "case rule repeat entry_id", defaults=(1, None))):
     """``repeat`` steps of one rule from ``case``, each resting on the next.
 
@@ -98,7 +92,9 @@ class Segment(namedtuple("Segment", "case rule repeat entry_id", defaults=(1, No
     @property
     def delta(self) -> tuple[int, int]:
         """Degree and genus drop from one step of the segment to the next."""
-        return _run_delta(self.rule, self.case[0]) or (0, 0)
+        if self.rule == RULE_ADD_CANONICAL:
+            return CANONICAL_STEP.get(self.case[0], (0, 0))
+        return (1, 0) if self.rule == RULE_ADD_LINE else (0, 0)
 
     def at(self, i: int) -> tuple[int, int, int, int]:
         """The case of step i; i = repeat is the premise below a run."""
@@ -306,6 +302,8 @@ class ClassificationEngine:
     comes first, the derivable degrees of (3, 2) and (4, 1) at genus g are
     [f(g), inf): a derivation is an add_line run down to f(g), then the step
     deriving f(g), computed once per genus, which recurses only in genus.
+    Without a ledger argument it reads the shared bundled ledger; the
+    per-genus steps are memoised in the engine and live as long as it does.
     """
 
     def __init__(self, ledger: Ledger | None = None) -> None:
@@ -523,7 +521,7 @@ class ClassificationEngine:
             problems.append(f"{node.case}: unknown rule {node.rule}")
             return False
         cr, cn, cd, cg = child.case
-        dd, dg = _run_delta(node.rule, r) or (0, 0)
+        dd, dg = node.delta
         if child.case != (r, n, d - dd, g - dg):
             problems.append(f"{node.case}: {node.rule} premise {child.case} has wrong invariants")
         exempt = (
@@ -540,17 +538,6 @@ class ClassificationEngine:
         return True
 
 
-_DEFAULT_ENGINE: ClassificationEngine | None = None
-
-
-def default_engine() -> ClassificationEngine:
-    """A process-wide engine over the bundled ledger."""
-    global _DEFAULT_ENGINE
-    if _DEFAULT_ENGINE is None:
-        _DEFAULT_ENGINE = ClassificationEngine()
-    return _DEFAULT_ENGINE
-
-
 def classify(q: Query) -> Verdict:
-    """Classify against the bundled ledger."""
-    return default_engine().classify(q)
+    """Classify against the bundled ledger, with a fresh engine."""
+    return ClassificationEngine().classify(q)

@@ -9,7 +9,8 @@ contract; a single flag on the command line swaps in another such file for
 fault-injection runs.  The package also ships the same records as Python
 literals in ``_bundled_ledger``, generated from the JSON file by
 ``python tools/bundle_ledger.py``, so loading the bundled ledger needs no
-JSON parser.  Both kinds of record pass the same validation.
+JSON parser.  Both kinds of record pass the same validation.  The bundled
+ledger is built once per process, on first use, and shared.
 """
 
 from __future__ import annotations
@@ -87,7 +88,8 @@ class LedgerFormatError(ValueError):
 
 
 class Ledger:
-    """An immutable-after-load collection of entries with lookup by case."""
+    """An immutable-after-load collection of entries with lookup by case.  The
+    bundled ledger is one instance per process, shared and read-only."""
 
     def __init__(self, entries: tuple[LedgerEntry, ...], source: str | None = None) -> None:
         self.entries = entries
@@ -211,9 +213,16 @@ def _entry_from_record(record: dict) -> LedgerEntry:
     )
 
 
+_BUNDLED: Ledger | None = None
+
+
 def load_ledger(path: str | None = None) -> Ledger:
-    """Load the bundled ledger, or the JSON file at ``path`` (a str or
-    path-like) if given."""
+    """Load the bundled ledger, built on the first call and returned by every
+    later one, or the JSON file at ``path`` (a str or path-like), read anew
+    on every call."""
+    global _BUNDLED
+    if path is None and _BUNDLED is not None:
+        return _BUNDLED
     if path is None:
         from ._bundled_ledger import RECORDS as records
 
@@ -227,7 +236,10 @@ def load_ledger(path: str | None = None) -> Ledger:
     try:
         if path is not None:
             records = json.loads(text)["entries"]
-        return Ledger(entries=tuple(map(_entry_from_record, records)), source=source)
+        ledger = Ledger(entries=tuple(map(_entry_from_record, records)), source=source)
     except (KeyError, TypeError, ValueError) as exc:
         reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
         raise LedgerFormatError(f"malformed ledger {source}: {reason}") from None
+    if path is None:
+        _BUNDLED = ledger
+    return ledger

@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import json
 
+from . import __version__
 from .engine import DerivationTrace, Segment
 
 SCHEMA_VERSION = "1.0"
-TOOL_VERSION = "0.1.0"
 
 
 def envelope(command: str, result: dict) -> dict:
     """Wrap a result payload with the command echo and version stamps."""
     return {
         "schema_version": SCHEMA_VERSION,
-        "tool": {"name": "gensect", "version": TOOL_VERSION},
+        "tool": {"name": "gensect", "version": __version__},
         "command": command,
         "result": result,
     }

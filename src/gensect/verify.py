@@ -68,10 +68,6 @@ class CheckResult(namedtuple("CheckResult", "id description ok detail")):
     __slots__ = ()
 
 
-def _result(check_id: str, description: str, ok: bool, detail: str) -> CheckResult:
-    return CheckResult(id=check_id, description=description, ok=ok, detail=detail)
-
-
 class _Poly:
     """An integer polynomial in r, d and g, as exponent triples to nonzero
     coefficients.  It has +, -, * and ==, and no order, truth value or hash,
@@ -213,7 +209,7 @@ def check_lattice_invariants(surfaces: Sequence[SurfaceModel]) -> CheckResult:
             for b in sample:
                 if lattices.intersect(S, a, b) != lattices.intersect(S, b, a):
                     problems.append(f"{S.kind}: pairing asymmetry")
-    return _result(
+    return CheckResult(
         "lattice-invariants",
         "Gram symmetry, canonical classes and pairing symmetry on all stock lattices",
         not problems,
@@ -234,7 +230,7 @@ def check_chi_anchors() -> CheckResult:
         return chi_twisted_normal_at(r, d, g, k) == CHI_ANCHORS[r, k](d, g)
 
     bad = [(r, k) for r, k in CHI_ANCHORS if not _proved(holds, r, _D, _G, k)]
-    return _result(
+    return CheckResult(
         "chi-anchors",
         "chi(N(-1)) = 2d and chi(N(-2)) = 0 in P^3, chi(N(-1)) = 2d - g + 1 in P^4, "
         "for all integers d, g",
@@ -249,7 +245,7 @@ def check_chi_untwisted_identity() -> CheckResult:
         lambda r, d, g: chi_twisted_normal_at(r, d, g, 0) == (r + 1) * d + (r - 3) * (1 - g),
         _R, _D, _G,
     )
-    return _result(
+    return CheckResult(
         "chi-untwisted",
         f"{identity} for all integers r, d, g",
         ok,
@@ -270,7 +266,7 @@ def check_rho_invariance() -> CheckResult:
             lambda d, g: rho_at(r, d - dd, g - dg) == rho_at(r, d, g), _D, _G
         )
     bad = [identity for identity, ok in identities.items() if not ok]
-    return _result(
+    return CheckResult(
         "rho-invariance",
         "rho(d - r, g - r - 1, r) = rho(d, g, r) and the add_canonical steps keep rho, "
         "for all integers r, d, g",
@@ -281,7 +277,7 @@ def check_rho_invariance() -> CheckResult:
 
 def check_moduli_plane_collapse() -> CheckResult:
     ok = _proved(lambda d, g: moduli_dim_at(3, d, g) == 4 * d, _D, _G)
-    return _result(
+    return CheckResult(
         "moduli-plane-collapse",
         "the space of maps to P^3 has dimension 4d independent of genus, for all integers d, g",
         ok,
@@ -292,7 +288,7 @@ def check_moduli_plane_collapse() -> CheckResult:
 def check_degree_bound() -> CheckResult:
     got = [max_general_hypersurface_degree(r) for r in (2, 3, 4, 5)]
     expected = [2, 2, 1, 0]
-    return _result(
+    return CheckResult(
         "hypersurface-degree-bound",
         "admissible hypersurface degrees per ambient: r = 2..5 give 2, 2, 1, 0",
         got == expected,
@@ -317,7 +313,7 @@ def check_low_genus_nonspecial() -> CheckResult:
         detail = f"rho(d, g, r) >= 0 does not start at d = g + r for (r, g) = {bad[0]}"
     else:
         detail = "implication holds"
-    return _result(
+    return CheckResult(
         "low-genus-nonspecial",
         "rho >= 0 forces d >= g + r whenever g <= r (checked g <= r <= 6, every d)",
         slope and not bad,
@@ -338,7 +334,7 @@ def check_interpolation_gates() -> CheckResult:
         for ix, k, expected in cases
         if interpolation_gates(ix, k) != expected
     ]
-    return _result(
+    return CheckResult(
         "interpolation-gates",
         "the combined numeric gate agrees with its anchor cases",
         not bad,
@@ -365,7 +361,7 @@ def check_surface_curve_table() -> CheckResult:
         got = (lattices.anticanonical_degree(S, C), lattices.adjunction_genus(S, C))
         if got != (degree, genus):
             bad.append(f"{name}: computed {got}, expected {(degree, genus)}")
-    return _result(
+    return CheckResult(
         "surface-curve-table",
         "the six named surface classes have degree/genus (7,4), (8,5), (8,6), (7,5), (9,5), (9,6)",
         not bad,
@@ -386,7 +382,7 @@ def check_line_counts() -> CheckResult:
                 problems.append(f"k={k}: line {line.coeffs} has nonzero genus")
             if lattices.anticanonical_degree(S, line) != 1:
                 problems.append(f"k={k}: line {line.coeffs} has degree != 1")
-    return _result(
+    return CheckResult(
         "line-counts",
         "exhaustive line enumeration finds 3/6/10/16/27 classes, each of genus 0 and degree 1",
         not problems,
@@ -422,7 +418,7 @@ def check_kv_certificates() -> CheckResult:
         pos = lattices.positivity(S, shifted)
         grade = "ample" if pos.ample else "nef and big"
         details.append(f"{label}: certified ({mechanism} cited; shifted class {grade})")
-    return _result(
+    return CheckResult(
         "kv-certificates",
         "all six cited bundles certify: the class minus the canonical is nef and big",
         not problems,
@@ -451,7 +447,7 @@ def check_h0_table() -> CheckResult:
         audits.rr_curve(14, 4),
     ]
     expected = [10, 4, 12, 2, 12, 14, 15, 6, 16, 1, 8, 5, 11]
-    return _result(
+    return CheckResult(
         "h0-table",
         "the thirteen cited section counts reproduce exactly",
         values == expected,
@@ -475,7 +471,7 @@ def check_schubert_incidence() -> CheckResult:
         "codimension 6 only a multiple of the point class s[3,3] is available, and "
         f"either reading is nonzero; sigma_1^4 in G(1,3) has point coefficient {top_fourth}"
     )
-    return _result(
+    return CheckResult(
         "schubert-incidence",
         "a line meets three general lines in P^4 (nonzero top class); four general lines in P^3 have 2 transversals",
         ok,
@@ -493,7 +489,7 @@ def check_schubert_duality() -> CheckResult:
                 )
                 if schubert.top_degree(product) != 1:
                     bad.append((n, a, b))
-    return _result(
+    return CheckResult(
         "schubert-duality",
         "sigma_{a,b} . sigma_{n-1-b,n-1-a} is the point class for every two-row class, n <= 6",
         not bad,
@@ -517,7 +513,7 @@ def check_ledger_integrity(engine: ClassificationEngine) -> CheckResult:
                 problems.append(
                     f"{entry.id}: premise ({pr}, {pn}, {pd}, {pg}) is {verdict.status}"
                 )
-    return _result(
+    return CheckResult(
         "ledger-integrity",
         "ledger invariants hold and every verifiable premise classifies as general",
         not problems,
@@ -539,7 +535,7 @@ def check_side_conditions(engine: ClassificationEngine) -> CheckResult:
             details.append(f"{entry.id}: {rows}")
         else:
             problems.append(f"{entry.id}: {rows}")
-    return _result(
+    return CheckResult(
         "gluing-side-conditions",
         "every hyperplane-gluing entry passes its three numeric side conditions",
         not problems,
@@ -571,7 +567,7 @@ def check_exceptional_sweep(engine: ClassificationEngine) -> CheckResult:
             problems.append(f"({r}, {n}): found {sorted(found)}")
         if underivable:
             problems.append(f"({r}, {n}): {underivable} cases underivable")
-    return _result(
+    return CheckResult(
         "exceptional-sweep",
         f"classification over d <= {SWEEP_D_MAX}, g <= {SWEEP_G_MAX} is exceptional exactly on the theorem lists",
         not problems,
@@ -585,7 +581,7 @@ def check_completeness(engine: ClassificationEngine) -> CheckResult:
         missing = engine.completeness_audit(r, n, SWEEP_D_MAX, SWEEP_G_MAX)
         if missing:
             problems.append(f"({r}, {n}): underivable {missing[:5]}")
-    return _result(
+    return CheckResult(
         "completeness-audit",
         "every in-domain non-exceptional case in the sweep box admits a derivation",
         not problems,
@@ -600,7 +596,7 @@ def check_frontier(engine: ClassificationEngine) -> CheckResult:
         got = engine.frontier(r, n, g_max)
         if got != expected:
             problems.append(f"({r}, {n}): computed {got}")
-    return _result(
+    return CheckResult(
         "frontier-lists",
         "the construction frontier reproduces the three finite seed lists",
         not problems,
@@ -618,7 +614,7 @@ def check_audits() -> CheckResult:
         problems.append(f"(3,2,6,2): tally {deficit62.total} vs {deficit62.ambient_dim}")
     if (deficit75.total, deficit75.ambient_dim) != (27, 28):
         problems.append(f"(3,2,7,5): tally {deficit75.total} vs {deficit75.ambient_dim}")
-    return _result(
+    return CheckResult(
         "converse-audits",
         "all ten exceptional cases audit as not general, with deficits 23 < 24 and 27 < 28",
         not problems,
@@ -629,7 +625,7 @@ def check_audits() -> CheckResult:
 def check_local_determinant() -> CheckResult:
     value = audits.local_determinant_check()
     ok = (value.c0, value.c1) == (0, -4) and not value.is_zero()
-    return _result(
+    return CheckResult(
         "local-determinant",
         "the 3x3 tangency determinant equals -4t, nonzero modulo t^2",
         ok,
@@ -640,7 +636,7 @@ def check_local_determinant() -> CheckResult:
 def check_scroll_case_study() -> CheckResult:
     checks = audits.scroll_case_study()
     bad = [c for c in checks if not c.ok]
-    return _result(
+    return CheckResult(
         "scroll-case-study",
         "the cubic-scroll elliptic quintic: degrees 3 and 5, two degree-zero twists, class sum 8L - 4E",
         not bad,
@@ -659,7 +655,7 @@ def check_k3_case_study() -> CheckResult:
         and (stats_r.genus, stats_r.h0) == (0, 1)
         and (stats_h.genus, stats_h.degree, stats_h.h0) == (4, 6, 5)
     )
-    return _result(
+    return CheckResult(
         "k3-case-study",
         "on the sextic K3 lattice: H + R has genus 7, degree 10, h0 = 8; R is rigid; H is the genus-4 section",
         ok,
@@ -676,7 +672,7 @@ def check_restriction_isomorphisms() -> CheckResult:
             details.append(f"{case}: {line.computed} = {line.expected}")
         else:
             problems.append(f"{case}: {line.computed} != {line.expected}")
-    return _result(
+    return CheckResult(
         "restriction-isomorphisms",
         "surface and curve section counts agree at the five cited restriction sites",
         not problems,
@@ -722,7 +718,6 @@ def run_all(
         try:
             results.append(runner())
         except Exception as exc:  # a crashed check is a failed check
-            results.append(
-                _result("internal-error", "a check raised instead of reporting", False, repr(exc))
-            )
+            description = "a check raised instead of reporting"
+            results.append(CheckResult("internal-error", description, False, repr(exc)))
     return results

@@ -1,5 +1,6 @@
 import contextlib
 import json
+import math
 import signal
 from importlib import resources
 
@@ -224,6 +225,19 @@ def test_verify_all_detects_missing_ledger_entry(tmp_path, capsys):
     assert "FAIL  completeness-audit" in out
 
 
+def test_a_ledger_file_serves_only_its_own_call(tmp_path, capsys):
+    def drop(entries):
+        entries[:] = [e for e in entries if e["id"] != "r3n2-delpezzo-7-4"]
+
+    query = ("classify", "--r", "3", "--n", "2", "--d", "7", "--g", "4")
+    code, _, err = run_cli(capsys, *query, "--ledger", _doctored_ledger(tmp_path, drop))
+    assert code == 3
+    assert err.startswith("incomplete ledger")
+    code, out, _ = run_cli(capsys, *query)
+    assert code == 0
+    assert "base [r3n2-delpezzo-7-4]" in out
+
+
 @pytest.mark.parametrize("field, value", [("d", 0), ("r", 1)])
 def test_verify_all_reports_out_of_domain_entry(field, value, tmp_path, capsys):
     # no general curve has these invariants, so no BNIndex can be built for them
@@ -357,6 +371,25 @@ def test_query_above_the_bound_exit_one(command, d, g, capsys):
     assert code == 1
     assert out == ""
     assert err == "--d and --g above 10^6 are rejected\n"
+
+
+@pytest.mark.parametrize(
+    "n, classes", [("201", ("1",)), ("100000", ("50000,25000", "50000,25000"))]
+)
+def test_schubert_above_the_bound_exit_one(n, classes, capsys):
+    with _time_cap(5):
+        code, out, err = run_cli(capsys, "schubert", "--n", n, *classes)
+    assert code == 1
+    assert out == ""
+    assert err == "--n above 200 is rejected\n"
+
+
+def test_schubert_at_the_bound_is_answered(capsys):
+    # sigma_1^(2(n - 1)) is the degree of G(1, n), the Catalan number C(n - 1)
+    with _time_cap(5):
+        code, out, _ = run_cli(capsys, "schubert", "--n", "200", *["1"] * 398, "--json")
+    assert code == 0
+    assert json.loads(out)["result"]["top_degree"] == math.comb(398, 199) // 200
 
 
 def test_query_at_the_bound_is_answered(capsys):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gensect import engine as engine_module
 from gensect.engine import (
     CANONICAL_STEP,
     EXCEPTIONAL,
@@ -92,6 +93,14 @@ def test_classify_deterministic(engine):
     first = engine.classify(Query(3, 2, 20, 18))
     second = engine.classify(Query(3, 2, 20, 18))
     assert first.trace.to_payload() == second.trace.to_payload()
+
+
+def test_classify_keeps_no_engine_between_calls(engine):
+    # each call makes a fresh engine over the shared bundled ledger
+    assert not hasattr(engine_module, "default_engine")
+    assert not hasattr(engine_module, "_DEFAULT_ENGINE")
+    q = Query(3, 2, 30, 20)
+    assert engine_module.classify(q) == engine.classify(q)
 
 
 def test_downgrade_rule(engine):

@@ -1,11 +1,13 @@
 """The bundled ledger ships twice: as the JSON data file that is the public
 contract, and as the Python literals a ready engine is built from.  The two
-must agree."""
+must agree.  The bundled ledger is built once per process; a file is read on
+every load."""
 
 import json
 from importlib import resources
 
 from gensect._bundled_ledger import RECORDS
+from gensect.engine import ClassificationEngine
 from gensect.ledger import load_ledger
 
 LEDGER_FILE = str(resources.files("gensect").joinpath("data/ledger.json"))
@@ -28,3 +30,16 @@ def test_bundled_ledger_equals_the_json_file_entry_by_entry():
     assert len(bundled.entries) == len(from_file.entries), STALE
     for ours, theirs in zip(bundled.entries, from_file.entries):
         assert ours == theirs, f"{ours.id}: {STALE}"
+
+
+def test_the_bundled_ledger_is_one_shared_object():
+    assert load_ledger() is load_ledger()
+    first, second = ClassificationEngine(), ClassificationEngine()
+    assert first.ledger is second.ledger is load_ledger()
+
+
+def test_a_ledger_file_is_built_anew_on_every_load():
+    first, second = load_ledger(LEDGER_FILE), load_ledger(LEDGER_FILE)
+    assert first is not second
+    assert first.entries == second.entries
+    assert first is not load_ledger()

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import gensect
+from gensect import report
 from gensect.audits import Jet
 from gensect.engine import Query, Verdict
 from gensect.lattices import DivisorClass
@@ -62,9 +63,10 @@ print(json.dumps({
 
 
 def fresh_interpreter(code: str) -> dict:
-    """Run ``code`` in a new ``python -S`` with only ``src`` on the path."""
+    """Run ``code`` in a new ``python -S`` with only ``src`` on the path,
+    writing no bytecode into it."""
     done = subprocess.run(
-        [sys.executable, "-S", "-c", code],
+        [sys.executable, "-B", "-S", "-c", code],
         env={"PYTHONPATH": SRC},
         capture_output=True,
         text=True,
@@ -172,9 +174,22 @@ def test_unknown_names_raise_and_submodules_still_import():
     assert gensect.__version__ == "0.1.0"
 
 
+def test_one_version_in_pyproject_package_and_envelope():
+    # read as text: tomllib is not in Python 3.10
+    with open(os.path.join(os.path.dirname(SRC), "pyproject.toml"), encoding="utf-8") as file:
+        project = file.read().split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    (version,) = [
+        line.split("=", 1)[1].strip().strip('"')
+        for line in project.splitlines()
+        if line.split("=", 1)[0].strip() == "version"
+    ]
+    assert version == gensect.__version__
+    assert report.envelope("classify", {})["tool"]["version"] == version
+
+
 def test_python_m_gensect_runs_from_a_source_checkout():
     done = subprocess.run(
-        [sys.executable, "-m", "gensect", "verify-all"],
+        [sys.executable, "-B", "-m", "gensect", "verify-all"],
         env={"PYTHONPATH": SRC},
         capture_output=True,
         text=True,
