@@ -183,40 +183,40 @@ def _trace_record(index: int, record: dict) -> tuple[tuple, str, str | None]:
 def trace_from_payload(payload: list[dict]) -> DerivationTrace:
     """Rebuild a trace from its JSON form (for re-validation round trips).
 
-    One scan, run by run: a record continues the open run while it has the
-    run's rule and entry and the run's next case, so each run costs one
-    Segment.  A record that starts a run is checked by ``_trace_record``.
-    A record that continues a run equals the case computed for it, so it is
-    not checked again: a number equal to that case's, such as 5.0, passes
-    there.  Apart from that, the result equals checking every record and
-    folding it into ``_extend``.
+    Run by run: ``_trace_record`` checks the record that starts a run, and an
+    inner loop steps the run's degree and genus while the next record has the
+    run's case, rule and entry, so each run costs one Segment.  A record that
+    continues a run equals the case computed for it, so it is not checked
+    again: a number equal to that case's, such as 5.0, passes there.  Apart
+    from that, the result equals checking every record and folding it into
+    ``_extend``.
     """
     if type(payload) is not list:
         raise ValueError("a trace payload is a list of records")
     if not payload:
         raise ValueError("empty trace payload")
     segments: list[Segment] = []
-    repeat = 0  # steps in the open run, which starts at seg
-    for index, record in enumerate(payload):
-        try:
-            case, rule, entry = tuple(record["case"]), record["rule"], record.get("entry")
-        except (AttributeError, KeyError, TypeError):
-            rule = None  # malformed: it starts a run, where _trace_record rejects it
-        if (
-            repeat
-            and rule == run_rule
-            and entry == run_entry
-            and rule in _RUN_RULES
-            and case == (r, n, d - repeat * dd, g - repeat * dg)
-        ):
-            repeat += 1
-            continue
-        if repeat:  # a run ends where _extend would not merge: it is maximal
-            segments.append(seg._replace(repeat=repeat))
-        case, rule, entry = _trace_record(index, record)
-        seg, repeat, run_rule, run_entry = Segment(case, rule, 1, entry), 1, rule, entry
-        (r, n, d, g), (dd, dg) = case, seg.delta
-    segments.append(seg._replace(repeat=repeat))
+    index, end = 0, len(payload)
+    while index < end:
+        case, rule, entry = _trace_record(index, payload[index])
+        seg, start = Segment(case, rule, 1, entry), index
+        index += 1
+        if rule in _RUN_RULES:
+            (r, n, d, g), (dd, dg) = case, seg.delta
+            while index < end:  # a run ends where _extend would not merge: it is maximal
+                d, g = d - dd, g - dg
+                record = payload[index]
+                try:
+                    if not (
+                        tuple(record["case"]) == (r, n, d, g)
+                        and record["rule"] == rule
+                        and record.get("entry") == entry
+                    ):
+                        break
+                except (AttributeError, KeyError, TypeError):
+                    break  # malformed: it starts the next run, where _trace_record rejects it
+                index += 1
+        segments.append(seg._replace(repeat=index - start))
     return DerivationTrace(tuple(segments))
 
 

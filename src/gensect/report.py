@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 
 from . import __version__
-from .engine import DerivationTrace, Segment
+from .engine import DerivationTrace
 
 SCHEMA_VERSION = "1.0"
 
@@ -34,7 +34,8 @@ def to_json(payload: dict) -> str:
 
     A ``DerivationTrace`` under ``result.trace`` is written as the flat list
     of its ``to_payload()``, byte for byte as the encoder would write it, but
-    from its segments: one %-format per step.
+    from its segments: a run at one genus is one join over its degrees, and
+    any other step is one f-string.
     """
     result = payload.get("result")
     trace = result.get("trace") if isinstance(result, dict) else None
@@ -46,23 +47,22 @@ def to_json(payload: dict) -> str:
         '"trace": []'
     )
     indent = "\n" + head[head.rfind("\n") + 1 :] + "  "
+    inner, item = indent + "  ", indent + "    "
     parts = [head, '"trace": [']
     for seg in trace.segments:
-        template = _step_template(seg, indent)
-        (d, g), (dd, dg) = seg.case[2:], seg.delta
-        parts += [template % (d - i * dd, g - i * dg) for i in range(seg.repeat)]
+        (r, n, d, g), (dd, dg), repeat = seg.case, seg.delta, seg.repeat
+        # a step, after a comma, is before, its degree, "," + item, its genus, after
+        before = f',{indent}{{{inner}"case": [{item}{r},{item}{n},{item}'
+        after = (
+            f'{inner}],{inner}"entry": {json.dumps(seg.entry_id)},'
+            f'{inner}"rule": {json.dumps(seg.rule)}{indent}}}'
+        )
+        if dg == 0 and dd != 0:
+            end = f",{item}{g}{after}"
+            # pieces appended one by one: concatenating them copies the run
+            parts += [before, (end + before).join(map(str, range(d, d - repeat * dd, -dd))), end]
+        else:
+            parts += [f"{before}{d - i * dd},{item}{g - i * dg}{after}" for i in range(repeat)]
     parts[2] = parts[2][1:]  # the first step follows "[" without a comma
     parts += [indent[:-2], "]", tail, "\n"]
     return "".join(parts)
-
-
-def _step_template(seg: Segment, indent: str) -> str:
-    """One step of a segment as the encoder writes it at ``indent`` (which
-    starts with a newline), after a comma, with %d for its degree and genus."""
-    r, n = seg.case[:2]
-    inner, item = indent + "  ", indent + "    "
-    entry, rule = (json.dumps(v).replace("%", "%%") for v in (seg.entry_id, seg.rule))
-    return (
-        f',{indent}{{{inner}"case": [{item}{r},{item}{n},{item}%d,{item}%d{inner}],'
-        f'{inner}"entry": {entry},{inner}"rule": {rule}{indent}}}'
-    )
