@@ -135,11 +135,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     engine = ClassificationEngine(load_ledger(args.ledger))
     q = Query(args.r, args.n, args.d, args.g)
-    try:
-        verdict = engine.classify(q)
-    except IncompleteLedgerError as exc:
-        print(f"incomplete ledger: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+    verdict = engine.classify(q)
     _emit(
         args,
         "classify",
@@ -157,11 +153,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     if (args.r, args.n) not in SUPPORTED_PAIRS:
         print(f"unsupported pair (r, n) = ({args.r}, {args.n})", file=sys.stderr)
         return EXIT_INVALID
-    try:
-        rows = engine.grid(args.r, args.n, args.d_max, args.g_max)
-    except IncompleteLedgerError as exc:
-        print(f"incomplete ledger: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
+    rows = engine.grid(args.r, args.n, args.d_max, args.g_max)
     frontier = engine.frontier(args.r, args.n, args.g_max)
     payload = {
         "r": args.r,
@@ -428,6 +420,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (OSError, LedgerFormatError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
+    except IncompleteLedgerError as exc:
+        print(f"incomplete ledger: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
 
 
 def console_main() -> None:

@@ -51,10 +51,6 @@ EXCEPTIONAL_PAIRS: dict[tuple[int, int], frozenset[tuple[int, int]]] = {
 #: Attached-curve invariants of the canonical-curve rule per ambient r.
 CANONICAL_STEP = {3: (6, 8), 4: (8, 10)}
 
-#: Three skew lines in P^4: an auxiliary base, out of domain, that the
-#: canonical step from (11, 8) may land on.
-SKEW_LINES = (4, 1, 3, -2)
-
 RULE_ADD_LINE = "add_line"
 RULE_ADD_CANONICAL = "add_canonical"
 RULE_DOWNGRADE = "downgrade"
@@ -302,13 +298,14 @@ class ClassificationEngine:
     comes first, the derivable degrees of (3, 2) and (4, 1) at genus g are
     [f(g), inf): a derivation is an add_line run down to f(g), then the step
     deriving f(g), computed once per genus, which recurses only in genus.
-    Without a ledger argument it reads the shared bundled ledger; the
-    per-genus steps are memoised in the engine and live as long as it does.
+    Without a ledger argument it reads the shared bundled ledger.  The steps
+    are memoised in the engine, one list per threshold column (r, n, g % dg)
+    indexed by g // dg, and live as long as it does.
     """
 
     def __init__(self, ledger: Ledger | None = None) -> None:
         self.ledger = ledger if ledger is not None else load_ledger()
-        self._thresholds: dict[tuple[int, int], dict[int, Segment | None]] = {}
+        self._thresholds: dict[tuple[int, int, int], list[Segment | None]] = {}
 
     # -- domain predicates -------------------------------------------------
 
@@ -348,7 +345,7 @@ class ClassificationEngine:
 
     def _first_step(self, r: int, n: int, d: int, g: int) -> Segment | None:
         """The first segment of the derivation of an admissible case, if any."""
-        threshold = self._threshold(r, n, g)
+        threshold = self._threshold(r, n, g) if g >= 0 else None  # no rule below genus 0
         if threshold is not None and d >= threshold.case[2]:
             if (r, n) == (3, 1):
                 return Segment((r, n, d, g), RULE_DOWNGRADE)
@@ -367,31 +364,34 @@ class ClassificationEngine:
     def _threshold(self, r: int, n: int, g: int) -> Segment | None:
         """The step deriving f(g); None if nothing at genus g is derivable.
 
-        f(g) is the least of add_canonical at max(a(g), f(g - dg) + dd), the
-        skew-lines step at (11, 8) in P^4 and the lowest ledger leaf from a(g)
-        up; add_canonical, tried first, wins a tie.  (3, 1) downgrades onto
-        the thresholds of (3, 2); the plane pairs have none.
+        f(g) is the least of add_canonical at max(a(g), f(g - dg) + dd) and
+        the lowest ledger leaf from a(g) up; add_canonical, tried first, wins
+        a tie.  Below genus 0 it is the least exact leaf flagged rho_exempt
+        (three skew lines in P^4), which seeds the column.  (3, 1) downgrades
+        onto the thresholds of (3, 2); the plane pairs have none.
         """
         r, n = (3, 2) if (r, n) == (3, 1) else (r, n)
-        if r not in CANONICAL_STEP or g < 0:
+        if r not in CANONICAL_STEP:
             return None
-        column = self._thresholds.setdefault((r, n), {})
-        if g not in column:
-            dd, dg = CANONICAL_STEP[r]
-            h = g
-            while h >= 0 and h not in column:  # down to the last genus computed
-                h -= dg
-            for h in range(h + dg, g + 1, dg):
-                floor, below = admissible_floor(r, n, h), column.get(h - dg)
-                canonical = None if below is None else max(floor, below.case[2] + dd)
-                skew = (r, n, SKEW_LINES[2], h - dg) == SKEW_LINES and self.ledger.lookup(*SKEW_LINES)
-                if skew and skew.rho_exempt:
-                    canonical = SKEW_LINES[2] + dd
-                step = self._lowest_leaf(r, n, h, floor)
-                if canonical is not None and (step is None or canonical <= step.case[2]):
+        if g < 0:
+            for d in self.ledger.exact_degrees(r, n, g):
+                entry = self._leaf(r, n, d, g)
+                if entry is not None and entry.rho_exempt:
+                    return Segment((r, n, d, g), RULE_LEDGER, 1, entry.id)
+            return None
+        dd, dg = CANONICAL_STEP[r]
+        column = self._thresholds.setdefault((r, n, g % dg), [])
+        while len(column) <= g // dg:
+            h = g % dg + len(column) * dg
+            below = column[-1] if column else self._threshold(r, n, h - dg)
+            floor = admissible_floor(r, n, h)
+            step = self._lowest_leaf(r, n, h, floor)
+            if below is not None:
+                canonical = max(floor, below.case[2] + dd)
+                if step is None or canonical <= step.case[2]:
                     step = Segment((r, n, canonical, h), RULE_ADD_CANONICAL)
-                column[h] = step
-        return column[g]
+            column.append(step)
+        return column[g // dg]
 
     def _lowest_leaf(self, r: int, n: int, g: int, lo: int) -> Segment | None:
         """The ledger leaf of least degree >= lo at genus g.  A degree without

@@ -328,14 +328,12 @@ def riemann_roch_chi(S: SurfaceModel, C: DivisorClass) -> int:
     return 1 + total // 2
 
 
-def _peel_fixed_lines(
-    S: SurfaceModel, C: DivisorClass
-) -> tuple[DivisorClass, list[DivisorClass]] | None:
+def _peel_fixed_lines(S: SurfaceModel, C: DivisorClass) -> DivisorClass | None:
     # Strip distinct pairwise-disjoint lines that meet the class negatively:
     # such a line is in the base locus, and removing it does not change h^0.
     # Only the conservative pattern the case analysis needs is accepted: the
     # peeled lines must be mutually disjoint and end up orthogonal to the
-    # remaining nef part, so they contribute no sections at all.
+    # remaining nef part, which is returned: they contribute no sections.
     lines = _line_images(S)
     peeled: list[tuple[DivisorClass, tuple[int, ...]]] = []
     current = C
@@ -358,7 +356,7 @@ def _peel_fixed_lines(
         return None
     if any(_dot(current.coeffs, image) != 0 for _, image in peeled):
         return None
-    return current, [l for l, _ in peeled]
+    return current
 
 
 def h0_rational(S: SurfaceModel, C: DivisorClass) -> int:
@@ -378,9 +376,8 @@ def h0_rational(S: SurfaceModel, C: DivisorClass) -> int:
     if S.kind == "del_pezzo":
         if positivity(S, C).nef:
             return riemann_roch_chi(S, C)
-        peeled = _peel_fixed_lines(S, C)
-        if peeled is not None:
-            nef_part, _ = peeled
+        nef_part = _peel_fixed_lines(S, C)
+        if nef_part is not None:
             return riemann_roch_chi(S, nef_part)
         raise CertificateError(
             f"no positivity certificate for class {C.coeffs} on this blowup"

@@ -137,7 +137,6 @@ def interpolation_gates(ix: BNIndex, k: int) -> bool:
 
     True iff the curve is in the nonspecial range, is not one of the three
     interpolation exceptions, and the twist bound leaves enough sections.
-    The three sub-conditions are exposed individually for trace reporting.
     """
     if k not in (0, 1, 2):
         raise ValueError(f"gate twist k must be 0, 1 or 2, got {k}")

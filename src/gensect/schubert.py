@@ -89,31 +89,18 @@ def sigma(n: int, a: int, b: int = 0) -> SchubertCycle:
     return SchubertCycle.from_dict(n, {(a, b): 1})
 
 
-def _pieri_partition(n: int, p: int, a: int, b: int) -> list[tuple[int, int]]:
-    # Horizontal strips of size p on (a, b): results (a', b') with
-    # a' + b' = a + b + p and a' >= a >= b' >= b, capped by a' <= n - 1.
-    out = []
-    for b2 in range(b, a + 1):
-        a2 = a + b + p - b2
-        if a2 < a or a2 > n - 1 or a2 < b2:
-            continue
-        out.append((a2, b2))
+def _pieri(n: int, p: int, terms: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    # Horizontal strips of size p on each (a, b): the partitions (a2, b2) with
+    # a2 + b2 = a + b + p, a2 >= a >= b2 >= b and a2 <= n - 1, one per b2 in
+    # the closed range below.  It is empty once p > n - 1 (sigma_p = 0) and
+    # p = 0 is the identity.  Zero coefficients are left for the caller.
+    out: dict[tuple[int, int], int] = {}
+    for (a, b), coeff in terms.items():
+        size = a + b + p
+        for b2 in range(max(b, size - n + 1), min(a, b + p) + 1):
+            part = (size - b2, b2)
+            out[part] = out.get(part, 0) + coeff
     return out
-
-
-def _pieri_raw(p: int, c: SchubertCycle) -> SchubertCycle:
-    # Internal Pieri operator with the ring conventions: p = 0 is the
-    # identity and sigma_p = 0 once p exceeds n - 1.
-    n = c.ambient_n
-    if p == 0:
-        return c
-    if p > n - 1:
-        return SchubertCycle.zero(n)
-    result: dict[tuple[int, int], int] = {}
-    for (a, b), coeff in c.terms:
-        for part in _pieri_partition(n, p, a, b):
-            result[part] = result.get(part, 0) + coeff
-    return SchubertCycle.from_dict(n, result)
 
 
 def pieri(n: int, p: int, c: SchubertCycle) -> SchubertCycle:
@@ -122,32 +109,28 @@ def pieri(n: int, p: int, c: SchubertCycle) -> SchubertCycle:
         raise SchubertError("ambient mismatch")
     if not 1 <= p <= n - 1:
         raise SchubertError(f"special class index must satisfy 1 <= p <= {n - 1}, got {p}")
-    return _pieri_raw(p, c)
+    return SchubertCycle.from_dict(n, _pieri(n, p, dict(c.terms)))
 
 
 def multiply(c1: SchubertCycle, c2: SchubertCycle) -> SchubertCycle:
     """Bilinear product of cycles; associative and commutative.
 
     Each sigma_{a,b} factor is expanded as sigma_a sigma_b -
-    sigma_{a+1} sigma_{b-1} and evaluated through Pieri steps.
+    sigma_{a+1} sigma_{b-1} and evaluated through Pieri steps into one dict.
     """
     if c1.ambient_n != c2.ambient_n:
         raise SchubertError("ambient mismatch")
     n = c1.ambient_n
-    total = SchubertCycle.zero(n)
+    left = dict(c1.terms)
+    total: dict[tuple[int, int], int] = {}
     for (a, b), coeff in c2.terms:
-        if b == 0:
-            partial = _pieri_raw(a, c1)
-        else:
-            partial = _pieri_raw(b, _pieri_raw(a, c1))
-            correction = _pieri_raw(b - 1, _pieri_raw(a + 1, c1))
-            partial = partial + SchubertCycle.from_dict(
-                n, {part: -k for part, k in correction.terms}
-            )
-        total = total + SchubertCycle.from_dict(
-            n, {part: coeff * k for part, k in partial.terms}
-        )
-    return total
+        expansion = [(coeff, _pieri(n, b, _pieri(n, a, left)))]
+        if b:
+            expansion.append((-coeff, _pieri(n, b - 1, _pieri(n, a + 1, left))))
+        for sign, terms in expansion:
+            for part, k in terms.items():
+                total[part] = total.get(part, 0) + sign * k
+    return SchubertCycle.from_dict(n, total)
 
 
 def top_degree(c: SchubertCycle) -> int:

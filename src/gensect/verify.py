@@ -13,7 +13,7 @@ battery.
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 
 from . import audits, lattices, schubert
 from . import engine as engine_module
@@ -195,7 +195,8 @@ def surface_invariant_problems(S: SurfaceModel) -> list[str]:
 # -- individual checks ---------------------------------------------------------
 
 
-def check_lattice_invariants(surfaces: Sequence[SurfaceModel]) -> CheckResult:
+def check_lattice_invariants() -> CheckResult:
+    surfaces = default_surfaces()
     problems = []
     for S in surfaces:
         problems.extend(f"{S.kind}: {p}" for p in surface_invariant_problems(S))
@@ -680,15 +681,11 @@ def check_restriction_isomorphisms() -> CheckResult:
     )
 
 
-def run_all(
-    ledger: Ledger | None = None,
-    surfaces: Sequence[SurfaceModel] | None = None,
-) -> list[CheckResult]:
+def run_all(ledger: Ledger | None = None) -> list[CheckResult]:
     """Run the full battery in a fixed order and return one result per check."""
     engine = ClassificationEngine(ledger)
-    surface_list = list(surfaces) if surfaces is not None else default_surfaces()
     checks: list[Callable[[], CheckResult]] = [
-        lambda: check_lattice_invariants(surface_list),
+        check_lattice_invariants,
         check_chi_anchors,
         check_chi_untwisted_identity,
         check_rho_invariance,

@@ -6,7 +6,7 @@ from importlib import resources
 
 import pytest
 
-from gensect import cli
+from gensect import cli, verify
 from gensect.cli import main
 from gensect.engine import ClassificationEngine, Query, trace_from_payload
 from gensect.lattices import SurfaceModel
@@ -225,6 +225,18 @@ def test_verify_all_detects_missing_ledger_entry(tmp_path, capsys):
     assert "FAIL  completeness-audit" in out
 
 
+def test_table_with_an_incomplete_ledger_exits_three(tmp_path, capsys):
+    def drop(entries):
+        entries[:] = [e for e in entries if e["id"] != "r3n2-delpezzo-7-4"]
+
+    code, out, err = run_cli(
+        capsys, "table", "--r", "3", "--n", "2", "--ledger", _doctored_ledger(tmp_path, drop)
+    )
+    assert code == 3
+    assert out == ""
+    assert err == "incomplete ledger: no derivation for in-domain case (3, 2, 7, 4)\n"
+
+
 def test_a_ledger_file_serves_only_its_own_call(tmp_path, capsys):
     def drop(entries):
         entries[:] = [e for e in entries if e["id"] != "r3n2-delpezzo-7-4"]
@@ -327,12 +339,13 @@ def test_verify_all_deterministic_bytes(capsys):
     assert first == second
 
 
-def test_corrupted_gram_matrix_fails_lattice_check():
+def test_corrupted_gram_matrix_fails_lattice_check(monkeypatch):
     # built behind the constructor's back, as a corrupted data file would be
     bad = tuple.__new__(
         SurfaceModel, ("polarized", ((0, 1), (2, 0)), (0, 0), ("A", "B"), "rational")
     )
-    results = run_all(surfaces=[bad])
+    monkeypatch.setattr(verify, "default_surfaces", lambda: [bad])
+    results = run_all()
     by_id = {r.id: r for r in results}
     assert not by_id["lattice-invariants"].ok
     assert "asymmetric" in by_id["lattice-invariants"].detail

@@ -385,6 +385,23 @@ def test_incomplete_ledger_reported_by_audit():
     assert (6, 1) in missing
 
 
+def test_an_auxiliary_base_seeds_its_threshold_column_wherever_it_sits():
+    # the engine reads the skew-lines degree from the ledger, not from a constant
+    full = load_ledger()
+    moved = Ledger(
+        entries=tuple(e._replace(d=4) if e.tag == "SkewLines" else e for e in full.entries),
+        source="doctored",
+    )
+    moved_engine = ClassificationEngine(moved)
+    v = moved_engine.classify(Query(4, 1, 12, 8))
+    assert v.status == "general"
+    root, leaf = v.trace.steps()
+    assert root.rule == "add_canonical"
+    assert leaf.case == (4, 1, 4, -2)
+    assert leaf.entry_id == "r4n1-skew-lines"
+    assert moved_engine.validate_trace(v.trace) == []
+
+
 def test_dropping_wildcard_breaks_plane_cases():
     broken = ClassificationEngine(drop_entry("r2n2-plane"))
     with pytest.raises(IncompleteLedgerError):

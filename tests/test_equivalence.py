@@ -5,7 +5,9 @@ derivation as a tree of single steps, before derivations became run-length
 paths; those of the exceptional cases and the whole-battery commands were
 recorded before the exceptional cases became one table in ``audits``,
 except the two ``verify-all`` digests, recorded when the
-``low-genus-nonspecial`` check began to cover every degree.  A
+``low-genus-nonspecial`` check began to cover every degree.  The three
+``schubert`` digests were recorded from the kernel that built a whole cycle
+per Pieri step, before products were summed in one dict.  A
 change to any verdict, trace, table, audit, exit code or message on the
 bundled ledger, or on a ledger missing any one of its 33 entries, changes a
 digest.  ``python tests/test_equivalence.py`` prints the digests of the code
@@ -68,13 +70,21 @@ EXCEPTIONAL = {
     (4, 1, 10, 7): "a9b03d0a6c2ba4c122c7ada5ab21484dd158f8dfca42965af2a6f3b6c41734d8",
 }
 
-#: Whole-battery commands and an unknown audit case (exit code, stdout, stderr).
+#: Whole-battery commands, an unknown audit case and three Schubert products
+#: (exit code, stdout, stderr).
 COMMANDS = {
     "audit --all": "6f158375d3c2b314e83ce4a67a1148408b6f63894d20bc49ac7aaad6726d2734",
     "audit --all --json": "05c335ae8e9484f66df050ed15e8289cdaa4aafa3aac98cbe138a3d0ca23f48c",
     "verify-all": "69e4df30bbda1cc2524533523cc4ab5a2c8404c22e6da87ec9eafbca8996c079",
     "verify-all --json": "b77783fe4be7c9e8aea62fa3f40bba18f668f4bb3214f432057ba970c7738632",
     "audit --case 3,2,9,9": "0ff1be943853413242a040432251ea8d1b01b136c7381221f9f7943a1a25e441",
+    "schubert --n 4 2 2 2": "cde6c90c3bc116b0bf04cdc81071d7b0c7e0e89ecc1a71d4c0958c322702c437",
+    "schubert --n 6 1 2,1 3,3 1,1 --json": (
+        "89b853c704641d1aac7bb68122667d67d175e9f58249ac92c257527130ebe975"
+    ),
+    "schubert --n 5 2,1 2,1 --json": (
+        "eb186de4c10d7dfab626c8c82c6e4ead71ff4cb2e52f2e36a4ee963661203bf3"
+    ),
 }
 
 #: Per dropped entry: ``table`` for every pair (exit code, stdout, stderr),

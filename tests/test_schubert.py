@@ -1,6 +1,8 @@
 import random
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gensect.schubert import (
     SchubertCycle,
@@ -92,6 +94,39 @@ def test_commutativity_and_associativity():
             left = multiply(multiply(x, y), z)
             right = multiply(x, multiply(y, z))
             assert left.as_dict() == right.as_dict()
+
+
+@st.composite
+def cycles(draw):
+    """An ambient n, three integer combinations of its classes and a Pieri index."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    terms = st.dictionaries(
+        st.sampled_from(all_partitions(n)), st.integers(min_value=-3, max_value=3), max_size=3
+    )
+    x, y, z = (SchubertCycle.from_dict(n, draw(terms)) for _ in range(3))
+    return n, x, y, z, draw(st.integers(min_value=1, max_value=n - 1))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(cycles())
+def test_ring_axioms(case):
+    n, x, y, z, p = case
+    one = SchubertCycle.identity(n)
+    assert multiply(x, y) == multiply(y, x)
+    assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
+    assert multiply(one, x) == x == multiply(x, one)
+    assert pieri(n, p, x) == multiply(x, sigma(n, p))
+    for (a1, b1), (a2, b2) in zip(x.as_dict(), y.as_dict()):
+        product = multiply(sigma(n, a1, b1), sigma(n, a2, b2))
+        assert all(a + b == a1 + b1 + a2 + b2 for a, b in product.as_dict())
+
+
+def test_lines_meeting_general_codimension_two_planes_count_catalan():
+    for n in range(2, 13):
+        s1, power = sigma(n, 1), SchubertCycle.identity(n)
+        for _ in range(2 * (n - 1)):
+            power = multiply(power, s1)
+        assert top_degree(power) == comb(2 * n - 2, n - 1) // n
 
 
 def test_duality_pairing():
