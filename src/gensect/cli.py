@@ -9,12 +9,10 @@ failure.
 
 from __future__ import annotations
 
-import argparse
-import copy
-import functools
-import os
 import sys
+from collections import namedtuple
 from collections.abc import Callable, Sequence
+from types import SimpleNamespace
 
 from . import audits, lattices, schubert, verify
 from .engine import (
@@ -36,6 +34,8 @@ EXIT_VERIFICATION = 3
 def _terminal_columns() -> int:
     """The columns ``shutil.get_terminal_size()`` reports, found the same way
     without importing shutil (and with it bz2, lzma, zlib and fnmatch)."""
+    import os
+
     try:
         columns = int(os.environ["COLUMNS"])
     except (KeyError, ValueError):
@@ -46,25 +46,6 @@ def _terminal_columns() -> int:
         except (AttributeError, ValueError, OSError):
             columns = 0
     return columns or 80
-
-
-class _Formatter(argparse.HelpFormatter):
-    # argparse's own default width, which it gets from shutil
-    def __init__(self, prog, indent_increment=2, max_help_position=24, width=None) -> None:
-        if width is None:
-            width = _terminal_columns() - 2
-        super().__init__(prog, indent_increment, max_help_position, width)
-
-
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, **kwargs) -> None:
-        super().__init__(formatter_class=_Formatter, **kwargs)
-
-    # argparse exits with status 2 on bad flags; the contract reserves 2 for
-    # invalid queries, so usage errors are remapped to 1.
-    def error(self, message: str) -> None:  # type: ignore[override]
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _verdict_payload(engine: ClassificationEngine, q: Query, verdict: Verdict) -> dict:
@@ -115,7 +96,7 @@ def _verdict_text(engine: ClassificationEngine, q: Query, verdict: Verdict) -> s
 
 
 def _emit(
-    args: argparse.Namespace, command: str, payload: Callable[[], dict], text: Callable[[], str]
+    args: SimpleNamespace, command: str, payload: Callable[[], dict], text: Callable[[], str]
 ) -> None:
     """Build and write only the requested format: JSON with --json, else text."""
     if getattr(args, "json", False):
@@ -128,7 +109,7 @@ def _emit(
 # -- subcommand handlers -------------------------------------------------------
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: SimpleNamespace) -> int:
     # a JSON trace grows with d and the threshold walk with g
     if args.d > 1_000_000 or args.g > 1_000_000:
         print("--d and --g above 10^6 are rejected", file=sys.stderr)
@@ -145,7 +126,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_INVALID if verdict.status == "invalid" else EXIT_OK
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: SimpleNamespace) -> int:
     if not (0 <= args.d_max <= 10_000 and 0 <= args.g_max <= 10_000):
         print("--d-max and --g-max must lie in 0..10^4", file=sys.stderr)
         return EXIT_USAGE
@@ -228,7 +209,7 @@ def _audit_text(report: audits.ExceptionalCase) -> str:
     return f"case {case}: NOT GENERAL - {body}"
 
 
-def _cmd_audit(args: argparse.Namespace) -> int:
+def _cmd_audit(args: SimpleNamespace) -> int:
     if args.all:
         cases = list(audits.AUDIT_CASES)
     elif args.case:
@@ -260,7 +241,7 @@ def _parse_partition(text: str) -> tuple[int, int]:
     raise ValueError("a class is a or a,b")
 
 
-def _cmd_schubert(args: argparse.Namespace) -> int:
+def _cmd_schubert(args: SimpleNamespace) -> int:
     # each factor costs about n^2, and up to 2(n - 1) keep the product nonzero
     if args.n > 200:
         print("--n above 200 is rejected", file=sys.stderr)
@@ -292,7 +273,7 @@ def _cmd_schubert(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_lines(args: argparse.Namespace) -> int:
+def _cmd_lines(args: SimpleNamespace) -> int:
     try:
         S = lattices.SurfaceModel.del_pezzo(args.k)
     except lattices.LatticeError as exc:
@@ -314,7 +295,7 @@ def _cmd_lines(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_verify_all(args: argparse.Namespace) -> int:
+def _cmd_verify_all(args: SimpleNamespace) -> int:
     results = verify.run_all(ledger=load_ledger(args.ledger))
     payload = {
         "checks": [
@@ -336,18 +317,161 @@ def _cmd_verify_all(args: argparse.Namespace) -> int:
     return EXIT_OK if payload["failed"] == 0 else EXIT_VERIFICATION
 
 
-# -- parser --------------------------------------------------------------------
+# -- command table ---------------------------------------------------------------
+
+#: One flag of a subcommand.  ``type`` is int, str or bool; a bool flag is a
+#: switch, which takes no value and stores True.
+_Flag = namedtuple("_Flag", "dest type required default help", defaults=(False, None, None))
+
+#: One subcommand: its handler, its help, its flags by spelling, and the dest
+#: and help of its run of positionals, or None if it takes none.
+_Command = namedtuple("_Command", "handler help flags positional", defaults=(None,))
+
+_LEDGER = _Flag("ledger", str, help="override the ledger data file")
+
+_QUERY_FLAGS = {
+    "--r": _Flag("r", int, True, help="ambient projective dimension"),
+    "--n": _Flag("n", int, True, help="hypersurface degree"),
+    "--d": _Flag("d", int, True, help="curve degree"),
+    "--g": _Flag("g", int, True, help="curve genus"),
+    "--json": _Flag("json", bool, default=False, help="emit a JSON report"),
+    "--ledger": _LEDGER,
+}
+
+_JSON = _Flag("json", bool, default=False)
+
+#: Every subcommand, in the order ``--help`` lists them.  Both the parser of
+#: well-formed command lines and the argparse parser are built from this.
+_COMMANDS = {
+    "classify": _Command(_cmd_classify, "classify one query", _QUERY_FLAGS),
+    "trace": _Command(_cmd_classify, "classify and print the derivation trace", _QUERY_FLAGS),
+    "table": _Command(
+        _cmd_table,
+        "verdict grid and frontier for one (r, n)",
+        {
+            "--r": _Flag("r", int, True),
+            "--n": _Flag("n", int, True),
+            "--d-max": _Flag("d_max", int, default=60),
+            "--g-max": _Flag("g_max", int, default=40),
+            "--json": _JSON,
+            "--ledger": _Flag("ledger", str),
+        },
+    ),
+    "audit": _Command(
+        _cmd_audit,
+        "non-generality audits for exceptional cases",
+        {
+            "--all": _Flag("all", bool, default=False, help="run every audit"),
+            "--case": _Flag("case", str, help="one case as r,n,d,g"),
+            "--json": _JSON,
+        },
+    ),
+    "schubert": _Command(
+        _cmd_schubert,
+        "multiply Schubert classes in G(1, n)",
+        {"--n": _Flag("n", int, True, help="ambient projective dimension"), "--json": _JSON},
+        ("classes", "factors, each 'a' or 'a,b' for sigma_{a,b}"),
+    ),
+    "lines": _Command(
+        _cmd_lines,
+        "enumerate lines on a del Pezzo blowup",
+        {"--k": _Flag("k", int, True, help="number of blown-up points"), "--json": _JSON},
+    ),
+    "verify-all": _Command(
+        _cmd_verify_all,
+        "run every bundled verification check",
+        {"--json": _JSON, "--ledger": _LEDGER},
+    ),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command line parser.  It is built once, on the first call; each
-    call returns a shallow copy, so attributes set on one copy (a wrapped
-    ``parse_args``, say) do not carry over to the next call."""
-    return copy.copy(_parser())
+def _parse_well_formed(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace argparse returns for ``argv``, if ``argv`` has the plain
+    shape: a subcommand, then flags, each spelled exactly and followed by its
+    value unless it is a switch, every required flag among them, and for
+    ``schubert`` one unbroken run of positionals.  A value may start with
+    ``-`` only as a negative ASCII integer, and a positional not at all.
+    Anything else, help and usage errors included, gives None."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    flags = command.flags
+    values = {flag.dest: flag.default for flag in flags.values()}
+    run: list = []
+    run_end = 0  # the index just past the last positional
+    i, end = 1, len(argv)
+    while i < end:
+        arg = argv[i]
+        i += 1
+        flag = flags.get(arg)
+        if flag is None:
+            if command.positional is None or arg[:1] == "-" or (run and run_end != i - 1):
+                return None
+            run.append(arg)
+            run_end = i
+        elif flag.type is bool:
+            values[flag.dest] = True
+        elif i == end:
+            return None
+        else:
+            value = argv[i]
+            i += 1
+            if value[:1] == "-" and not (value[1:].isdigit() and value.isascii()):
+                return None
+            if flag.type is int:
+                try:
+                    value = int(value)
+                except ValueError:
+                    return None
+            values[flag.dest] = value
+    # a value given is never None, and a required flag has no default
+    if any(flag.required and values[flag.dest] is None for flag in flags.values()):
+        return None
+    if command.positional is not None:
+        if not run:
+            return None
+        values[command.positional[0]] = run
+    return SimpleNamespace(command=argv[0], func=command.handler, **values)
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
+# -- argparse parser -------------------------------------------------------------
+
+_PARSER = None
+
+
+def build_parser():
+    """The argparse parser, which prints help and usage errors.  It is built
+    once, on the first call; each call returns a shallow copy, so attributes
+    set on one copy (a wrapped ``parse_args``, say) do not carry over to the
+    next call."""
+    global _PARSER
+    import copy
+
+    if _PARSER is None:
+        _PARSER = _build_argparse()
+    return copy.copy(_PARSER)
+
+
+def _build_argparse():
+    import argparse
+
+    class _Formatter(argparse.HelpFormatter):
+        # argparse's own default width, which it gets from shutil
+        def __init__(self, prog, indent_increment=2, max_help_position=24, width=None) -> None:
+            if width is None:
+                width = _terminal_columns() - 2
+            super().__init__(prog, indent_increment, max_help_position, width)
+
+    class _Parser(argparse.ArgumentParser):
+        def __init__(self, **kwargs) -> None:
+            super().__init__(formatter_class=_Formatter, **kwargs)
+
+        # argparse exits with status 2 on bad flags; the contract reserves 2
+        # for invalid queries, so usage errors are remapped to 1.
+        def error(self, message: str) -> None:  # type: ignore[override]
+            self.print_usage(sys.stderr)
+            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
     parser = _Parser(
         prog="gensect",
         description=(
@@ -356,65 +480,36 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_query_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--r", type=int, required=True, help="ambient projective dimension")
-        p.add_argument("--n", type=int, required=True, help="hypersurface degree")
-        p.add_argument("--d", type=int, required=True, help="curve degree")
-        p.add_argument("--g", type=int, required=True, help="curve genus")
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-        p.add_argument("--ledger", help="override the ledger data file")
-
-    p_classify = sub.add_parser("classify", help="classify one query")
-    add_query_flags(p_classify)
-    p_classify.set_defaults(func=_cmd_classify)
-
-    p_trace = sub.add_parser("trace", help="classify and print the derivation trace")
-    add_query_flags(p_trace)
-    p_trace.set_defaults(func=_cmd_classify)
-
-    p_table = sub.add_parser("table", help="verdict grid and frontier for one (r, n)")
-    p_table.add_argument("--r", type=int, required=True)
-    p_table.add_argument("--n", type=int, required=True)
-    p_table.add_argument("--d-max", type=int, default=60, dest="d_max")
-    p_table.add_argument("--g-max", type=int, default=40, dest="g_max")
-    p_table.add_argument("--json", action="store_true")
-    p_table.add_argument("--ledger")
-    p_table.set_defaults(func=_cmd_table)
-
-    p_audit = sub.add_parser("audit", help="non-generality audits for exceptional cases")
-    p_audit.add_argument("--all", action="store_true", help="run every audit")
-    p_audit.add_argument("--case", help="one case as r,n,d,g")
-    p_audit.add_argument("--json", action="store_true")
-    p_audit.set_defaults(func=_cmd_audit)
-
-    p_schubert = sub.add_parser("schubert", help="multiply Schubert classes in G(1, n)")
-    p_schubert.add_argument("--n", type=int, required=True, help="ambient projective dimension")
-    p_schubert.add_argument(
-        "classes", nargs="+", help="factors, each 'a' or 'a,b' for sigma_{a,b}"
-    )
-    p_schubert.add_argument("--json", action="store_true")
-    p_schubert.set_defaults(func=_cmd_schubert)
-
-    p_lines = sub.add_parser("lines", help="enumerate lines on a del Pezzo blowup")
-    p_lines.add_argument("--k", type=int, required=True, help="number of blown-up points")
-    p_lines.add_argument("--json", action="store_true")
-    p_lines.set_defaults(func=_cmd_lines)
-
-    p_verify = sub.add_parser("verify-all", help="run every bundled verification check")
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.add_argument("--ledger", help="override the ledger data file")
-    p_verify.set_defaults(func=_cmd_verify_all)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for spelling, flag in command.flags.items():
+            if flag.type is bool:
+                p.add_argument(spelling, action="store_true", dest=flag.dest, help=flag.help)
+            else:
+                p.add_argument(
+                    spelling,
+                    type=int if flag.type is int else None,
+                    required=flag.required,
+                    default=flag.default,
+                    dest=flag.dest,
+                    help=flag.help,
+                )
+        if command.positional is not None:
+            dest, help_text = command.positional
+            p.add_argument(dest, nargs="+", help=help_text)
+        p.set_defaults(func=command.handler)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse_well_formed(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv, SimpleNamespace())
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except (OSError, LedgerFormatError) as exc:

@@ -215,6 +215,9 @@ def _entry_from_record(record: dict) -> LedgerEntry:
 
 _BUNDLED: Ledger | None = None
 
+#: The longest ledger file read; the bundled ``data/ledger.json`` is 13 kB.
+_MAX_LEDGER_BYTES = 16 * 2**20
+
 
 def load_ledger(path: str | None = None) -> Ledger:
     """Load the bundled ledger, built on the first call and returned by every
@@ -232,12 +235,17 @@ def load_ledger(path: str | None = None) -> Ledger:
 
         source = str(path)
         with open(path, "rb") as file:
-            text = file.read()
+            text = file.read(_MAX_LEDGER_BYTES + 1)
+        if len(text) > _MAX_LEDGER_BYTES:
+            raise LedgerFormatError(
+                f"malformed ledger {source}: longer than {_MAX_LEDGER_BYTES} bytes"
+            )
     try:
         if path is not None:
             records = json.loads(text)["entries"]
         ledger = Ledger(entries=tuple(map(_entry_from_record, records)), source=source)
-    except (KeyError, TypeError, ValueError) as exc:
+    # json raises RecursionError on arrays or objects nested too deeply
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
         raise LedgerFormatError(f"malformed ledger {source}: {reason}") from None
     if path is None:

@@ -1,12 +1,15 @@
 import contextlib
+import io
 import json
 import math
 import signal
 from importlib import resources
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gensect import cli, verify
+from gensect import ledger as ledger_module
 from gensect.cli import main
 from gensect.engine import ClassificationEngine, Query, trace_from_payload
 from gensect.lattices import SurfaceModel
@@ -64,23 +67,127 @@ def test_classify_json_trace_revalidates(capsys):
     assert payload["result"]["citations"]
 
 
-def test_parser_is_built_once_and_reused(tmp_path, capsys):
+def test_only_usage_errors_build_the_argparse_parser(tmp_path, capsys, monkeypatch):
     ledger = tmp_path / "ledger.json"
     ledger.write_text(_bundled_ledger_text(), encoding="utf-8")
-    runs = [
-        ("classify", "--r", "3", "--n", "2", "--d", "8"),  # a usage error
+    well_formed = [
         ("classify", "--r", "3", "--n", "2", "--d", "30", "--g", "20", "--json"),
         ("table", "--r", "3", "--n", "1", "--d-max", "20", "--g-max", "10", "--ledger", str(ledger)),
         ("classify", "--r", "4", "--n", "1", "--d", "19", "--g", "18"),
     ]
-    first_calls = []
-    for argv in runs:
-        cli._parser.cache_clear()
-        first_calls.append(run_cli(capsys, *argv))
-    assert [code for code, _, _ in first_calls] == [1, 0, 0, 0]
-    assert "usage" in first_calls[0][2]
-    assert [run_cli(capsys, *argv) for argv in runs] == first_calls
-    assert cli._parser.cache_info().misses == 1
+    usage_error = ("classify", "--r", "3", "--n", "2", "--d", "8")
+    monkeypatch.setattr(cli, "_PARSER", None)
+    first_calls = [run_cli(capsys, *argv) for argv in well_formed]
+    assert [code for code, _, _ in first_calls] == [0, 0, 0]
+    assert cli._PARSER is None
+    code, out, err = run_cli(capsys, *usage_error)
+    assert (code, out) == (1, "")
+    assert "usage" in err
+    parser = cli._PARSER
+    assert parser is not None
+    assert run_cli(capsys, *usage_error) == (code, out, err)
+    assert [run_cli(capsys, *argv) for argv in well_formed] == first_calls
+    assert cli._PARSER is parser
+
+
+#: Tokens that argparse reads in ways the flag table leaves to it: help,
+#: ``--``, abbreviations, ``=`` forms and single-dash spellings.
+ODD_TOKENS = (
+    "-h", "--help", "--", "--js", "--d", "--g", "--led", "--d-m", "--g-", "--a", "--c",
+    "--r=3", "--n=-2", "--json=1", "--ledger=x", "--case=3,2,7,5", "-r", "---r", "-",
+)
+
+#: Values: integers in odd spellings, negative numbers, strings and flags.
+VALUES = st.one_of(
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from((
+        "1_000", "-1_0", " 7", "7 ", "- 3", "\u0663", "-\u0663", "\uff13", "-\u00b2", "", "x", "2,1",
+        "3,2,7,5", "-1e5", "1.5", "-0", "+4", "0x10", "-00", "4" * 5000,
+    )),
+    st.sampled_from(ODD_TOKENS),
+)
+
+SPELLINGS = sorted({spelling for command in cli._COMMANDS.values() for spelling in command.flags})
+
+TOKENS = st.one_of(
+    st.tuples(st.sampled_from(SPELLINGS), VALUES).map(list),
+    st.tuples(st.sampled_from(SPELLINGS), VALUES).map(lambda fv: ["=".join(fv)]),
+    st.sampled_from(SPELLINGS).map(lambda spelling: [spelling]),
+    st.sampled_from(ODD_TOKENS).map(lambda token: [token]),
+    VALUES.map(lambda value: [value]),
+)
+
+
+@st.composite
+def argvs(draw):
+    """Mostly a subcommand with every required flag and an integer value, and
+    a few flags of its own with any value; then a few tokens of any kind, all
+    in any order."""
+    name = draw(st.sampled_from([*cli._COMMANDS] * 3 + ["classif", "-h", "--help", ""]))
+    command = cli._COMMANDS.get(name)
+    groups = []
+    if command is not None and draw(st.integers(0, 3)):
+        ints = st.integers(-(10**4), 10**4).map(str)
+        own = st.sampled_from(sorted(command.flags))
+        groups += [[s, draw(ints)] for s, flag in command.flags.items() if flag.required]
+        groups += draw(st.lists(st.tuples(own, st.one_of(ints, VALUES)).map(list), max_size=3))
+        if command.positional is not None:
+            groups.append(draw(st.lists(st.sampled_from(("1", "2", "2,1", "3,3")), min_size=1)))
+    groups += draw(st.lists(TOKENS, max_size=3))
+    groups = draw(st.permutations(groups))
+    return [name, *(token for group in groups for token in group)]
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(argvs())
+@example(["verify-all", "--ledger", "-\u00b2"])  # a digit that argparse reads as a flag
+@example(["verify-all", "--json", "--ledger"])
+@example(["verify-all", "--ledger", "-1_0"])
+@example(["lines", "--k", "x"])
+@example(["lines", "--k", "-5", "--json", "--json"])
+@example(["schubert", "--n", "4"])
+@example(["schubert", "--n", "4", "2", "--json", "2"])
+@example(["schubert", "2", "2,1", "--n", "4", "--n", "5"])
+@example(["table", "--r", "3", "--n", "2", "--d", "5"])
+@example(["classify", "--r", "3", "--n", "2", "--d", "8"])
+def test_the_flag_table_parses_as_argparse_does(argv):
+    args = cli._parse_well_formed(argv)
+    if args is None:
+        return
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            expected = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"argparse rejects {argv!r}: {err.getvalue()}")
+    # True == 1, so the types are compared too
+    assert {k: (type(v), v) for k, v in vars(args).items()} == {
+        k: (type(v), v) for k, v in vars(expected).items()
+    }
+
+
+def test_the_workload_command_lines_never_reach_argparse(tmp_path, capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("argparse parser built")
+
+    truncated = tmp_path / "ledger.json"
+    truncated.write_text(_bundled_ledger_text()[:500], encoding="utf-8")
+    query = ("--r", "3", "--n", "2", "--d", "10", "--g", "5")
+    runs = {
+        ("classify", *query, "--json"): 0,
+        ("classify", "--r", "5", "--n", "1", "--d", "10", "--g", "0", "--json"): 2,
+        ("classify", *query, "--json", "--ledger", str(truncated)): 1,
+        ("trace", *query): 0,
+        ("table", "--r", "3", "--n", "2", "--d-max", "20", "--g-max", "13", "--json"): 0,
+        ("verify-all", "--json"): 0,
+        ("audit", "--all", "--json"): 0,
+        ("audit", "--case", "3,2,7,5"): 0,
+        ("schubert", "--n", "6", "1", "2,1", "3,3", "1,1", "--json"): 0,
+        ("schubert", "2", "2", "--n", "4"): 0,
+        ("lines", "--k", "6", "--json"): 0,
+    }
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert {argv: run_cli(capsys, *argv)[0] for argv in runs} == runs
 
 
 @pytest.mark.parametrize("columns", [None, "40", "200", "0", "-3", "wide"])
@@ -359,17 +466,44 @@ def test_missing_ledger_file_exit_one(capsys):
     assert code == 1
 
 
+LEDGER_FLAGS = {
+    "classify": ("--r", "3", "--n", "2", "--d", "10", "--g", "5"),
+    "table": ("--r", "3", "--n", "2"),
+    "verify-all": (),
+}
+
+
 @pytest.mark.parametrize("command", ["classify", "table", "verify-all"])
 def test_directory_as_ledger_exit_one(command, tmp_path, capsys):
-    flags = {
-        "classify": ("--r", "3", "--n", "2", "--d", "10", "--g", "5"),
-        "table": ("--r", "3", "--n", "2"),
-        "verify-all": (),
-    }[command]
-    code, out, err = run_cli(capsys, command, *flags, "--ledger", str(tmp_path))
+    code, out, err = run_cli(capsys, command, *LEDGER_FLAGS[command], "--ledger", str(tmp_path))
     assert code == 1
     assert out == ""
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["classify", "table", "verify-all"])
+def test_deeply_nested_ledger_exit_one(command, tmp_path, capsys):
+    path = tmp_path / "ledger.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, command, *LEDGER_FLAGS[command], "--ledger", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"malformed ledger {path}: maximum recursion depth exceeded")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["classify", "verify-all"])
+@pytest.mark.parametrize("source", ["sparse", "/dev/zero"])
+def test_ledger_over_the_size_limit_exit_one(source, command, tmp_path, capsys):
+    if source == "sparse":
+        path = tmp_path / "ledger.json"
+        with open(path, "wb") as file:
+            file.truncate(ledger_module._MAX_LEDGER_BYTES + 1)
+    else:
+        path = source
+    with _time_cap(5):
+        code, out, err = run_cli(capsys, command, *LEDGER_FLAGS[command], "--ledger", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"malformed ledger {path}: longer than {ledger_module._MAX_LEDGER_BYTES} bytes\n"
 
 
 @pytest.mark.parametrize("command", ["classify", "trace"])
@@ -469,12 +603,7 @@ MALFORMED_LEDGERS = {
 def test_malformed_ledger_exit_one(defect, command, tmp_path, capsys):
     path = tmp_path / "ledger.json"
     path.write_text(MALFORMED_LEDGERS[defect](), encoding="utf-8")
-    flags = {
-        "classify": ("--r", "3", "--n", "2", "--d", "10", "--g", "5"),
-        "table": ("--r", "3", "--n", "2"),
-        "verify-all": (),
-    }[command]
-    code, out, err = run_cli(capsys, command, *flags, "--ledger", str(path))
+    code, out, err = run_cli(capsys, command, *LEDGER_FLAGS[command], "--ledger", str(path))
     assert code == 1
     assert out == ""
     assert len(err.strip().splitlines()) == 1

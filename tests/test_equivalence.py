@@ -7,7 +7,9 @@ recorded before the exceptional cases became one table in ``audits``,
 except the two ``verify-all`` digests, recorded when the
 ``low-genus-nonspecial`` check began to cover every degree.  The three
 ``schubert`` digests were recorded from the kernel that built a whole cycle
-per Pieri step, before products were summed in one dict.  A
+per Pieri step, before products were summed in one dict.  The help and
+usage-error digests were recorded when argparse parsed every command line,
+before well-formed ones were parsed from the flag table.  A
 change to any verdict, trace, table, audit, exit code or message on the
 bundled ledger, or on a ledger missing any one of its 33 entries, changes a
 digest.  ``python tests/test_equivalence.py`` prints the digests of the code
@@ -19,6 +21,8 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import sys
 from importlib import resources
 
 import pytest
@@ -86,6 +90,65 @@ COMMANDS = {
         "eb186de4c10d7dfab626c8c82c6e4ead71ff4cb2e52f2e36a4ee963661203bf3"
     ),
 }
+
+#: Help texts, usage errors, and lines that argparse accepts in forms the flag
+#: table leaves to it (``=``, abbreviations) or reads itself (a negative
+#: value): exit code, stdout and stderr at each of HELP_COLUMNS.  argparse's
+#: wording differs between Python versions; these were recorded with Python
+#: 3.11.
+HELP_AND_USAGE = {
+    "--help": "2689f85ca31b8758761277d5a9d5e367f0c9c97d2f4b8cac1181bbcca2574d19",
+    "classify --help": "216b0edc4129c24bf9e79221bfbad4eb91d143660884ca45438acafce6ea0186",
+    "trace --help": "012892d0914bc9c757b0194e849110c9d27d0c86d273c697fe5eb39846c7c915",
+    "table --help": "83cafe793fb09e447a37f30247a9ec422455b91791d54adf0a578b8418cf1b22",
+    "audit --help": "09bba1916d8a3e38eef9a095997c0b2f5cbaa08118d089fd84660a89b915735a",
+    "schubert --help": "6b9c4f90707bc855238765b32b5ab32ed4af293e98bc8e407a9c044d9ce1867a",
+    "lines --help": "5bc2fda00278fa964177699b6039596742a7f8e34961f00de88f4dba40d8e023",
+    "verify-all --help": "4c52193be5652f676995f879487ac3abd4d7bf0328e2c0beb4f5d5c3e90c5bd1",
+    "": "850ec0fa58bb0c11faaae991eac2b731216c851b23f447eacd3e70ae6ffb29c0",
+    "-h": "2689f85ca31b8758761277d5a9d5e367f0c9c97d2f4b8cac1181bbcca2574d19",
+    "frobnicate": "cd5e6069024c75d3bcf534327366506b0b8841a43ceed1bd1595e212386f1b8e",
+    "classify --r 3 --n 2 --d 8": (
+        "c87e55219dffb284ff17e541af66c8fb3698dc18b5d8411e430e6b05addc7cfc"
+    ),
+    "classify --r x --n 2 --d 8 --g 6": (
+        "03bed924da7416a13ad95c311e17643011106278fd66b862aece1fa380f49ba5"
+    ),
+    "classify --r 3 --n 2 --d 8 --g 6 --bogus": (
+        "54bfdf53906b71e5cdde7f435381b3a44242637daac87ffb8b93658c371f9ba9"
+    ),
+    "classify --r 3 --n 2 --d 8 --g 6 extra": (
+        "f34d5d6fb8aad060ab8a673cb66083044fe60014b8913a91be246ffda1ea7f3b"
+    ),
+    "verify-all --ledger": "c61e46b730143c722e3cdb0459f2d3967399b10e2dffec480459656489470a4e",
+    "classify --r 3 --n 2 --d -1e5 --g 6": (
+        "594b9d1fae6eac498296d60447534bd7d279c3b0ecd42a7b4fd70eb0211dc6de"
+    ),
+    "table --r 3": "9be7fb6eec9f28a83e05201d7071ffdb5f28fe64cdc939d19104905ec33567ea",
+    "schubert --n 4": "80029a3273da2b831b23e907f3c98d559d0689cf46704463c429705c54265cb7",
+    "schubert --n 4 2 --json 2": (
+        "c7b97fb4ba38939dc3894929a27e7cb1e4d627cda9932a1580e2b6a7409c8f8f"
+    ),
+    "lines --k 2.5": "85df2ee27c6c7dfb349b6f31b1ab7cc724859c8eb7f11299dc281b8bac8bcbe5",
+    "audit --case": "23a17d8f9b22319f3b2ce77d01c722b190244a9028db404254b17d6bc0f8538a",
+    "classify --r=3 --n 2 --d 8 --g 6": (
+        "52debba6158cc60557bb1d6b4f5f42274f992714d0446e549df2dfa3ce375248"
+    ),
+    "classify --r 3 --n 2 --d 8 --g 6 --js": (
+        "50e6ceb180ab5f04f81bd3fbce1db797260cf9d47d11d6492519611cd91efcc8"
+    ),
+    "classify --r 3 --n 2 --d -5 --g 6": (
+        "89f0950d5937966f88eef8a97832cccb1061511e01b59838780c0138afb5dd1a"
+    ),
+    "table --r 3 --n 2 --d 8 --g 4 --json": (
+        "eb54a278605ab39da85845828461b825268730673ed03da95979c7be65ed743b"
+    ),
+    "classify -- --r 3 --n 2 --d 8 --g 6": (
+        "3aaa6d0afe482906b1b4bf73d045a7108747cd19add88e530ed1f4c7f999b7ed"
+    ),
+}
+
+HELP_COLUMNS = ("40", "80", "200")
 
 #: Per dropped entry: ``table`` for every pair (exit code, stdout, stderr),
 #: the exceptional-sweep check and the completeness audits.
@@ -158,6 +221,19 @@ def _classify_box(r, n):
             yield f"{code}\n{out.getvalue()}"
 
 
+def _help_and_usage_outputs(command):
+    saved = os.environ.get("COLUMNS")
+    try:
+        for columns in HELP_COLUMNS:
+            os.environ["COLUMNS"] = columns
+            yield _run(command.split())
+    finally:
+        if saved is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = saved
+
+
 def _exceptional_outputs(case):
     flags = _query_flags(case)
     audit_case = ("audit", "--case", ",".join(map(str, case)))
@@ -213,6 +289,7 @@ def compute_digests(directory) -> dict:
     }
     exceptional = {case: _digest(_exceptional_outputs(case)) for case in EXCEPTIONAL}
     commands = {command: _digest([_run(command.split())]) for command in COMMANDS}
+    usage = {command: _digest(_help_and_usage_outputs(command)) for command in HELP_AND_USAGE}
     loo = {e.id: _digest(_leave_one_out_outputs(e.id, directory)[1]) for e in bundled.entries}
     return {
         "box": box,
@@ -220,6 +297,7 @@ def compute_digests(directory) -> dict:
         "tables": tables,
         "exceptional": exceptional,
         "commands": commands,
+        "help_and_usage": usage,
         "leave_one_out": loo,
     }
 
@@ -250,6 +328,12 @@ def test_exceptional_case_matches_recorded_digest(case):
 @pytest.mark.parametrize("command", list(COMMANDS))
 def test_command_matches_recorded_digest(command):
     assert _digest([_run(command.split())]) == COMMANDS[command]
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="recorded with Python 3.11's argparse")
+@pytest.mark.parametrize("command", list(HELP_AND_USAGE))
+def test_help_and_usage_match_recorded_digest(command):
+    assert _digest(_help_and_usage_outputs(command)) == HELP_AND_USAGE[command]
 
 
 @pytest.mark.parametrize("entry_id", list(LEAVE_ONE_OUT))

@@ -2,6 +2,8 @@
 the records it is built from."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -10,7 +12,7 @@ import sys
 import pytest
 
 import gensect
-from gensect import report
+from gensect import cli, report
 from gensect.audits import Jet
 from gensect.engine import Query, Verdict
 from gensect.lattices import DivisorClass
@@ -95,6 +97,48 @@ def test_verify_all_loads_no_record_or_terminal_machinery():
     assert probe["code"] == 0
     assert "gensect.verify" in probe["loaded"]
     assert [m for m in NOT_FOR_ANY_COMMAND if m in probe["loaded"]] == []
+
+
+#: What parsing with argparse loads: argparse, its message catalogue and the
+#: locale that reads, and the module that copies the cached parser.
+FOR_ARGPARSE_ONLY = ("argparse", "gettext", "locale", "copy")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--r", "3", "--n", "2", "--d", "30", "--g", "20", "--json"],
+        ["table", "--r", "3", "--n", "2", "--d-max", "20", "--g-max", "13", "--json"],
+        ["verify-all", "--json"],
+    ],
+    ids=["classify", "table", "verify-all"],
+)
+def test_a_well_formed_command_loads_no_argparse(argv):
+    probe = fresh_interpreter(
+        "import contextlib, io, json, sys\n"
+        "from gensect import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        "print(json.dumps({'code': code, 'loaded': sorted(sys.modules)}))\n"
+    )
+    assert probe["code"] == 0
+    assert [m for m in FOR_ARGPARSE_ONLY if m in probe["loaded"]] == []
+
+
+def test_help_still_comes_from_argparse(monkeypatch):
+    done = subprocess.run(
+        [sys.executable, "-B", "-S", "-m", "gensect", "--help"],
+        env={"PYTHONPATH": SRC, "COLUMNS": "80"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    monkeypatch.setenv("COLUMNS", "80")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["--help"])
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.getvalue(), "")
+    assert done.stdout.startswith("usage: gensect [-h] {classify,trace,table,")
 
 
 def test_no_module_imports_dataclasses_or_typing():
