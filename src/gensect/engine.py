@@ -367,8 +367,10 @@ class ClassificationEngine:
         f(g) is the least of add_canonical at max(a(g), f(g - dg) + dd) and
         the lowest ledger leaf from a(g) up; add_canonical, tried first, wins
         a tie.  Below genus 0 it is the least exact leaf flagged rho_exempt
-        (three skew lines in P^4), which seeds the column.  (3, 1) downgrades
-        onto the thresholds of (3, 2); the plane pairs have none.
+        (three skew lines in P^4), which seeds the column: no rule applies
+        there, so add_canonical rests on the seed only where its premise is
+        the seed itself.  (3, 1) downgrades onto the thresholds of (3, 2);
+        the plane pairs have none.
         """
         r, n = (3, 2) if (r, n) == (3, 1) else (r, n)
         if r not in CANONICAL_STEP:
@@ -388,7 +390,10 @@ class ClassificationEngine:
             step = self._lowest_leaf(r, n, h, floor)
             if below is not None:
                 canonical = max(floor, below.case[2] + dd)
-                if step is None or canonical <= step.case[2]:
+                # add_line lifts a threshold at genus >= 0 to every degree
+                # above it; below genus 0 only the seed's own degree derives
+                rests = below.case[3] >= 0 or canonical == below.case[2] + dd
+                if rests and (step is None or canonical <= step.case[2]):
                     step = Segment((r, n, canonical, h), RULE_ADD_CANONICAL)
             column.append(step)
         return column[g // dg]

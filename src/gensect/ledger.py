@@ -128,7 +128,8 @@ class Ledger:
     def invariant_problems(self) -> list[str]:
         """Structural violations: bad tags, empty quotes, a case out of domain
         (no general curve: r < 2, d < 1, g < 0 or rho < 0) without a flag, an
-        exact Interpolation or GenusTwo entry its numeric gate fails."""
+        exact Interpolation or GenusTwo entry its numeric gate fails, a
+        gluing tag without the glue data its side conditions read."""
         problems = []
         for entry in self.entries:
             if entry.tag not in KNOWN_TAGS:
@@ -145,6 +146,8 @@ class Ledger:
             gate = _GATES.get(entry.tag)
             if gate and exact_in_domain and not gate(BNIndex(entry.r, entry.d, entry.g), entry.n):
                 problems.append(f"{entry.id}: the {entry.tag} gate does not hold")
+            if entry.tag in GLUE_CHECK_TAGS and entry.glue is None:
+                problems.append(f"{entry.id}: the {entry.tag} side conditions need glue data")
             if entry.glue is not None:
                 d2, g2, pts = entry.glue.d2, entry.glue.g2, entry.glue.points
                 for pr, pn, pd, pg in entry.premises:

@@ -394,6 +394,52 @@ def test_verify_all_checks_the_automatic_tags(entry_id, tag, tmp_path, capsys):
     assert failed == {"ledger-integrity": f"{entry_id}: the {tag} gate does not hold"}
 
 
+def _move_seed_down(entries):
+    next(e for e in entries if e["id"] == "r4n1-skew-lines")["case"]["d"] = 2
+
+
+def _retag_plane(entries):
+    next(e for e in entries if e["id"] == "r2n1-plane")["tag"] = "DelPezzo"
+
+
+def _drop_glue(entries):
+    del next(e for e in entries if e["id"] == "r3n2-hglue-6-3")["glue"]
+
+
+@pytest.mark.parametrize(
+    "edit, failed",
+    [
+        (_move_seed_down, {"exceptional-sweep", "completeness-audit"}),
+        (_retag_plane, {"frontier-lists"}),
+        (_drop_glue, {"ledger-integrity"}),
+    ],
+)
+def test_verify_all_fails_single_field_mutants(edit, failed, tmp_path, capsys):
+    # the seed one degree down leaves genus 8 of (4, 1) underivable; a plane
+    # wildcard with a constructive tag puts every plane case on the frontier;
+    # a gluing entry without glue has no side conditions to check
+    code, out, _ = run_cli(
+        capsys, "verify-all", "--ledger", _doctored_ledger(tmp_path, edit), "--json"
+    )
+    details = {c["id"]: c["detail"] for c in json.loads(out)["result"]["checks"] if not c["ok"]}
+    assert code == 3
+    assert details.keys() == failed
+    if edit is _drop_glue:
+        assert details["ledger-integrity"] == (
+            "r3n2-hglue-6-3: the HyperplaneGlue side conditions need glue data"
+        )
+
+
+def test_table_and_classify_agree_on_a_moved_seed(tmp_path, capsys):
+    path = _doctored_ledger(tmp_path, _move_seed_down)
+    message = "incomplete ledger: no derivation for in-domain case (4, 1, 11, 8)\n"
+    for argv in (
+        ("table", "--r", "4", "--n", "1", "--d-max", "14", "--g-max", "9"),
+        ("classify", "--r", "4", "--n", "1", "--d", "11", "--g", "8"),
+    ):
+        assert run_cli(capsys, *argv, "--ledger", path) == (3, "", message)
+
+
 class _Expired(BaseException):
     """Not an Exception, so verify-all does not report it as a failed check."""
 

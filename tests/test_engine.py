@@ -385,21 +385,83 @@ def test_incomplete_ledger_reported_by_audit():
     assert (6, 1) in missing
 
 
-def test_an_auxiliary_base_seeds_its_threshold_column_wherever_it_sits():
-    # the engine reads the skew-lines degree from the ledger, not from a constant
+def move_seed(d):
+    """The bundled ledger with the three-skew-lines seed (4, 1, 3, -2) at degree d."""
     full = load_ledger()
-    moved = Ledger(
-        entries=tuple(e._replace(d=4) if e.tag == "SkewLines" else e for e in full.entries),
+    return Ledger(
+        entries=tuple(e._replace(d=d) if e.tag == "SkewLines" else e for e in full.entries),
         source="doctored",
     )
-    moved_engine = ClassificationEngine(moved)
-    v = moved_engine.classify(Query(4, 1, 12, 8))
-    assert v.status == "general"
-    root, leaf = v.trace.steps()
-    assert root.rule == "add_canonical"
-    assert leaf.case == (4, 1, 4, -2)
-    assert leaf.entry_id == "r4n1-skew-lines"
-    assert moved_engine.validate_trace(v.trace) == []
+
+
+def test_an_auxiliary_base_seeds_its_threshold_column_wherever_it_sits():
+    # the engine reads the skew-lines degree from the ledger, not from a constant
+    for d in (3, 4, 5):
+        moved_engine = ClassificationEngine(move_seed(d))
+        root = (4, 1, d + 8, 8)  # at or above the floor 11, so add_canonical lands on the seed
+        v = moved_engine.classify(Query(*root))
+        assert v.status == "general"
+        steps = v.trace.steps()
+        assert [(s.case, s.rule) for s in steps] == [
+            (root, "add_canonical"), ((4, 1, d, -2), "ledger")
+        ]
+        assert steps[-1].entry_id == "r4n1-skew-lines"
+        assert moved_engine.validate_trace(v.trace) == []
+    # moved down, the genus-8 floor 11 would rest on (4, 1, 3, -2), which is
+    # not the seed, and no rule applies below genus 0: nothing derives there
+    for d in (1, 2):
+        moved_engine = ClassificationEngine(move_seed(d))
+        with pytest.raises(IncompleteLedgerError) as raised:
+            moved_engine.classify(Query(4, 1, 11, 8))
+        assert raised.value.case == (4, 1, 11, 8)
+        with pytest.raises(IncompleteLedgerError) as raised:
+            ClassificationEngine(move_seed(d)).grid(4, 1, 14, 9)
+        assert raised.value.case == (4, 1, 11, 8)
+        assert (11, 8) in moved_engine.completeness_audit(4, 1, 14, 9)
+
+
+#: The box of each ledger that grids, audits and classify are compared on.
+AGREEMENT_PAIRS = ((3, 2), (3, 1), (4, 1))
+AGREEMENT_D_MAX, AGREEMENT_G_MAX = 24, 20
+
+STATUS_CODES = {"general": "G", "exceptional": "E", "invalid": "."}
+
+
+@pytest.mark.parametrize(
+    "ledger_name",
+    ["bundled", "moved seed", *(f"without {e.id}" for e in load_ledger().entries)],
+)
+def test_table_and_audit_agree_with_classify_on_every_cell(ledger_name):
+    # a grid cell or audit reads a threshold as derivable without replaying
+    # it; classify derives every cell on its own, so the two must agree, and
+    # where classify finds a hole the grid raises at the first one
+    if ledger_name == "bundled":
+        ledger = load_ledger()
+    elif ledger_name == "moved seed":
+        ledger = move_seed(2)
+    else:
+        ledger = drop_entry(ledger_name.removeprefix("without "))
+    for r, n in AGREEMENT_PAIRS:
+        engine = ClassificationEngine(ledger)
+        rows, holes = [], []
+        for g in range(0, AGREEMENT_G_MAX + 1):
+            row = ""
+            for d in range(1, AGREEMENT_D_MAX + 1):
+                try:
+                    row += STATUS_CODES[engine.classify(Query(r, n, d, g)).status]
+                except IncompleteLedgerError as exc:
+                    assert exc.case == (r, n, d, g)
+                    row += "?"
+                    holes.append((d, g))
+            rows.append(row)
+        sweeper = ClassificationEngine(ledger)
+        assert sweeper.completeness_audit(r, n, AGREEMENT_D_MAX, AGREEMENT_G_MAX) == holes
+        if holes:
+            with pytest.raises(IncompleteLedgerError) as raised:
+                sweeper.grid(r, n, AGREEMENT_D_MAX, AGREEMENT_G_MAX)
+            assert raised.value.case == (r, n, *holes[0])
+        else:
+            assert sweeper.grid(r, n, AGREEMENT_D_MAX, AGREEMENT_G_MAX) == rows
 
 
 def test_dropping_wildcard_breaks_plane_cases():

@@ -84,8 +84,15 @@ def classes(rank):
 
 @st.composite
 def symmetric_lattices(draw):
+    # diagonal half the time: intersect pairs a diagonal Gram matrix by its
+    # diagonal alone, and a random one is almost never diagonal
     rank = draw(st.integers(1, 7))
-    upper = {(i, j): draw(SMALL) for i in range(rank) for j in range(i, rank)}
+    diagonal = draw(st.booleans())
+    upper = {
+        (i, j): draw(SMALL) if i == j or not diagonal else 0
+        for i in range(rank)
+        for j in range(i, rank)
+    }
     gram = [[upper[min(i, j), max(i, j)] for j in range(rank)] for i in range(rank)]
     return SurfaceModel.polarized(gram, [0] * rank, [f"e{i}" for i in range(rank)])
 
@@ -142,6 +149,24 @@ def test_line_enumeration_matches_classical_oracle():
         S = SurfaceModel.del_pezzo(k)
         found = {c.coeffs for c in enumerate_lines(S)}
         assert found == classical_line_set(k)
+
+
+def brute_force_line_set(k):
+    # Independent oracle, with no sorting and no pruning: every a in 0..3 and
+    # b_1..b_{k-1} in -3..3, b_k solved from 3a + sum b = 1, kept if c^2 = -1.
+    lines = set()
+    for a in range(0, 4):
+        for head in itertools.product(range(-3, 4), repeat=k - 1):
+            b = (*head, 1 - 3 * a - sum(head))
+            if a * a - sum(x * x for x in b) == -1:
+                lines.add((a, *b))
+    return lines
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_line_enumeration_matches_brute_force(k):
+    S = SurfaceModel.del_pezzo(k)
+    assert {c.coeffs for c in enumerate_lines(S)} == brute_force_line_set(k)
 
 
 def test_line_counts():

@@ -99,6 +99,33 @@ def test_verify_all_loads_no_record_or_terminal_machinery():
     assert [m for m in NOT_FOR_ANY_COMMAND if m in probe["loaded"]] == []
 
 
+#: Reads the sizes of the lattice layer's memos.
+LATTICE_CACHES = (
+    "from gensect import lattices\n"
+    "def sizes():\n"
+    "    return [cached.cache_info().currsize for cached in (\n"
+    "        lattices._lines_for_blowup, lattices._diagonal, lattices._line_images,\n"
+    "        lattices.SurfaceModel.__dict__['del_pezzo'].__func__,\n"
+    "    )]\n"
+)
+
+
+def test_importing_the_command_line_fills_no_lattice_cache():
+    # the benchmark's verify child starts its clock after this import, so
+    # work moved into import time would read as a saving
+    probe = fresh_interpreter(
+        "import contextlib, io, json\n"
+        "import gensect.cli\n"
+        f"{LATTICE_CACHES}"
+        "imported = sizes()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    gensect.cli.main(['verify-all'])\n"
+        "print(json.dumps({'imported': imported, 'verified': sizes()}))\n"
+    )
+    assert probe["imported"] == [0, 0, 0, 0]
+    assert 0 not in probe["verified"]
+
+
 #: What parsing with argparse loads: argparse, its message catalogue and the
 #: locale that reads, and the module that copies the cached parser.
 FOR_ARGPARSE_ONLY = ("argparse", "gettext", "locale", "copy")

@@ -304,3 +304,51 @@ def test_sweep_classifies_only_the_exceptional_table(monkeypatch):
     assert verify.check_exceptional_sweep(ClassificationEngine()).ok
     expected_cells = sum(len(cells) for cells in verify.EXPECTED_EXCEPTIONAL.values())
     assert len(calls) <= len(EXCEPTIONAL) + expected_cells
+
+
+# -- one battery, one box audit per pair ----------------------------------------------
+
+
+def test_the_battery_audits_each_pair_once(monkeypatch):
+    calls = []
+    audit = ClassificationEngine.completeness_audit
+
+    def counting(self, r, n, d_max, g_max):
+        calls.append((r, n, d_max, g_max))
+        return audit(self, r, n, d_max, g_max)
+
+    monkeypatch.setattr(ClassificationEngine, "completeness_audit", counting)
+    results = verify.run_all()
+    assert all(result.ok for result in results)
+    box = (verify.SWEEP_D_MAX, verify.SWEEP_G_MAX)
+    assert calls == [(r, n, *box) for r, n in sorted(verify.EXPECTED_EXCEPTIONAL)]
+
+
+def test_an_audit_that_raises_fails_each_check_that_asks_for_it(monkeypatch):
+    def broken(self, r, n, d_max, g_max):
+        raise ValueError(f"audit of ({r}, {n}) broke")
+
+    monkeypatch.setattr(ClassificationEngine, "completeness_audit", broken)
+    results = verify.run_all()
+    # not kept, the failed audit runs again for the next check and fails it too
+    failed = [(i, result) for i, result in enumerate(results) if not result.ok]
+    assert [i for i, _ in failed] == [16, 17]
+    assert all(result.id == "internal-error" for _, result in failed)
+    assert [result.detail for _, result in failed] == [
+        "ValueError('audit of (2, 1) broke')",
+        "ValueError('audit of (3, 2) broke')",
+    ]
+
+
+def test_the_plane_pairs_have_an_empty_frontier_up_to_the_sweep_genus(monkeypatch):
+    asked = []
+    frontier = ClassificationEngine.frontier
+
+    def recording(self, r, n, g_max):
+        asked.append((r, n, g_max))
+        return frontier(self, r, n, g_max)
+
+    monkeypatch.setattr(ClassificationEngine, "frontier", recording)
+    result = verify.check_frontier(ClassificationEngine())
+    assert result.ok and result.detail == "twelve, two and seven pairs as listed"
+    assert asked[:2] == [(2, 1, verify.SWEEP_G_MAX), (2, 2, verify.SWEEP_G_MAX)]
