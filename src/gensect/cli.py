@@ -134,8 +134,7 @@ def _cmd_table(args: SimpleNamespace) -> int:
     if (args.r, args.n) not in SUPPORTED_PAIRS:
         print(f"unsupported pair (r, n) = ({args.r}, {args.n})", file=sys.stderr)
         return EXIT_INVALID
-    rows = engine.grid(args.r, args.n, args.d_max, args.g_max)
-    frontier = engine.frontier(args.r, args.n, args.g_max)
+    rows, frontier = engine.table(args.r, args.n, args.d_max, args.g_max)
     payload = {
         "r": args.r,
         "n": args.n,

@@ -414,29 +414,80 @@ class ClassificationEngine:
 
     # -- sweeps --------------------------------------------------------------
 
-    def _row(self, r: int, n: int, g: int, d_max: int) -> str:
+    def _genus(
+        self, r: int, n: int, g: int, d_max: int, wildcard: LedgerEntry | None
+    ) -> tuple[str, int | None]:
         """Grid codes for d = 1..d_max at genus g, '?' if admissible but
-        underivable.  Only degrees below both the threshold and, with a leaf
-        wildcard, the exact ledger entries are looked up one by one."""
-        low, floor = domain_floor(r, g), admissible_floor(r, n, g)
+        underivable, and the least admissible degree if it is a frontier
+        case: one whose derivation is a single constructive ledger axiom.
+        ``wildcard`` is the leaf of every degree without an exact entry, so
+        only the exact entries' degrees below the threshold are looked up."""
+        floor = admissible_floor(r, n, g)
         threshold = self._threshold(r, n, g)
+        below = threshold is None or floor < threshold.case[2]
+        if below:
+            exact = self.ledger.exact_degrees(r, n, g)
+            leaf = self._leaf(r, n, floor, g) if floor in exact else wildcard
+        elif threshold.rule == RULE_LEDGER and (r, n) != (3, 1):
+            leaf = self.ledger.get(threshold.entry_id)  # the floor is the threshold
+        else:
+            leaf = None  # add_canonical, or a downgrade for (3, 1)
+        seed = floor if leaf is not None and leaf.tag in CONSTRUCTIVE_TAGS else None
+        if d_max < 1:
+            return "", seed
         top = d_max + 1 if threshold is None else min(threshold.case[2], d_max + 1)
-        exact = self.ledger.exact_degrees(r, n, g)
-        beyond = max(floor, exact[-1] + 1) if exact else floor
-        if beyond < top and self._leaf(r, n, beyond, g):
-            top = beyond
-        band = "".join("G" if self._leaf(r, n, d, g) else "?" for d in range(floor, top))
-        row = "." * (low - 1) + "E" * (floor - low) + band + "G" * (d_max + 1 - top)
-        return row[: max(d_max, 0)]
+        band = ""
+        if below:
+            if wildcard is not None:  # it covers every degree above the exact ones
+                top = min(top, max(floor, exact[-1] + 1) if exact else floor)
+            if floor < top:
+                band = ("G" if leaf else "?") + "".join(
+                    "G" if self._leaf(r, n, d, g) else "?" for d in range(floor + 1, top)
+                )
+        low = domain_floor(r, g)
+        row = "." * min(low - 1, d_max) + "E" * (floor - low) + band + "G" * (d_max + 1 - top)
+        return row[:d_max], seed
+
+    def _sweep(
+        self, r: int, n: int, d_max: int, g_max: int
+    ) -> tuple[list[str], list[tuple[int, int]]]:
+        """The rows of g = 0..g_max and the frontier, from one walk."""
+        wildcard = self.ledger.wildcard(r, n)
+        if wildcard is not None and wildcard.tag in AUXILIARY_TAGS:
+            wildcard = None  # as _leaf rules: no auxiliary leaf from genus 0 up
+        rows, frontier = [], []
+        for g in range(0, g_max + 1):
+            row, seed = self._genus(r, n, g, d_max, wildcard)
+            rows.append(row)
+            if seed is not None:
+                frontier.append((seed, g))
+        return rows, frontier
+
+    @staticmethod
+    def _check_rows(r: int, n: int, rows: list[str]) -> None:
+        """Raise IncompleteLedgerError for the first underivable case, by
+        genus then degree."""
+        for g, row in enumerate(rows):
+            if "?" in row:
+                raise IncompleteLedgerError((r, n, row.index("?") + 1, g))
+
+    def table(
+        self, r: int, n: int, d_max: int, g_max: int
+    ) -> tuple[list[str], list[tuple[int, int]]]:
+        """``grid(r, n, d_max, g_max)`` and ``frontier(r, n, g_max)``, read
+        from one walk over the genera."""
+        if (r, n) not in SUPPORTED_PAIRS:
+            raise ValueError(f"unsupported pair ({r}, {n})")
+        rows, frontier = self._sweep(r, n, d_max, g_max)
+        self._check_rows(r, n, rows)
+        return rows, frontier
 
     def grid(self, r: int, n: int, d_max: int, g_max: int) -> list[str]:
         """Verdict rows for g = 0..g_max, one character per d = 1..d_max:
         G general, E exceptional, . invalid.  Raises IncompleteLedgerError
         for the first underivable case, by genus then degree."""
-        rows = [self._row(r, n, g, d_max) for g in range(0, g_max + 1)]
-        for g, row in enumerate(rows):
-            if "?" in row:
-                raise IncompleteLedgerError((r, n, row.index("?") + 1, g))
+        rows = self._sweep(r, n, d_max, g_max)[0]
+        self._check_rows(r, n, rows)
         return rows
 
     def completeness_audit(
@@ -450,8 +501,7 @@ class ClassificationEngine:
         if (r, n) not in SUPPORTED_PAIRS:
             raise ValueError(f"unsupported pair ({r}, {n})")
         holes = []
-        for g in range(0, g_max + 1):
-            row = self._row(r, n, g, d_max)
+        for g, row in enumerate(self._sweep(r, n, d_max, g_max)[0]):
             if "?" in row:
                 holes.extend((d, g) for d, code in enumerate(row, start=1) if code == "?")
         return holes
@@ -465,14 +515,7 @@ class ClassificationEngine:
         """
         if (r, n) not in SUPPORTED_PAIRS:
             raise ValueError(f"unsupported pair ({r}, {n})")
-        out = []
-        for g in range(0, g_max + 1):
-            d = admissible_floor(r, n, g)
-            step = self._first_step(r, n, d, g)
-            if step and step.rule == RULE_LEDGER:
-                if self.ledger.get(step.entry_id).tag in CONSTRUCTIVE_TAGS:
-                    out.append((d, g))
-        return out
+        return self._sweep(r, n, 0, g_max)[1]
 
     # -- trace validation ----------------------------------------------------
 

@@ -121,15 +121,22 @@ class Ledger:
         """Exact-case entry if present, else the wildcard entry for (r, n)."""
         return self._by_case.get((r, n, d, g)) or self._wildcards.get((r, n))
 
+    def wildcard(self, r: int, n: int) -> LedgerEntry | None:
+        """The entry matching every degree and genus of (r, n), if any: what
+        ``lookup`` returns for a case without an exact entry."""
+        return self._wildcards.get((r, n))
+
     def exact_degrees(self, r: int, n: int, g: int) -> tuple[int, ...]:
         """The degrees of the exact-case entries at genus g, ascending."""
         return self._degrees.get((r, n, g), ())
 
     def invariant_problems(self) -> list[str]:
         """Structural violations: bad tags, empty quotes, a case out of domain
-        (no general curve: r < 2, d < 1, g < 0 or rho < 0) without a flag, an
-        exact Interpolation or GenusTwo entry its numeric gate fails, a
-        gluing tag without the glue data its side conditions read."""
+        (no general curve: r < 2, d < 1, g < 0 or rho < 0) without the
+        ``rho_exempt`` flag or the flag on any other case, a PlaneCurve tag
+        off the r = 2 wildcards or a SkewLines tag off the exact cases below
+        genus 0, an exact Interpolation or GenusTwo entry its numeric gate
+        fails, a gluing tag without the glue data its side conditions read."""
         problems = []
         for entry in self.entries:
             if entry.tag not in KNOWN_TAGS:
@@ -143,6 +150,14 @@ class Ledger:
                 problems.append(
                     f"{entry.id}: case {entry.case_key()} is out of domain without exemption"
                 )
+            if entry.rho_exempt and (entry.is_wildcard or exact_in_domain):
+                problems.append(
+                    f"{entry.id}: case {entry.case_key()} is exempted but not out of domain"
+                )
+            if entry.tag == "PlaneCurve" and not (entry.is_wildcard and entry.r == 2):
+                problems.append(f"{entry.id}: PlaneCurve tags only the r = 2 wildcards")
+            if entry.tag == "SkewLines" and (entry.is_wildcard or entry.g >= 0):
+                problems.append(f"{entry.id}: SkewLines tags only exact cases below genus 0")
             gate = _GATES.get(entry.tag)
             if gate and exact_in_domain and not gate(BNIndex(entry.r, entry.d, entry.g), entry.n):
                 problems.append(f"{entry.id}: the {entry.tag} gate does not hold")

@@ -3,11 +3,19 @@
 Identical inputs must produce byte-identical output: keys are sorted, lists
 carry an explicit deterministic order, there are no timestamps, and the
 schema is versioned.  The JSON schema is documented in the README.
+
+Reports are written by ``_write``, one recursive writer over dicts, lists,
+tuples, strings, ints, booleans, None and derivation traces.  It writes what
+``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True)`` writes:
+strings go through ``_json.encode_basestring_ascii``, the C function the
+encoder itself calls, ints through ``int.__repr__`` and the layout is the
+encoder's.  Importing ``_json`` rather than ``json`` keeps ``json``, ``re``
+and ``enum`` out of a command's start-up.
 """
 
 from __future__ import annotations
 
-import json
+from _json import encode_basestring_ascii as _quote
 
 from . import __version__
 from .engine import DerivationTrace
@@ -25,44 +33,85 @@ def envelope(command: str, result: dict) -> dict:
     }
 
 
-def _dumps(value: object) -> str:
-    return json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True)
-
-
 def to_json(payload: dict) -> str:
     """Canonical JSON rendering: sorted keys, two-space indent, ASCII.
 
-    A ``DerivationTrace`` under ``result.trace`` is written as the flat list
-    of its ``to_payload()``, byte for byte as the encoder would write it, but
-    from its segments: a run at one genus is one join over its degrees, and
-    any other step is one f-string.
+    A ``DerivationTrace`` is written as the flat list of its ``to_payload()``.
+    Any value other than a dict, list, tuple, string, int, boolean, None or
+    trace raises TypeError.
     """
-    result = payload.get("result")
-    trace = result.get("trace") if isinstance(result, dict) else None
-    if not isinstance(trace, DerivationTrace):
-        return _dumps(payload) + "\n"
-    # An unescaped quote only delimits a string, and a string followed by
-    # ": " is a key, so this finds the one "trace" key.
-    head, _, tail = _dumps({**payload, "result": {**result, "trace": []}}).partition(
-        '"trace": []'
-    )
-    indent = "\n" + head[head.rfind("\n") + 1 :] + "  "
-    inner, item = indent + "  ", indent + "    "
-    parts = [head, '"trace": [']
+    out: list[str] = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value: object, indent: str, out: list[str]) -> None:
+    """Append the JSON of ``value`` to ``out``; ``indent`` is the newline and
+    spaces that start the line ``value`` begins on."""
+    if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            # strings and ints, most of a report, are written without a call
+            if type(item) is str:
+                out.append(f"{sep}{_quote(key)}: {_quote(item)}")
+            elif type(item) is int:
+                out.append(f"{sep}{_quote(key)}: {int.__repr__(item)}")
+            else:
+                out.append(f"{sep}{_quote(key)}: ")
+                _write(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, DerivationTrace):
+        _write_trace(value, indent, out)
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _write_trace(trace: DerivationTrace, indent: str, out: list[str]) -> None:
+    """Append a trace as the list of its steps, from its segments: a run at
+    one genus is one join over its degrees, and any other step is one
+    f-string."""
+    step = indent + "  "
+    inner, item = step + "  ", step + "    "
+    start = len(out)
     for seg in trace.segments:
         (r, n, d, g), (dd, dg), repeat = seg.case, seg.delta, seg.repeat
+        entry = "null" if seg.entry_id is None else _quote(seg.entry_id)
         # a step, after a comma, is before, its degree, "," + item, its genus, after
-        before = f',{indent}{{{inner}"case": [{item}{r},{item}{n},{item}'
-        after = (
-            f'{inner}],{inner}"entry": {json.dumps(seg.entry_id)},'
-            f'{inner}"rule": {json.dumps(seg.rule)}{indent}}}'
-        )
+        before = f',{step}{{{inner}"case": [{item}{r},{item}{n},{item}'
+        after = f'{inner}],{inner}"entry": {entry},{inner}"rule": {_quote(seg.rule)}{step}}}'
         if dg == 0 and dd != 0:
             end = f",{item}{g}{after}"
             # pieces appended one by one: concatenating them copies the run
-            parts += [before, (end + before).join(map(str, range(d, d - repeat * dd, -dd))), end]
+            out += (before, (end + before).join(map(str, range(d, d - repeat * dd, -dd))), end)
         else:
-            parts += [f"{before}{d - i * dd},{item}{g - i * dg}{after}" for i in range(repeat)]
-    parts[2] = parts[2][1:]  # the first step follows "[" without a comma
-    parts += [indent[:-2], "]", tail, "\n"]
-    return "".join(parts)
+            out += [f"{before}{d - i * dd},{item}{g - i * dg}{after}" for i in range(repeat)]
+    out[start] = "[" + out[start][1:]  # the first step follows "[", not a comma
+    out.append(indent + "]")

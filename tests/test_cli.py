@@ -406,28 +406,47 @@ def _drop_glue(entries):
     del next(e for e in entries if e["id"] == "r3n2-hglue-6-3")["glue"]
 
 
+def _retag_interpolation_as_plane(entries):
+    next(e for e in entries if e["id"] == "r3n2-interp-3-0")["tag"] = "PlaneCurve"
+
+
+def _exempt_an_in_domain_case(entries):
+    next(e for e in entries if e["id"] == "r3n2-interp-3-0")["rho_exempt"] = True
+
+
+INTEGRITY_DETAILS = {
+    _drop_glue: "r3n2-hglue-6-3: the HyperplaneGlue side conditions need glue data",
+    _retag_interpolation_as_plane: "r3n2-interp-3-0: PlaneCurve tags only the r = 2 wildcards",
+    _exempt_an_in_domain_case: (
+        "r3n2-interp-3-0: case (3, 2, 3, 0) is exempted but not out of domain"
+    ),
+}
+
+
 @pytest.mark.parametrize(
     "edit, failed",
     [
         (_move_seed_down, {"exceptional-sweep", "completeness-audit"}),
         (_retag_plane, {"frontier-lists"}),
         (_drop_glue, {"ledger-integrity"}),
+        (_retag_interpolation_as_plane, {"ledger-integrity"}),
+        (_exempt_an_in_domain_case, {"ledger-integrity"}),
     ],
 )
 def test_verify_all_fails_single_field_mutants(edit, failed, tmp_path, capsys):
     # the seed one degree down leaves genus 8 of (4, 1) underivable; a plane
     # wildcard with a constructive tag puts every plane case on the frontier;
-    # a gluing entry without glue has no side conditions to check
+    # a gluing entry without glue has no side conditions to check; the plane
+    # tag off the plane wildcards and the exemption on a case in domain are
+    # each a ledger invariant
     code, out, _ = run_cli(
         capsys, "verify-all", "--ledger", _doctored_ledger(tmp_path, edit), "--json"
     )
     details = {c["id"]: c["detail"] for c in json.loads(out)["result"]["checks"] if not c["ok"]}
     assert code == 3
     assert details.keys() == failed
-    if edit is _drop_glue:
-        assert details["ledger-integrity"] == (
-            "r3n2-hglue-6-3: the HyperplaneGlue side conditions need glue data"
-        )
+    if edit in INTEGRITY_DETAILS:
+        assert details["ledger-integrity"] == INTEGRITY_DETAILS[edit]
 
 
 def test_table_and_classify_agree_on_a_moved_seed(tmp_path, capsys):

@@ -9,6 +9,7 @@ from gensect.engine import (
     EXCEPTIONAL_PAIRS,
     ClassificationEngine,
     DerivationTrace,
+    SUPPORTED_PAIRS,
     IncompleteLedgerError,
     Query,
     Segment,
@@ -17,7 +18,7 @@ from gensect.engine import (
     side_condition_check,
     trace_from_payload,
 )
-from gensect.ledger import Ledger, load_ledger
+from gensect.ledger import CONSTRUCTIVE_TAGS, Ledger, load_ledger
 
 from quote_table import QUOTES
 
@@ -199,6 +200,20 @@ def test_frontier_lists(engine):
 
 def test_frontier_capped_by_genus(engine):
     assert engine.frontier(3, 1, 5) == [(7, 5)]
+
+
+def test_a_frontier_probe_builds_no_segment_and_looks_up_no_wildcard(monkeypatch):
+    warm = ClassificationEngine()
+    want = {pair: warm.frontier(*pair, 40) for pair in sorted(SUPPORTED_PAIRS)}
+    lookups = []
+    lookup = Ledger.lookup
+    monkeypatch.setattr(
+        Ledger, "lookup", lambda self, *case: lookups.append(case) or lookup(self, *case)
+    )
+    # with the thresholds memoised, building any Segment raises TypeError
+    monkeypatch.setattr(engine_module, "Segment", None)
+    assert {pair: warm.frontier(*pair, 40) for pair in sorted(SUPPORTED_PAIRS)} == want
+    assert [case for case in lookups if case[:2] in ((2, 1), (2, 2))] == []
 
 
 # -- trace soundness ---------------------------------------------------------------
@@ -457,11 +472,34 @@ def test_table_and_audit_agree_with_classify_on_every_cell(ledger_name):
         sweeper = ClassificationEngine(ledger)
         assert sweeper.completeness_audit(r, n, AGREEMENT_D_MAX, AGREEMENT_G_MAX) == holes
         if holes:
-            with pytest.raises(IncompleteLedgerError) as raised:
-                sweeper.grid(r, n, AGREEMENT_D_MAX, AGREEMENT_G_MAX)
-            assert raised.value.case == (r, n, *holes[0])
+            for sweep in (sweeper.grid, sweeper.table):
+                with pytest.raises(IncompleteLedgerError) as raised:
+                    sweep(r, n, AGREEMENT_D_MAX, AGREEMENT_G_MAX)
+                assert raised.value.case == (r, n, *holes[0])
         else:
             assert sweeper.grid(r, n, AGREEMENT_D_MAX, AGREEMENT_G_MAX) == rows
+            assert sweeper.table(r, n, AGREEMENT_D_MAX, AGREEMENT_G_MAX) == (
+                rows,
+                frontier_oracle(ClassificationEngine(ledger), r, n, AGREEMENT_G_MAX),
+            )
+    # the frontier reads its cell from the pass that builds a row; the oracle
+    # derives the first step of each genus's least admissible degree
+    for r, n in sorted(SUPPORTED_PAIRS):
+        want = frontier_oracle(ClassificationEngine(ledger), r, n, AGREEMENT_G_MAX)
+        assert ClassificationEngine(ledger).frontier(r, n, AGREEMENT_G_MAX) == want
+
+
+def frontier_oracle(engine, r, n, g_max):
+    """The frontier genus by genus: the least admissible degree where its
+    first step is a ledger leaf with a constructive tag."""
+    out = []
+    for g in range(0, g_max + 1):
+        d = admissible_floor(r, n, g)
+        step = engine._first_step(r, n, d, g)
+        if step and step.rule == "ledger":
+            if engine.ledger.get(step.entry_id).tag in CONSTRUCTIVE_TAGS:
+                out.append((d, g))
+    return out
 
 
 def test_dropping_wildcard_breaks_plane_cases():

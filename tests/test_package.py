@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
 
@@ -130,8 +131,11 @@ def test_importing_the_command_line_fills_no_lattice_cache():
 #: locale that reads, and the module that copies the cached parser.
 FOR_ARGPARSE_ONLY = ("argparse", "gettext", "locale", "copy")
 
+#: What reading a ``--ledger`` file loads: the JSON parser and the modules it
+#: imports.  Reports are written without it.
+FOR_LEDGER_FILES_ONLY = ("json", "re", "enum")
 
-@pytest.mark.parametrize(
+WELL_FORMED_JSON_COMMANDS = pytest.mark.parametrize(
     "argv",
     [
         ["classify", "--r", "3", "--n", "2", "--d", "30", "--g", "20", "--json"],
@@ -140,16 +144,45 @@ FOR_ARGPARSE_ONLY = ("argparse", "gettext", "locale", "copy")
     ],
     ids=["classify", "table", "verify-all"],
 )
-def test_a_well_formed_command_loads_no_argparse(argv):
-    probe = fresh_interpreter(
-        "import contextlib, io, json, sys\n"
+
+
+def command_probe(argv: list) -> dict:
+    """The exit code of ``argv`` and the modules loaded after importing the
+    command line and after running it, read before the probe imports json."""
+    return fresh_interpreter(
+        "import contextlib, io, sys\n"
         "from gensect import cli\n"
+        "imported = sorted(sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main({argv!r})\n"
-        "print(json.dumps({'code': code, 'loaded': sorted(sys.modules)}))\n"
+        "loaded = sorted(sys.modules)\n"
+        "import json\n"
+        "print(json.dumps({'code': code, 'imported': imported, 'loaded': loaded}))\n"
     )
+
+
+@WELL_FORMED_JSON_COMMANDS
+def test_a_well_formed_command_loads_no_argparse(argv):
+    probe = command_probe(argv)
     assert probe["code"] == 0
     assert [m for m in FOR_ARGPARSE_ONLY if m in probe["loaded"]] == []
+
+
+@WELL_FORMED_JSON_COMMANDS
+def test_a_json_report_on_the_bundled_ledger_loads_no_json_module(argv):
+    probe = command_probe(argv)
+    assert probe["code"] == 0
+    assert "_json" in probe["loaded"]
+    for modules in (probe["imported"], probe["loaded"]):
+        assert [m for m in FOR_LEDGER_FILES_ONLY if m in modules] == []
+
+
+def test_a_ledger_file_loads_the_json_parser():
+    path = str(resources.files("gensect").joinpath("data/ledger.json"))
+    argv = ["classify", "--r", "3", "--n", "2", "--d", "9", "--g", "4", "--ledger", path]
+    probe = command_probe(argv)
+    assert probe["code"] == 0
+    assert "json" in probe["loaded"]
 
 
 def test_help_still_comes_from_argparse(monkeypatch):

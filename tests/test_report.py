@@ -1,5 +1,7 @@
-"""The JSON renderer writes traces from their segments, byte for byte as the
-generic encoder writes their flat ``to_payload()`` form."""
+"""The report writer against the standard library's encoder: any JSON tree
+renders as ``json.dumps(sort_keys=True, indent=2, ensure_ascii=True)`` writes
+it, a trace renders from its segments as the encoder writes its flat
+``to_payload()`` form, and every ``table --json`` payload matches too."""
 
 import json
 from importlib import resources
@@ -119,3 +121,83 @@ def test_user_entry_ids_are_escaped_as_the_encoder_does(tmp_path, capsys):
     assert payload["result"]["trace"].segments[-1].entry_id == awkward
     assert out == encoder(flat(payload))
     assert json.loads(out)["result"]["trace"][-1]["entry"] == awkward
+
+
+# -- any JSON tree -------------------------------------------------------------------
+
+#: Text with the characters the encoder escapes: quotes, backslashes, control
+#: characters, non-ASCII, lone surrogates and non-BMP characters (written as
+#: surrogate pairs).
+ESCAPED = '"\\/\b\f\n\r\t\x00\x1f\x7f\x80é∞\ud800\udfff\uffff\U0001d49e\U0010ffff'
+TEXT = st.text(st.sampled_from(ESCAPED) | st.characters(), max_size=8)
+
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | TEXT,
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(TEXT, children),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(JSON_TREES)
+def test_any_json_tree_renders_as_the_encoder_writes_it(value):
+    assert to_json(value) == encoder(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, {1, 2}, object(), {"a": [0, 2.0]}, {"a": {"b": frozenset()}}, [None, (1, object())]],
+    ids=["float", "set", "object", "nested float", "nested frozenset", "nested object"],
+)
+def test_values_outside_the_json_types_raise_type_error(value):
+    with pytest.raises(TypeError):
+        to_json(value)
+
+
+def test_edge_values_render_as_the_encoder_writes_them():
+    for value in (
+        {}, [], (), "", 0, -0, 10**40, -(10**40), True, False, None,
+        {"": {"": []}}, [[[]], {}, ()], {"b": 1, "a": True, "A": None, "é": "\x00"},
+    ):
+        assert to_json(value) == encoder(value)
+
+
+# -- table --json ---------------------------------------------------------------------
+
+
+def table_payload(capsys, *argv):
+    assert cli.main(["table", *argv, "--json"]) == 0
+    out = capsys.readouterr().out
+    return out, json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv, frontier",
+    [
+        (
+            ["--r", "3", "--n", "2", "--d-max", "0", "--g-max", "6"],
+            [[5, 1], [7, 2], [6, 3], [7, 4], [8, 5], [9, 6]],
+        ),
+        (["--r", "4", "--n", "1", "--d-max", "0", "--g-max", "0"], []),
+        (["--r", "3", "--n", "2", "--d-max", "12", "--g-max", "0"], []),
+        (["--r", "4", "--n", "1", "--d-max", "30", "--g-max", "0"], []),
+        (["--r", "2", "--n", "1", "--d-max", "20", "--g-max", "15"], []),
+        (["--r", "2", "--n", "2", "--d-max", "0", "--g-max", "40"], []),
+        # the frontier of (3, 1) lies where a downgrade does not reach
+        (["--r", "3", "--n", "1", "--d-max", "24", "--g-max", "20"], [[7, 5], [8, 6]]),
+        (["--r", "3", "--n", "1", "--d-max", "3", "--g-max", "8"], [[7, 5], [8, 6]]),
+    ],
+    ids=[
+        "d-max 0", "d-max and g-max 0", "g-max 0", "g-max 0 (4, 1)", "plane (2, 1)",
+        "plane (2, 2), d-max 0", "(3, 1)", "(3, 1), narrow",
+    ],
+)
+def test_table_json_renders_as_the_encoder_writes_it(argv, frontier, capsys):
+    out, document = table_payload(capsys, *argv)
+    assert out == encoder(document)
+    result = document["result"]
+    assert result["frontier"] == frontier
+    assert [row["g"] for row in result["grid"]] == list(range(result["g_max"] + 1))
+    assert {len(row["row"]) for row in result["grid"]} == {result["d_max"]}

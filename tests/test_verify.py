@@ -1,13 +1,15 @@
 """The verify checks against independent references: the identity checks
 prove their identities for all integers and fail on every mutated numerology
-core, and the exceptional sweep answers as the per-cell loop it replaces, on
-the bundled code and on a mutated exceptional table."""
+core, the exceptional sweep answers as the per-cell loop it replaces, on
+the bundled code and on a mutated exceptional table, and ledger integrity
+fails every misplaced exemption and plane or skew-lines tag."""
 
 import pytest
 
 from gensect import engine as engine_module, numerology, verify
 from gensect.audits import EXCEPTIONAL
 from gensect.engine import ClassificationEngine, IncompleteLedgerError, Query
+from gensect.ledger import Ledger, load_ledger
 from gensect.numerology import (
     BNIndex,
     chi_twisted_normal,
@@ -352,3 +354,43 @@ def test_the_plane_pairs_have_an_empty_frontier_up_to_the_sweep_genus(monkeypatc
     result = verify.check_frontier(ClassificationEngine())
     assert result.ok and result.detail == "twelve, two and seven pairs as listed"
     assert asked[:2] == [(2, 1, verify.SWEEP_G_MAX), (2, 2, verify.SWEEP_G_MAX)]
+
+
+# -- ledger invariants -------------------------------------------------------------
+
+
+def _mutant(entry_id, **fields):
+    full = load_ledger()
+    return Ledger(
+        tuple(e._replace(**fields) if e.id == entry_id else e for e in full.entries), "doctored"
+    )
+
+
+@pytest.mark.parametrize(
+    "entry_id",
+    [e.id for e in load_ledger().entries if not e.rho_exempt],
+)
+def test_every_exemption_of_a_case_not_out_of_domain_fails_ledger_integrity(entry_id):
+    # the exemption is read by the trace validator, so an exemption that
+    # nothing needs is inert there: ledger integrity is what catches it
+    engine = ClassificationEngine(_mutant(entry_id, rho_exempt=True))
+    result = verify.check_ledger_integrity(engine)
+    assert not result.ok
+    assert f"{entry_id}: case " in result.detail
+    assert "is exempted but not out of domain" in result.detail
+
+
+@pytest.mark.parametrize(
+    "entry_id, fields, problem",
+    [
+        ("r3n2-interp-3-0", {"tag": "PlaneCurve"}, "PlaneCurve tags only the r = 2 wildcards"),
+        ("r2n1-plane", {"r": 3}, "PlaneCurve tags only the r = 2 wildcards"),
+        ("r2n2-plane", {"d": 4, "g": 1}, "PlaneCurve tags only the r = 2 wildcards"),
+        ("r4n1-skew-lines", {"g": 0}, "SkewLines tags only exact cases below genus 0"),
+        ("r3n2-interp-3-0", {"tag": "SkewLines"}, "SkewLines tags only exact cases below genus 0"),
+        ("r2n1-plane", {"tag": "SkewLines"}, "SkewLines tags only exact cases below genus 0"),
+    ],
+)
+def test_plane_and_skew_line_tags_sit_where_they_belong(entry_id, fields, problem):
+    problems = _mutant(entry_id, **fields).invariant_problems()
+    assert f"{entry_id}: {problem}" in problems
