@@ -110,7 +110,8 @@ def _emit(
 
 
 def _cmd_classify(args: SimpleNamespace) -> int:
-    # a JSON trace grows with d and the threshold walk with g
+    # the derivation is found in closed form at any g, but a JSON trace
+    # lists every step, so it grows with d + g / dg
     if args.d > 1_000_000 or args.g > 1_000_000:
         print("--d and --g above 10^6 are rejected", file=sys.stderr)
         return EXIT_USAGE

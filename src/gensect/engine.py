@@ -9,7 +9,8 @@ Invalid, Exceptional (one of the ten known counterexamples) or General, and
 in the last case emits a derivation trace: a path of rule applications
 ending in a cited ledger axiom.  The exceptional lists and descriptors are
 read from the table of exceptional cases in ``audits``.  Engines share the
-bundled ledger, which is built once per process, so one is cheap to make.
+bundled ledger, which is built once per process, and the threshold windows
+kept on it, so one is cheap to make.
 
 Rules mirror the inductive structure of the underlying argument:
 
@@ -105,27 +106,12 @@ class Segment(namedtuple("Segment", "case rule repeat entry_id", defaults=(1, No
         return self.at(self.repeat) if self.rule in _RUN_RULES else None
 
 
-def _extend(segments: list[Segment], seg: Segment) -> None:
-    """Append a segment, merging it into the last one if it continues that run."""
-    last = segments[-1] if segments else None
-    if (
-        last
-        and last.rule == seg.rule
-        and seg.rule in _RUN_RULES
-        and last.entry_id == seg.entry_id
-        and last.premise() == seg.case
-    ):
-        segments[-1] = last._replace(repeat=last.repeat + seg.repeat)
-    else:
-        segments.append(seg)
-
-
 class DerivationTrace(namedtuple("DerivationTrace", "segments")):
     """A derivation: the path from the queried case down to a ledger leaf.
 
     Every rule has exactly one premise, so a derivation is a path, stored as
-    maximal runs of one rule (a tuple of ``Segment``): O(g / 8) segments
-    however large d is.
+    maximal runs of one rule (a tuple of ``Segment``): a number of segments
+    bounded by the ledger, however large d and g are.
     """
 
     __slots__ = ()
@@ -184,8 +170,8 @@ def trace_from_payload(payload: list[dict]) -> DerivationTrace:
     run's case, rule and entry, so each run costs one Segment.  A record that
     continues a run equals the case computed for it, so it is not checked
     again: a number equal to that case's, such as 5.0, passes there.  Apart
-    from that, the result equals checking every record and folding it into
-    ``_extend``.
+    from that, the result equals checking every record and merging each one
+    that continues the run before it into that run.
     """
     if type(payload) is not list:
         raise ValueError("a trace payload is a list of records")
@@ -199,7 +185,7 @@ def trace_from_payload(payload: list[dict]) -> DerivationTrace:
         index += 1
         if rule in _RUN_RULES:
             (r, n, d, g), (dd, dg) = case, seg.delta
-            while index < end:  # a run ends where _extend would not merge: it is maximal
+            while index < end:  # a run ends where the next record does not continue it
                 d, g = d - dd, g - dg
                 record = payload[index]
                 try:
@@ -291,21 +277,43 @@ def admissible_floor(r: int, n: int, g: int) -> int | None:
     return d
 
 
+class _Window:
+    """The threshold steps of (3, 2) or (4, 1) over one ledger, kept on it.
+
+    ``columns[c]`` is a tuple of the steps at genera c, c + dg, c + 2 dg, ...,
+    built on demand up to the first genus past ``start``.  Past ``start``
+    the admissible floor rises by exactly dd per dg and no exact entry is
+    left; a wildcard leaf sits at the floor, and where there is one every
+    step sits at the floor too.  So each step there is add_canonical from the
+    one below it, winning the tie with a wildcard: the column's last step
+    shifted by k (dd, dg), or None if that step is None.  A column is
+    replaced whole, never changed in place, so engines in several threads
+    may share a window: each reads a consistent column, and a column two of
+    them extend at once comes out the same either way.
+    """
+
+    __slots__ = ("start", "columns")
+
+    def __init__(self, start: int, dg: int) -> None:
+        self.start = start
+        self.columns: list[tuple[Segment | None, ...]] = [()] * dg
+
+
 class ClassificationEngine:
     """Deterministic classifier over an immutable ledger.
 
     Rule order is add_line, add_canonical, downgrade, ledger.  As add_line
     comes first, the derivable degrees of (3, 2) and (4, 1) at genus g are
     [f(g), inf): a derivation is an add_line run down to f(g), then the step
-    deriving f(g), computed once per genus, which recurses only in genus.
-    Without a ledger argument it reads the shared bundled ledger.  The steps
-    are memoised in the engine, one list per threshold column (r, n, g % dg)
-    indexed by g // dg, and live as long as it does.
+    deriving f(g), which recurses only in genus.  Without a ledger argument
+    it reads the shared bundled ledger.  The engine holds nothing else: the
+    steps deriving f(g) live in a ``_Window`` per pair on the ledger, so
+    every engine over one ledger shares them, and past the window they are
+    computed in closed form.
     """
 
     def __init__(self, ledger: Ledger | None = None) -> None:
         self.ledger = ledger if ledger is not None else load_ledger()
-        self._thresholds: dict[tuple[int, int, int], list[Segment | None]] = {}
 
     # -- domain predicates -------------------------------------------------
 
@@ -333,27 +341,29 @@ class ClassificationEngine:
             )
         if self.is_exceptional(q.r, q.n, q.d, q.g):
             return Verdict.exceptional(EXCEPTIONAL[q.case()])
+        r, n, d, g = q.case()
         segments: list[Segment] = []
-        step = self._first_step(*q.case())
-        while step is not None:
-            _extend(segments, step)
-            case = step.premise()
-            if case is None:
-                return Verdict.general(DerivationTrace(tuple(segments)))
-            step = self._first_step(*case)
-        raise IncompleteLedgerError(q.case())
-
-    def _first_step(self, r: int, n: int, d: int, g: int) -> Segment | None:
-        """The first segment of the derivation of an admissible case, if any."""
-        threshold = self._threshold(r, n, g) if g >= 0 else None  # no rule below genus 0
-        if threshold is not None and d >= threshold.case[2]:
-            if (r, n) == (3, 1):
-                return Segment((r, n, d, g), RULE_DOWNGRADE)
+        threshold = self._threshold(r, n, g)
+        if (r, n) == (3, 1) and threshold is not None and d >= threshold.case[2]:
+            segments.append(Segment(q.case(), RULE_DOWNGRADE))
+            n = 2
+        while threshold is not None and d >= threshold.case[2]:
             if d > threshold.case[2]:
-                return Segment((r, n, d, g), RULE_ADD_LINE, d - threshold.case[2])
-            return threshold
+                segments.append(Segment((r, n, d, g), RULE_ADD_LINE, d - threshold.case[2]))
+            if threshold.rule == RULE_LEDGER:
+                segments.append(threshold)
+                return Verdict.general(DerivationTrace(tuple(segments)))
+            d = threshold.case[2]
+            run = self._canonical_run(r, n, d, g)
+            segments.append(Segment((r, n, d, g), RULE_ADD_CANONICAL, run))
+            dd, dg = CANONICAL_STEP[r]
+            d, g = d - run * dd, g - run * dg
+            threshold = self._threshold(r, n, g) if g >= 0 else None  # no rule below genus 0
         entry = self._leaf(r, n, d, g)
-        return entry and Segment((r, n, d, g), RULE_LEDGER, 1, entry.id)
+        if entry is None:
+            raise IncompleteLedgerError(q.case())
+        segments.append(Segment((r, n, d, g), RULE_LEDGER, 1, entry.id))
+        return Verdict.general(DerivationTrace(tuple(segments)))
 
     def _leaf(self, r: int, n: int, d: int, g: int) -> LedgerEntry | None:
         """The ledger entry a case may rest on directly.  Auxiliary bases serve
@@ -370,22 +380,48 @@ class ClassificationEngine:
         (three skew lines in P^4), which seeds the column: no rule applies
         there, so add_canonical rests on the seed only where its premise is
         the seed itself.  (3, 1) downgrades onto the thresholds of (3, 2);
-        the plane pairs have none.
+        the plane pairs have none.  Past the window of its column the step
+        is add_canonical, in closed form.
         """
+        step, degree = self._window_step(r, n, g)
+        if step is None or step.case[2] == degree:
+            return step
+        return Segment(step.case[:2] + (degree, g), RULE_ADD_CANONICAL)
+
+    def _window_step(self, r: int, n: int, g: int) -> tuple[Segment | None, int | None]:
+        """The threshold step at genus g, or past the window the column's
+        last step, which add_canonical shifts by k (dd, dg); and f(g)."""
         r, n = (3, 2) if (r, n) == (3, 1) else (r, n)
         if r not in CANONICAL_STEP:
-            return None
+            return None, None
         if g < 0:
             for d in self.ledger.exact_degrees(r, n, g):
                 entry = self._leaf(r, n, d, g)
                 if entry is not None and entry.rho_exempt:
-                    return Segment((r, n, d, g), RULE_LEDGER, 1, entry.id)
-            return None
+                    return Segment((r, n, d, g), RULE_LEDGER, 1, entry.id), d
+            return None, None
         dd, dg = CANONICAL_STEP[r]
-        column = self._thresholds.setdefault((r, n, g % dg), [])
-        while len(column) <= g // dg:
-            h = g % dg + len(column) * dg
-            below = column[-1] if column else self._threshold(r, n, h - dg)
+        column = self._column(r, n, g)
+        past = g // dg - len(column) + 1  # steps past the window's last one
+        step = column[g // dg] if past <= 0 else column[-1]
+        return step, step and step.case[2] + max(past, 0) * dd
+
+    def _column(self, r: int, n: int, g: int) -> tuple[Segment | None, ...]:
+        """The window's threshold column of genus g, extended up to g or to
+        the first genus past the window's start, whichever comes first."""
+        dd, dg = CANONICAL_STEP[r]
+        window = self.ledger.windows.get((r, n))
+        if window is None:
+            window = self.ledger.windows.setdefault((r, n), _Window(self._window_start(r, n), dg))
+        c = g % dg
+        column = window.columns[c]
+        last = c + (len(column) - 1) * dg  # the genus of the column's last step
+        target = min(g, window.start + 1)
+        if last >= target:
+            return column
+        steps = list(column)
+        for h in range(last + dg, target + dg, dg):
+            below = steps[-1] if steps else self._threshold(r, n, h - dg)
             floor = admissible_floor(r, n, h)
             step = self._lowest_leaf(r, n, h, floor)
             if below is not None:
@@ -395,8 +431,28 @@ class ClassificationEngine:
                 rests = below.case[3] >= 0 or canonical == below.case[2] + dd
                 if rests and (step is None or canonical <= step.case[2]):
                     step = Segment((r, n, canonical, h), RULE_ADD_CANONICAL)
-            column.append(step)
-        return column[g // dg]
+            steps.append(step)
+        window.columns[c] = column = tuple(steps)
+        return column
+
+    def _window_start(self, r: int, n: int) -> int:
+        """The largest genus of an exceptional case or an exact entry of
+        (r, n): read from the tables, so the window covers any moved entry."""
+        exceptional = [g for _, g in EXCEPTIONAL_PAIRS.get((r, n), ())]
+        exact = [e.g for e in self.ledger.entries if (e.r, e.n) == (r, n) and not e.is_wildcard]
+        return max(exceptional + exact, default=-1)
+
+    def _canonical_run(self, r: int, n: int, d: int, g: int) -> int:
+        """The number of add_canonical steps in a row from the threshold
+        (r, n, d, g): those past the window at once, then the window's own."""
+        dd, dg = CANONICAL_STEP[r]
+        column = self._column(r, n, g)
+        i = g // dg
+        run = max(0, i - len(column) + 1)  # the closed form continues the last step
+        i, d = i - run, d - run * dd
+        while i >= 0 and column[i] == ((r, n, d, g % dg + i * dg), RULE_ADD_CANONICAL, 1, None):
+            run, i, d = run + 1, i - 1, d - dd
+        return run
 
     def _lowest_leaf(self, r: int, n: int, g: int, lo: int) -> Segment | None:
         """The ledger leaf of least degree >= lo at genus g.  A degree without
@@ -423,19 +479,19 @@ class ClassificationEngine:
         ``wildcard`` is the leaf of every degree without an exact entry, so
         only the exact entries' degrees below the threshold are looked up."""
         floor = admissible_floor(r, n, g)
-        threshold = self._threshold(r, n, g)
-        below = threshold is None or floor < threshold.case[2]
+        step, threshold = self._window_step(r, n, g)
+        below = step is None or floor < threshold
         if below:
             exact = self.ledger.exact_degrees(r, n, g)
             leaf = self._leaf(r, n, floor, g) if floor in exact else wildcard
-        elif threshold.rule == RULE_LEDGER and (r, n) != (3, 1):
-            leaf = self.ledger.get(threshold.entry_id)  # the floor is the threshold
+        elif step.rule == RULE_LEDGER and step.case[3] == g and (r, n) != (3, 1):
+            leaf = self.ledger.get(step.entry_id)  # the floor is the threshold
         else:
             leaf = None  # add_canonical, or a downgrade for (3, 1)
         seed = floor if leaf is not None and leaf.tag in CONSTRUCTIVE_TAGS else None
         if d_max < 1:
             return "", seed
-        top = d_max + 1 if threshold is None else min(threshold.case[2], d_max + 1)
+        top = d_max + 1 if step is None else min(threshold, d_max + 1)
         band = ""
         if below:
             if wildcard is not None:  # it covers every degree above the exact ones

@@ -89,7 +89,9 @@ class LedgerFormatError(ValueError):
 
 class Ledger:
     """An immutable-after-load collection of entries with lookup by case.  The
-    bundled ledger is one instance per process, shared and read-only."""
+    bundled ledger is one instance per process, shared and read-only.
+    ``windows`` holds the engine's threshold windows over these entries,
+    filled on first use and dropped with the ledger."""
 
     def __init__(self, entries: tuple[LedgerEntry, ...], source: str | None = None) -> None:
         self.entries = entries
@@ -110,6 +112,7 @@ class Ledger:
                 self._by_case.setdefault(entry.case_key(), entry)
                 degrees.setdefault((entry.r, entry.n, entry.g), set()).add(entry.d)
         self._degrees = {key: tuple(sorted(ds)) for key, ds in degrees.items()}
+        self.windows: dict = {}
 
     def get(self, entry_id: str) -> LedgerEntry:
         return self._by_id[entry_id]

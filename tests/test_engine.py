@@ -21,6 +21,7 @@ from gensect.engine import (
 from gensect.ledger import CONSTRUCTIVE_TAGS, Ledger, load_ledger
 
 from quote_table import QUOTES
+from reference_engine import ReferenceEngine
 
 #: Restatement of the theorem lists, used as the sweep oracle.
 THEOREM_LISTS = {
@@ -97,7 +98,9 @@ def test_classify_deterministic(engine):
 
 
 def test_classify_keeps_no_engine_between_calls(engine):
-    # each call makes a fresh engine over the shared bundled ledger
+    # each call makes a fresh engine, which holds only the shared bundled
+    # ledger; the threshold windows live on that ledger, not in an engine
+    assert list(vars(engine)) == ["ledger"]
     assert not hasattr(engine_module, "default_engine")
     assert not hasattr(engine_module, "_DEFAULT_ENGINE")
     q = Query(3, 2, 30, 20)
@@ -435,6 +438,21 @@ def test_an_auxiliary_base_seeds_its_threshold_column_wherever_it_sits():
         assert (11, 8) in moved_engine.completeness_audit(4, 1, 14, 9)
 
 
+def with_wildcard(r, n, tag="Interpolation"):
+    """The bundled ledger plus an entry matching every (d, g) of (r, n)."""
+    full = load_ledger()
+    wildcard = full.get("r2n2-plane")._replace(id=f"r{r}n{n}-anything", r=r, n=n, tag=tag)
+    return Ledger(entries=full.entries + (wildcard,), source="doctored")
+
+
+def only_wildcard(r, n, tag="Interpolation"):
+    """``with_wildcard`` without the exact entries of (r, n)."""
+    entries = with_wildcard(r, n, tag).entries
+    return Ledger(
+        tuple(e for e in entries if e.is_wildcard or (e.r, e.n) != (r, n)), source="doctored"
+    )
+
+
 #: The box of each ledger that grids, audits and classify are compared on.
 AGREEMENT_PAIRS = ((3, 2), (3, 1), (4, 1))
 AGREEMENT_D_MAX, AGREEMENT_G_MAX = 24, 20
@@ -444,7 +462,12 @@ STATUS_CODES = {"general": "G", "exceptional": "E", "invalid": "."}
 
 @pytest.mark.parametrize(
     "ledger_name",
-    ["bundled", "moved seed", *(f"without {e.id}" for e in load_ledger().entries)],
+    [
+        "bundled",
+        "moved seed",
+        "only a constructive wildcard for (3, 2)",
+        *(f"without {e.id}" for e in load_ledger().entries),
+    ],
 )
 def test_table_and_audit_agree_with_classify_on_every_cell(ledger_name):
     # a grid cell or audit reads a threshold as derivable without replaying
@@ -454,6 +477,8 @@ def test_table_and_audit_agree_with_classify_on_every_cell(ledger_name):
         ledger = load_ledger()
     elif ledger_name == "moved seed":
         ledger = move_seed(2)
+    elif ledger_name.startswith("only"):
+        ledger = only_wildcard(3, 2, "DelPezzo")  # past the window its leaf is no frontier
     else:
         ledger = drop_entry(ledger_name.removeprefix("without "))
     for r, n in AGREEMENT_PAIRS:
@@ -480,24 +505,24 @@ def test_table_and_audit_agree_with_classify_on_every_cell(ledger_name):
             assert sweeper.grid(r, n, AGREEMENT_D_MAX, AGREEMENT_G_MAX) == rows
             assert sweeper.table(r, n, AGREEMENT_D_MAX, AGREEMENT_G_MAX) == (
                 rows,
-                frontier_oracle(ClassificationEngine(ledger), r, n, AGREEMENT_G_MAX),
+                frontier_oracle(ledger, r, n, AGREEMENT_G_MAX),
             )
     # the frontier reads its cell from the pass that builds a row; the oracle
     # derives the first step of each genus's least admissible degree
     for r, n in sorted(SUPPORTED_PAIRS):
-        want = frontier_oracle(ClassificationEngine(ledger), r, n, AGREEMENT_G_MAX)
+        want = frontier_oracle(ledger, r, n, AGREEMENT_G_MAX)
         assert ClassificationEngine(ledger).frontier(r, n, AGREEMENT_G_MAX) == want
 
 
-def frontier_oracle(engine, r, n, g_max):
+def frontier_oracle(ledger, r, n, g_max):
     """The frontier genus by genus: the least admissible degree where its
     first step is a ledger leaf with a constructive tag."""
-    out = []
+    reference, out = ReferenceEngine(ledger), []
     for g in range(0, g_max + 1):
         d = admissible_floor(r, n, g)
-        step = engine._first_step(r, n, d, g)
+        step = reference.first_step(r, n, d, g)
         if step and step.rule == "ledger":
-            if engine.ledger.get(step.entry_id).tag in CONSTRUCTIVE_TAGS:
+            if ledger.get(step.entry_id).tag in CONSTRUCTIVE_TAGS:
                 out.append((d, g))
     return out
 
@@ -506,3 +531,173 @@ def test_dropping_wildcard_breaks_plane_cases():
     broken = ClassificationEngine(drop_entry("r2n2-plane"))
     with pytest.raises(IncompleteLedgerError):
         broken.classify(Query(2, 2, 12, 11))
+
+
+# -- the threshold window and its closed form -----------------------------------
+
+
+def move_up(entry_id, k):
+    """The bundled ledger with one exact entry k add_canonical steps higher."""
+    full = load_ledger()
+    entry = full.get(entry_id)
+    dd, dg = CANONICAL_STEP[entry.r]
+    moved = entry._replace(d=entry.d + k * dd, g=entry.g + k * dg)
+    return Ledger(
+        entries=tuple(moved if e.id == entry_id else e for e in full.entries), source="doctored"
+    )
+
+
+ORACLE_LEDGERS = {
+    "bundled": load_ledger,
+    **{f"seed at {d}": (lambda d=d: move_seed(d)) for d in range(1, 6)},
+    "(3, 2, 14, 14) moved to genus 38": lambda: move_up("r3n2-pglue-14-14", 3),
+    "(4, 1, 16, 15) moved to genus 45": lambda: move_up("r4n1-hglue-16-15", 3),
+    "wildcard (3, 2)": lambda: with_wildcard(3, 2),
+    "wildcard (4, 1)": lambda: with_wildcard(4, 1),
+    "auxiliary wildcard (4, 1)": lambda: with_wildcard(4, 1, "SkewLines"),
+    "only a wildcard for (3, 2)": lambda: only_wildcard(3, 2),
+    **{f"without {e.id}": (lambda i=e.id: drop_entry(i)) for e in load_ledger().entries},
+}
+
+
+def agree_with_reference(ledger, r, n, genera):
+    """classify and the genus-by-genus reference give identical segments, or
+    the same IncompleteLedgerError, at degrees floor - 1 to floor + dd + 1."""
+    engine, reference = ClassificationEngine(ledger), ReferenceEngine(ledger)
+    dd = CANONICAL_STEP[r][0]
+    for g in genera:
+        floor = admissible_floor(r, n, g)
+        for d in range(floor - 1, floor + dd + 2):
+            if not in_domain(r, d, g) or (d, g) in EXCEPTIONAL_PAIRS[(r, n)]:
+                assert d < floor
+                continue
+            try:
+                want = reference.segments(r, n, d, g)
+            except IncompleteLedgerError as exc:
+                with pytest.raises(IncompleteLedgerError) as raised:
+                    engine.classify(Query(r, n, d, g))
+                assert raised.value.case == exc.case
+            else:
+                assert engine.classify(Query(r, n, d, g)).trace.segments == want, (r, n, d, g)
+
+
+@pytest.mark.parametrize("ledger_name", list(ORACLE_LEDGERS))
+def test_classify_agrees_with_the_genus_by_genus_reference(ledger_name):
+    ledger = ORACLE_LEDGERS[ledger_name]()
+    for r, n in AGREEMENT_PAIRS:
+        agree_with_reference(ledger, r, n, range(0, 121))
+
+
+@pytest.mark.parametrize("pair", AGREEMENT_PAIRS)
+def test_deep_queries_answer_in_closed_form(pair):
+    from test_cli import _time_cap
+
+    r, n = pair
+    lengths = {}
+    with _time_cap(5):
+        for g in (10**6, 10**9, 10**18):
+            for extra in (0, 1):
+                engine = ClassificationEngine()
+                v = engine.classify(Query(r, n, admissible_floor(r, n, g) + extra, g))
+                assert v.status == "general"
+                assert engine.validate_trace(v.trace) == []
+                lengths.setdefault(extra, set()).add(len(v.trace.segments))
+    assert {extra: len(counts) for extra, counts in lengths.items()} == {0: 1, 1: 1}
+
+
+def window_sizes(ledger):
+    return {pair: [len(column) for column in w.columns] for pair, w in ledger.windows.items()}
+
+
+def test_a_deep_query_grows_no_window():
+    ledger = Ledger(load_ledger().entries, source="copy")
+    engine = ClassificationEngine(ledger)
+    for r, n in AGREEMENT_PAIRS:
+        engine.classify(Query(r, n, admissible_floor(r, n, 40) + 1, 40))
+    shallow = window_sizes(ledger)
+    assert set(shallow) == {(3, 2), (4, 1)}
+    for r, n in AGREEMENT_PAIRS:
+        engine.classify(Query(r, n, admissible_floor(r, n, 10**9) + 1, 10**9))
+    assert window_sizes(ledger) == shallow
+
+
+def test_the_window_starts_past_every_exceptional_genus(monkeypatch):
+    # a hypothetical exceptional case at the bottom of the (3, 2) column at
+    # genus 30 lifts the floor there, past every exact entry's genus
+    bottom = (admissible_floor(3, 2, 30), 30)
+    monkeypatch.setitem(EXCEPTIONAL_PAIRS, (3, 2), EXCEPTIONAL_PAIRS[(3, 2)] | {bottom})
+    ledger = Ledger(load_ledger().entries, source="copy")
+    agree_with_reference(ledger, 3, 2, range(30, 30 + 8 * 12, 8))
+    window = ledger.windows[(3, 2)]
+    assert window.start == 30
+    assert 30 % 8 + 8 * (len(window.columns[30 % 8]) - 1) > 30
+
+
+def test_engines_over_one_ledger_share_its_window():
+    first, second = ClassificationEngine(), ClassificationEngine()
+    first.classify(Query(3, 2, 40, 30))
+    assert second.ledger.windows is first.ledger.windows
+    window = first.ledger.windows[(3, 2)]
+    second.classify(Query(3, 1, 40, 30))
+    assert second.ledger.windows[(3, 2)] is window
+
+
+def test_a_window_serves_only_its_own_ledger():
+    # without the (12, 12) glue, (3, 2) derives differently from genus 12 up
+    bundled, doctored = load_ledger(), drop_entry("r3n2-pglue-12-12")
+    cases = [Query(3, 2, admissible_floor(3, 2, g) + 1, g) for g in (12, 20, 28, 10**9)]
+    want = {id(ledger): [ReferenceEngine(ledger).segments(*q) for q in cases[:3]]
+            for ledger in (bundled, doctored)}
+    assert want[id(bundled)] != want[id(doctored)]
+    for first, second in ((doctored, bundled), (bundled, doctored)):
+        for ledger in (first, second):
+            got = [ClassificationEngine(ledger).classify(q).trace.segments for q in cases]
+            assert got[:3] == want[id(ledger)]
+    assert doctored.windows is not bundled.windows
+    assert doctored.windows[(3, 2)] is not bundled.windows[(3, 2)]
+
+
+def test_engines_in_threads_share_a_window_safely():
+    # four threads start building the columns of a fresh ledger at once;
+    # switching threads every microsecond interleaves their builds
+    import sys
+    import threading
+    import time
+
+    ledger = move_up("r3n2-pglue-14-14", 3)  # a long (3, 2) window
+    queries = [
+        Query(r, n, admissible_floor(r, n, g) + 1, g)
+        for r, n in AGREEMENT_PAIRS
+        for g in range(60, 70)
+    ]
+    want = [ReferenceEngine(ledger).segments(*q) for q in queries]
+    rounds, results = 20, []
+    barrier = threading.Barrier(4, timeout=30)
+
+    def work():
+        try:
+            for _ in range(rounds):
+                if barrier.wait() == 0:
+                    fresh[0] = Ledger(ledger.entries, source="copy")
+                barrier.wait()
+                engine = ClassificationEngine(fresh[0])
+                results.append([engine.classify(q).trace.segments for q in queries])
+        except BaseException:
+            barrier.abort()  # so the other threads stop waiting for this one
+            raise
+
+    fresh = [None]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, daemon=True) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 60
+        for thread in threads:
+            thread.join(timeout=max(0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 4 * rounds
+    assert all(got == want for got in results)

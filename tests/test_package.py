@@ -30,9 +30,10 @@ NOT_FOR_ANY_COMMAND = ("dataclasses", "typing", "inspect", "shutil")
 #: The command line; the layers that only ``verify-all`` and the
 #: ``lines``/``schubert`` commands use; the standard-library packages that
 #: reading the bundled ledger does not need, since it ships as Python
-#: literals; and ``importlib`` and ``warnings``, which the lazy namespace
-#: does without.  Loading an engine and answering a query imports none of
-#: them.
+#: literals; ``importlib`` and ``warnings``, which the lazy namespace does
+#: without; and ``functools`` and ``weakref``, since the threshold window is
+#: a plain attribute of the ledger.  Loading an engine and answering a query
+#: imports none of them.
 NOT_FOR_THE_ENGINE = (
     "gensect.lattices",
     "gensect.schubert",
@@ -46,6 +47,8 @@ NOT_FOR_THE_ENGINE = (
     "importlib",
     "warnings",
     "os",
+    "functools",
+    "weakref",
 ) + NOT_FOR_ANY_COMMAND
 
 #: The module set is read before the probe imports json to print it.

@@ -1,5 +1,5 @@
 """Property tests: rebuilding a trace from its JSON form run by run gives what
-checking its records and folding them one by one into ``_extend`` gives, on
+checking its records and folding them one by one into ``extend`` gives, on
 any payload."""
 
 import pytest
@@ -12,10 +12,11 @@ from gensect.engine import (  # noqa: E402
     DerivationTrace,
     Query,
     Segment,
-    _extend,
     _trace_record,
     trace_from_payload,
 )
+
+from reference_engine import extend  # noqa: E402
 
 ENGINE = ClassificationEngine()
 RULES = ("add_line", "add_canonical", "downgrade", "ledger", "attach_conic")
@@ -27,7 +28,7 @@ QUERIES = (
 
 
 def fold(payload: list) -> DerivationTrace:
-    """The reference: each record checked, one Segment each, merged by ``_extend``."""
+    """The reference: each record checked, one Segment each, merged by ``extend``."""
     if type(payload) is not list:
         raise ValueError("a trace payload is a list of records")
     if not payload:
@@ -35,7 +36,7 @@ def fold(payload: list) -> DerivationTrace:
     segments: list = []
     for index, record in enumerate(payload):
         case, rule, entry = _trace_record(index, record)
-        _extend(segments, Segment(case, rule, 1, entry))
+        extend(segments, Segment(case, rule, 1, entry))
     return DerivationTrace(tuple(segments))
 
 
