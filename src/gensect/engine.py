@@ -132,9 +132,8 @@ class DerivationTrace(namedtuple("DerivationTrace", "segments")):
     def to_payload(self) -> list[dict]:
         """Flat root-to-leaf list; keeps JSON nesting depth constant."""
         return [
-            {"case": list(seg.at(i)), "rule": seg.rule, "entry": seg.entry_id}
-            for seg in self.segments
-            for i in range(seg.repeat)
+            {"case": list(step.case), "rule": step.rule, "entry": step.entry_id}
+            for step in self.steps()
         ]
 
 
@@ -281,15 +280,18 @@ class _Window:
     """The threshold steps of (3, 2) or (4, 1) over one ledger, kept on it.
 
     ``columns[c]`` is a tuple of the steps at genera c, c + dg, c + 2 dg, ...,
-    built on demand up to the first genus past ``start``.  Past ``start``
-    the admissible floor rises by exactly dd per dg and no exact entry is
-    left; a wildcard leaf sits at the floor, and where there is one every
-    step sits at the floor too.  So each step there is add_canonical from the
-    one below it, winning the tie with a wildcard: the column's last step
-    shifted by k (dd, dg), or None if that step is None.  A column is
-    replaced whole, never changed in place, so engines in several threads
-    may share a window: each reads a consistent column, and a column two of
-    them extend at once comes out the same either way.
+    built on demand up to the first genus past ``start``.  Each step is the
+    segment ``classify`` emits at its genus: an add_canonical step carries
+    its whole run in ``repeat``, set as the step is built from the one below
+    it, so no run is recounted from the column.  Past ``start`` the
+    admissible floor rises by exactly dd per dg and no exact entry is left;
+    a wildcard leaf sits at the floor, and where there is one every step
+    sits at the floor too.  So each step there is add_canonical from the one
+    below it, winning the tie with a wildcard: the column's last step
+    shifted by k (dd, dg) with k more steps in its run, or None if that step
+    is None.  A column is replaced whole, never changed in place, so engines
+    in several threads may share a window: each reads a consistent column,
+    and a column two of them extend at once comes out the same either way.
     """
 
     __slots__ = ("start", "columns")
@@ -309,7 +311,9 @@ class ClassificationEngine:
     it reads the shared bundled ledger.  The engine holds nothing else: the
     steps deriving f(g) live in a ``_Window`` per pair on the ledger, so
     every engine over one ledger shares them, and past the window they are
-    computed in closed form.
+    computed in closed form.  Each such step is the segment a derivation
+    emits at its genus, an add_canonical run whole, so ``classify`` appends
+    it and goes on from its premise.
     """
 
     def __init__(self, ledger: Ledger | None = None) -> None:
@@ -350,14 +354,10 @@ class ClassificationEngine:
         while threshold is not None and d >= threshold.case[2]:
             if d > threshold.case[2]:
                 segments.append(Segment((r, n, d, g), RULE_ADD_LINE, d - threshold.case[2]))
+            segments.append(threshold)
             if threshold.rule == RULE_LEDGER:
-                segments.append(threshold)
                 return Verdict.general(DerivationTrace(tuple(segments)))
-            d = threshold.case[2]
-            run = self._canonical_run(r, n, d, g)
-            segments.append(Segment((r, n, d, g), RULE_ADD_CANONICAL, run))
-            dd, dg = CANONICAL_STEP[r]
-            d, g = d - run * dd, g - run * dg
+            r, n, d, g = threshold.premise()
             threshold = self._threshold(r, n, g) if g >= 0 else None  # no rule below genus 0
         entry = self._leaf(r, n, d, g)
         if entry is None:
@@ -380,13 +380,20 @@ class ClassificationEngine:
         (three skew lines in P^4), which seeds the column: no rule applies
         there, so add_canonical rests on the seed only where its premise is
         the seed itself.  (3, 1) downgrades onto the thresholds of (3, 2);
-        the plane pairs have none.  Past the window of its column the step
-        is add_canonical, in closed form.
+        the plane pairs have none.  The step is the segment classify emits
+        at genus g: an add_canonical step carries its whole run in
+        ``repeat``.  Past the window of its column the step is add_canonical,
+        in closed form: (g - h) / dg more steps on the column's last step at
+        genus h, whose run it continues, or which it rests on if that is a
+        ledger leaf.
         """
         step, degree = self._window_step(r, n, g)
         if step is None or step.case[2] == degree:
             return step
-        return Segment(step.case[:2] + (degree, g), RULE_ADD_CANONICAL)
+        run = (g - step.case[3]) // CANONICAL_STEP[r][1]  # the steps past the window
+        if step.rule == RULE_ADD_CANONICAL:
+            run += step.repeat
+        return Segment(step.case[:2] + (degree, g), RULE_ADD_CANONICAL, run)
 
     def _window_step(self, r: int, n: int, g: int) -> tuple[Segment | None, int | None]:
         """The threshold step at genus g, or past the window the column's
@@ -428,9 +435,12 @@ class ClassificationEngine:
                 canonical = max(floor, below.case[2] + dd)
                 # add_line lifts a threshold at genus >= 0 to every degree
                 # above it; below genus 0 only the seed's own degree derives
-                rests = below.case[3] >= 0 or canonical == below.case[2] + dd
+                onto = canonical == below.case[2] + dd  # the premise is below's case
+                rests = below.case[3] >= 0 or onto
                 if rests and (step is None or canonical <= step.case[2]):
-                    step = Segment((r, n, canonical, h), RULE_ADD_CANONICAL)
+                    # resting on an add_canonical step, it continues that run
+                    run = 1 + below.repeat if onto and below.rule == RULE_ADD_CANONICAL else 1
+                    step = Segment((r, n, canonical, h), RULE_ADD_CANONICAL, run)
             steps.append(step)
         window.columns[c] = column = tuple(steps)
         return column
@@ -441,18 +451,6 @@ class ClassificationEngine:
         exceptional = [g for _, g in EXCEPTIONAL_PAIRS.get((r, n), ())]
         exact = [e.g for e in self.ledger.entries if (e.r, e.n) == (r, n) and not e.is_wildcard]
         return max(exceptional + exact, default=-1)
-
-    def _canonical_run(self, r: int, n: int, d: int, g: int) -> int:
-        """The number of add_canonical steps in a row from the threshold
-        (r, n, d, g): those past the window at once, then the window's own."""
-        dd, dg = CANONICAL_STEP[r]
-        column = self._column(r, n, g)
-        i = g // dg
-        run = max(0, i - len(column) + 1)  # the closed form continues the last step
-        i, d = i - run, d - run * dd
-        while i >= 0 and column[i] == ((r, n, d, g % dg + i * dg), RULE_ADD_CANONICAL, 1, None):
-            run, i, d = run + 1, i - 1, d - dd
-        return run
 
     def _lowest_leaf(self, r: int, n: int, g: int, lo: int) -> Segment | None:
         """The ledger leaf of least degree >= lo at genus g.  A degree without
@@ -519,14 +517,6 @@ class ClassificationEngine:
                 frontier.append((seed, g))
         return rows, frontier
 
-    @staticmethod
-    def _check_rows(r: int, n: int, rows: list[str]) -> None:
-        """Raise IncompleteLedgerError for the first underivable case, by
-        genus then degree."""
-        for g, row in enumerate(rows):
-            if "?" in row:
-                raise IncompleteLedgerError((r, n, row.index("?") + 1, g))
-
     def table(
         self, r: int, n: int, d_max: int, g_max: int
     ) -> tuple[list[str], list[tuple[int, int]]]:
@@ -535,16 +525,17 @@ class ClassificationEngine:
         if (r, n) not in SUPPORTED_PAIRS:
             raise ValueError(f"unsupported pair ({r}, {n})")
         rows, frontier = self._sweep(r, n, d_max, g_max)
-        self._check_rows(r, n, rows)
+        for g, row in enumerate(rows):
+            if "?" in row:
+                raise IncompleteLedgerError((r, n, row.index("?") + 1, g))
         return rows, frontier
 
     def grid(self, r: int, n: int, d_max: int, g_max: int) -> list[str]:
         """Verdict rows for g = 0..g_max, one character per d = 1..d_max:
-        G general, E exceptional, . invalid.  Raises IncompleteLedgerError
-        for the first underivable case, by genus then degree."""
-        rows = self._sweep(r, n, d_max, g_max)[0]
-        self._check_rows(r, n, rows)
-        return rows
+        G general, E exceptional, . invalid.  Raises ValueError for an
+        unsupported pair, and IncompleteLedgerError for the first underivable
+        case, by genus then degree."""
+        return self.table(r, n, d_max, g_max)[0]
 
     def completeness_audit(
         self, r: int, n: int, d_max: int, g_max: int
@@ -625,8 +616,7 @@ class ClassificationEngine:
             problems.append(f"{node.case}: unknown rule {node.rule}")
             return False
         cr, cn, cd, cg = child.case
-        dd, dg = node.delta
-        if child.case != (r, n, d - dd, g - dg):
+        if child.case != node.premise():
             problems.append(f"{node.case}: {node.rule} premise {child.case} has wrong invariants")
         exempt = (
             node.rule == RULE_ADD_CANONICAL

@@ -194,6 +194,15 @@ def test_completeness_audits_empty(engine):
     assert engine.completeness_audit(4, 1, 80, 50) == []
 
 
+@pytest.mark.parametrize("pair", [(1, 1), (3, 3), (5, 1)])
+def test_grid_rejects_an_unsupported_pair_and_builds_no_window(pair):
+    engine = ClassificationEngine()
+    keys = set(engine.ledger.windows)
+    with pytest.raises(ValueError, match="unsupported pair"):
+        engine.grid(*pair, 10, 5)
+    assert set(engine.ledger.windows) == keys
+
+
 def test_frontier_lists(engine):
     for (r, n), expected in FRONTIER_LISTS.items():
         g_max = max(g for _, g in expected)
