@@ -10,7 +10,8 @@ in the last case emits a derivation trace: a path of rule applications
 ending in a cited ledger axiom.  The exceptional lists and descriptors are
 read from the table of exceptional cases in ``audits``.  Engines share the
 bundled ledger, which is built once per process, and the threshold windows
-kept on it, so one is cheap to make.
+kept on it: per pair, the breakpoints of each threshold column, built whole
+on first use.  So an engine is cheap to make.
 
 Rules mirror the inductive structure of the underlying argument:
 
@@ -276,29 +277,17 @@ def admissible_floor(r: int, n: int, g: int) -> int | None:
     return d
 
 
-class _Window:
-    """The threshold steps of (3, 2) or (4, 1) over one ledger, kept on it.
-
-    ``columns[c]`` is a tuple of the steps at genera c, c + dg, c + 2 dg, ...,
-    built on demand up to the first genus past ``start``.  Each step is the
-    segment ``classify`` emits at its genus: an add_canonical step carries
-    its whole run in ``repeat``, set as the step is built from the one below
-    it, so no run is recounted from the column.  Past ``start`` the
-    admissible floor rises by exactly dd per dg and no exact entry is left;
-    a wildcard leaf sits at the floor, and where there is one every step
-    sits at the floor too.  So each step there is add_canonical from the one
-    below it, winning the tie with a wildcard: the column's last step
-    shifted by k (dd, dg) with k more steps in its run, or None if that step
-    is None.  A column is replaced whole, never changed in place, so engines
-    in several threads may share a window: each reads a consistent column,
-    and a column two of them extend at once comes out the same either way.
-    """
-
-    __slots__ = ("start", "columns")
-
-    def __init__(self, start: int, dg: int) -> None:
-        self.start = start
-        self.columns: list[tuple[Segment | None, ...]] = [()] * dg
+def _shift(step: Segment | None, g: int) -> Segment | None:
+    """A threshold step moved up its column to genus g: k (dd, dg) higher as
+    add_canonical, continuing the step's run, or resting on it if it is a
+    ledger leaf.  None stays None."""
+    if step is None or step.case[3] == g:
+        return step
+    r, n, d, h = step.case
+    dd, dg = CANONICAL_STEP[r]
+    k = (g - h) // dg
+    run = k + step.repeat if step.rule == RULE_ADD_CANONICAL else k
+    return Segment((r, n, d + k * dd, g), RULE_ADD_CANONICAL, run)
 
 
 class ClassificationEngine:
@@ -309,11 +298,12 @@ class ClassificationEngine:
     [f(g), inf): a derivation is an add_line run down to f(g), then the step
     deriving f(g), which recurses only in genus.  Without a ledger argument
     it reads the shared bundled ledger.  The engine holds nothing else: the
-    steps deriving f(g) live in a ``_Window`` per pair on the ledger, so
-    every engine over one ledger shares them, and past the window they are
-    computed in closed form.  Each such step is the segment a derivation
-    emits at its genus, an add_canonical run whole, so ``classify`` appends
-    it and goes on from its premise.
+    steps deriving f(g) are kept on the ledger as one window per pair, the
+    breakpoints of each residue column g mod dg, built whole on first use
+    and shared by every engine over that ledger; a step between breakpoints
+    is the one below shifted in closed form.  Each such step is the segment
+    a derivation emits at its genus, an add_canonical run whole, so
+    ``classify`` appends it and goes on from its premise.
     """
 
     def __init__(self, ledger: Ledger | None = None) -> None:
@@ -382,22 +372,14 @@ class ClassificationEngine:
         the seed itself.  (3, 1) downgrades onto the thresholds of (3, 2);
         the plane pairs have none.  The step is the segment classify emits
         at genus g: an add_canonical step carries its whole run in
-        ``repeat``.  Past the window of its column the step is add_canonical,
-        in closed form: (g - h) / dg more steps on the column's last step at
-        genus h, whose run it continues, or which it rests on if that is a
-        ledger leaf.
+        ``repeat``.  From genus 0 up it is the last breakpoint of its column
+        at or below g (see ``_window``), shifted up to g.
         """
-        step, degree = self._window_step(r, n, g)
-        if step is None or step.case[2] == degree:
-            return step
-        run = (g - step.case[3]) // CANONICAL_STEP[r][1]  # the steps past the window
-        if step.rule == RULE_ADD_CANONICAL:
-            run += step.repeat
-        return Segment(step.case[:2] + (degree, g), RULE_ADD_CANONICAL, run)
+        return _shift(self._window_step(r, n, g)[0], g)
 
     def _window_step(self, r: int, n: int, g: int) -> tuple[Segment | None, int | None]:
-        """The threshold step at genus g, or past the window the column's
-        last step, which add_canonical shifts by k (dd, dg); and f(g)."""
+        """The last breakpoint step of genus g's column at or below g, which
+        ``_shift`` moves up to g, and f(g)."""
         r, n = (3, 2) if (r, n) == (3, 1) else (r, n)
         if r not in CANONICAL_STEP:
             return None, None
@@ -408,27 +390,35 @@ class ClassificationEngine:
                     return Segment((r, n, d, g), RULE_LEDGER, 1, entry.id), d
             return None, None
         dd, dg = CANONICAL_STEP[r]
-        column = self._column(r, n, g)
-        past = g // dg - len(column) + 1  # steps past the window's last one
-        step = column[g // dg] if past <= 0 else column[-1]
-        return step, step and step.case[2] + max(past, 0) * dd
-
-    def _column(self, r: int, n: int, g: int) -> tuple[Segment | None, ...]:
-        """The window's threshold column of genus g, extended up to g or to
-        the first genus past the window's start, whichever comes first."""
-        dd, dg = CANONICAL_STEP[r]
         window = self.ledger.windows.get((r, n))
-        if window is None:
-            window = self.ledger.windows.setdefault((r, n), _Window(self._window_start(r, n), dg))
-        c = g % dg
-        column = window.columns[c]
-        last = c + (len(column) - 1) * dg  # the genus of the column's last step
-        target = min(g, window.start + 1)
-        if last >= target:
-            return column
-        steps = list(column)
-        for h in range(last + dg, target + dg, dg):
-            below = steps[-1] if steps else self._threshold(r, n, h - dg)
+        if window is None:  # built whole, so threads that race share one window
+            window = self.ledger.windows.setdefault((r, n), self._window(r, n))
+        for h, step in reversed(window[g % dg]):
+            if h <= g:  # the column's least genus is g % dg, so this ends the scan
+                return step, step and step.case[2] + (g - h) // dg * dd
+
+    def _window(self, r: int, n: int) -> tuple[tuple[tuple[int, Segment | None], ...], ...]:
+        """The threshold columns of (r, n) by residue g mod dg, each as its
+        breakpoints: ascending (genus, step) pairs.  A column breaks at its
+        least genus, at every genus from 0 up with an exact entry or an
+        exceptional case of the pair, and dg above each of those.  Between
+        breakpoints a step is the one below it shifted (``_shift``): the
+        admissible floor rises by exactly dd per dg, a genus without an
+        exact entry offers only a wildcard leaf, at its floor, and where
+        there is a wildcard every step there sits at the floor too, so
+        add_canonical wins the tie.  Each breakpoint's step is derived from
+        the step dg below it, the last breakpoint shifted, or the seed below
+        genus 0.  So the window holds at most dg steps plus two per entry or
+        exceptional genus, however high those genera sit."""
+        dd, dg = CANONICAL_STEP[r]
+        exact = [e.g for e in self.ledger.entries if (e.r, e.n) == (r, n) and not e.is_wildcard]
+        genera = set(range(dg))  # each column's least genus
+        for g in exact + [g for _, g in EXCEPTIONAL_PAIRS[(r, n)]]:
+            genera.update((g, g + dg))
+        columns = [[] for _ in range(dg)]
+        for h in sorted(h for h in genera if h >= 0):  # each column bottom up
+            column = columns[h % dg]
+            below = _shift(column[-1][1], h - dg) if column else self._window_step(r, n, h - dg)[0]
             floor = admissible_floor(r, n, h)
             step = self._lowest_leaf(r, n, h, floor)
             if below is not None:
@@ -438,19 +428,12 @@ class ClassificationEngine:
                 onto = canonical == below.case[2] + dd  # the premise is below's case
                 rests = below.case[3] >= 0 or onto
                 if rests and (step is None or canonical <= step.case[2]):
-                    # resting on an add_canonical step, it continues that run
-                    run = 1 + below.repeat if onto and below.rule == RULE_ADD_CANONICAL else 1
-                    step = Segment((r, n, canonical, h), RULE_ADD_CANONICAL, run)
-            steps.append(step)
-        window.columns[c] = column = tuple(steps)
-        return column
-
-    def _window_start(self, r: int, n: int) -> int:
-        """The largest genus of an exceptional case or an exact entry of
-        (r, n): read from the tables, so the window covers any moved entry."""
-        exceptional = [g for _, g in EXCEPTIONAL_PAIRS.get((r, n), ())]
-        exact = [e.g for e in self.ledger.entries if (e.r, e.n) == (r, n) and not e.is_wildcard]
-        return max(exceptional + exact, default=-1)
+                    # onto below's case, it continues below's run
+                    step = _shift(below, h) if onto else Segment(
+                        (r, n, canonical, h), RULE_ADD_CANONICAL
+                    )
+            column.append((h, step))
+        return tuple(map(tuple, columns))
 
     def _lowest_leaf(self, r: int, n: int, g: int, lo: int) -> Segment | None:
         """The ledger leaf of least degree >= lo at genus g.  A degree without

@@ -90,8 +90,9 @@ class LedgerFormatError(ValueError):
 class Ledger:
     """An immutable-after-load collection of entries with lookup by case.  The
     bundled ledger is one instance per process, shared and read-only.
-    ``windows`` holds the engine's threshold windows over these entries,
-    filled on first use and dropped with the ledger."""
+    ``windows`` holds the engine's threshold windows over these entries, one
+    per pair: the breakpoints of each threshold column, built whole on first
+    use and dropped with the ledger."""
 
     def __init__(self, entries: tuple[LedgerEntry, ...], source: str | None = None) -> None:
         self.entries = entries

@@ -2,8 +2,9 @@
 
 ``ReferenceEngine`` builds each threshold column genus by genus in its own
 memo and derives a case one segment at a time with ``first_step``, merging
-the segments with ``extend``.  The engine proper answers from a window per
-ledger and a closed form past it; the two must give identical segments.
+the segments with ``extend``.  The engine proper keeps only the breakpoints
+of each column on the ledger and shifts the last one at or below a genus up
+to it in closed form; the two must give identical segments.
 """
 
 from gensect.engine import (

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gensect import engine as engine_module
 from gensect.engine import (
@@ -447,9 +448,10 @@ def test_an_auxiliary_base_seeds_its_threshold_column_wherever_it_sits():
         assert (11, 8) in moved_engine.completeness_audit(4, 1, 14, 9)
 
 
-def with_wildcard(r, n, tag="Interpolation"):
-    """The bundled ledger plus an entry matching every (d, g) of (r, n)."""
-    full = load_ledger()
+def with_wildcard(r, n, tag="Interpolation", full=None):
+    """The bundled ledger, or ``full``, plus an entry matching every (d, g)
+    of (r, n)."""
+    full = full if full is not None else load_ledger()
     wildcard = full.get("r2n2-plane")._replace(id=f"r{r}n{n}-anything", r=r, n=n, tag=tag)
     return Ledger(entries=full.entries + (wildcard,), source="doctored")
 
@@ -561,6 +563,13 @@ ORACLE_LEDGERS = {
     **{f"seed at {d}": (lambda d=d: move_seed(d)) for d in range(1, 6)},
     "(3, 2, 14, 14) moved to genus 38": lambda: move_up("r3n2-pglue-14-14", 3),
     "(4, 1, 16, 15) moved to genus 45": lambda: move_up("r4n1-hglue-16-15", 3),
+    # a wildcard leaf at the floor one step above a breakpoint
+    "(3, 2, 14, 14) moved to genus 94 with a (3, 2) wildcard": lambda: with_wildcard(
+        3, 2, full=move_up("r3n2-pglue-14-14", 10)
+    ),
+    "(4, 1, 16, 15) moved to genus 115 with a (4, 1) wildcard": lambda: with_wildcard(
+        4, 1, full=move_up("r4n1-hglue-16-15", 10)
+    ),
     "wildcard (3, 2)": lambda: with_wildcard(3, 2),
     "wildcard (4, 1)": lambda: with_wildcard(4, 1),
     "auxiliary wildcard (4, 1)": lambda: with_wildcard(4, 1, "SkewLines"),
@@ -597,6 +606,22 @@ def test_classify_agrees_with_the_genus_by_genus_reference(ledger_name):
         agree_with_reference(ledger, r, n, range(0, 121))
 
 
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(
+    entry_id=st.sampled_from(["r3n2-pglue-14-14", "r4n1-hglue-16-15"]),
+    k=st.integers(0, 300),
+    wildcard=st.booleans(),
+)
+def test_classify_agrees_with_the_reference_past_a_moved_entry(entry_id, k, wildcard):
+    ledger = move_up(entry_id, k)
+    entry = ledger.get(entry_id)
+    if wildcard:
+        ledger = with_wildcard(entry.r, entry.n, full=ledger)
+    dg = CANONICAL_STEP[entry.r][1]
+    genera = (entry.g, entry.g + 1, entry.g + dg, entry.g + 2 * dg)
+    agree_with_reference(ledger, entry.r, entry.n, genera)
+
+
 @pytest.mark.parametrize("pair", AGREEMENT_PAIRS)
 def test_deep_queries_answer_in_closed_form(pair):
     from test_cli import _time_cap
@@ -614,32 +639,44 @@ def test_deep_queries_answer_in_closed_form(pair):
     assert {extra: len(counts) for extra, counts in lengths.items()} == {0: 1, 1: 1}
 
 
-def window_sizes(ledger):
-    return {pair: [len(column) for column in w.columns] for pair, w in ledger.windows.items()}
-
-
 def test_a_deep_query_grows_no_window():
     ledger = Ledger(load_ledger().entries, source="copy")
     engine = ClassificationEngine(ledger)
     for r, n in AGREEMENT_PAIRS:
         engine.classify(Query(r, n, admissible_floor(r, n, 40) + 1, 40))
-    shallow = window_sizes(ledger)
+    shallow = dict(ledger.windows)
     assert set(shallow) == {(3, 2), (4, 1)}
     for r, n in AGREEMENT_PAIRS:
         engine.classify(Query(r, n, admissible_floor(r, n, 10**9) + 1, 10**9))
-    assert window_sizes(ledger) == shallow
+    assert ledger.windows == shallow
+    assert all(ledger.windows[pair] is window for pair, window in shallow.items())
 
 
-def test_the_window_starts_past_every_exceptional_genus(monkeypatch):
+def test_an_exceptional_genus_and_the_one_above_are_breakpoints(monkeypatch):
     # a hypothetical exceptional case at the bottom of the (3, 2) column at
     # genus 30 lifts the floor there, past every exact entry's genus
     bottom = (admissible_floor(3, 2, 30), 30)
     monkeypatch.setitem(EXCEPTIONAL_PAIRS, (3, 2), EXCEPTIONAL_PAIRS[(3, 2)] | {bottom})
     ledger = Ledger(load_ledger().entries, source="copy")
     agree_with_reference(ledger, 3, 2, range(30, 30 + 8 * 12, 8))
-    window = ledger.windows[(3, 2)]
-    assert window.start == 30
-    assert 30 % 8 + 8 * (len(window.columns[30 % 8]) - 1) > 30
+    assert {30, 38} <= {h for h, _ in ledger.windows[(3, 2)][30 % 8]}
+
+
+def test_a_high_exact_entry_costs_the_window_no_steps_below_it():
+    # (3, 2, 14, 14) moved 124,998 add_canonical steps up, to (750,002, 999,998)
+    from test_cli import _time_cap
+
+    ledger = move_up("r3n2-pglue-14-14", 124_998)
+    engine = ClassificationEngine(ledger)
+    with _time_cap(5):
+        v = engine.classify(Query(3, 2, admissible_floor(3, 2, 999_998) + 1, 999_998))
+    assert v.status == "general"
+    assert engine.validate_trace(v.trace) == []
+    dg = CANONICAL_STEP[3][1]
+    genera = {g for _, g in EXCEPTIONAL_PAIRS[(3, 2)]} | {
+        e.g for e in ledger.entries if (e.r, e.n) == (3, 2) and not e.is_wildcard
+    }
+    assert sum(map(len, ledger.windows[(3, 2)])) <= dg + 2 * len(genera)
 
 
 def test_engines_over_one_ledger_share_its_window():
