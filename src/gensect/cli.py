@@ -120,7 +120,7 @@ def _cmd_classify(args: SimpleNamespace) -> int:
     verdict = engine.classify(q)
     _emit(
         args,
-        "classify",
+        args.command,
         lambda: _verdict_payload(engine, q, verdict),
         lambda: _verdict_text(engine, q, verdict),
     )
@@ -436,23 +436,10 @@ def _parse_well_formed(argv: Sequence[str]) -> SimpleNamespace | None:
 
 # -- argparse parser -------------------------------------------------------------
 
-_PARSER = None
-
-
 def build_parser():
-    """The argparse parser, which prints help and usage errors.  It is built
-    once, on the first call; each call returns a shallow copy, so attributes
-    set on one copy (a wrapped ``parse_args``, say) do not carry over to the
-    next call."""
-    global _PARSER
-    import copy
-
-    if _PARSER is None:
-        _PARSER = _build_argparse()
-    return copy.copy(_PARSER)
-
-
-def _build_argparse():
+    """The argparse parser, which prints help and usage errors.  Each call
+    builds a new one, so attributes set on one result (a wrapped
+    ``parse_args``, say) do not carry over to the next."""
     import argparse
 
     class _Formatter(argparse.HelpFormatter):

@@ -130,13 +130,6 @@ class DerivationTrace(namedtuple("DerivationTrace", "segments")):
             for i in range(seg.repeat)
         ]
 
-    def to_payload(self) -> list[dict]:
-        """Flat root-to-leaf list; keeps JSON nesting depth constant."""
-        return [
-            {"case": list(step.case), "rule": step.rule, "entry": step.entry_id}
-            for step in self.steps()
-        ]
-
 
 _STR_OR_NULL = (str, type(None))
 
@@ -489,6 +482,8 @@ class ClassificationEngine:
         self, r: int, n: int, d_max: int, g_max: int
     ) -> tuple[list[str], list[tuple[int, int]]]:
         """The rows of g = 0..g_max and the frontier, from one walk."""
+        if (r, n) not in SUPPORTED_PAIRS:
+            raise ValueError(f"unsupported pair ({r}, {n})")
         wildcard = self.ledger.wildcard(r, n)
         if wildcard is not None and wildcard.tag in AUXILIARY_TAGS:
             wildcard = None  # as _leaf rules: no auxiliary leaf from genus 0 up
@@ -503,22 +498,16 @@ class ClassificationEngine:
     def table(
         self, r: int, n: int, d_max: int, g_max: int
     ) -> tuple[list[str], list[tuple[int, int]]]:
-        """``grid(r, n, d_max, g_max)`` and ``frontier(r, n, g_max)``, read
-        from one walk over the genera."""
-        if (r, n) not in SUPPORTED_PAIRS:
-            raise ValueError(f"unsupported pair ({r}, {n})")
+        """Verdict rows for g = 0..g_max, one character per d = 1..d_max (G
+        general, E exceptional, . invalid), and ``frontier(r, n, g_max)``,
+        read from one walk over the genera.  Raises ValueError for an
+        unsupported pair, and IncompleteLedgerError for the first underivable
+        case, by genus then degree."""
         rows, frontier = self._sweep(r, n, d_max, g_max)
         for g, row in enumerate(rows):
             if "?" in row:
                 raise IncompleteLedgerError((r, n, row.index("?") + 1, g))
         return rows, frontier
-
-    def grid(self, r: int, n: int, d_max: int, g_max: int) -> list[str]:
-        """Verdict rows for g = 0..g_max, one character per d = 1..d_max:
-        G general, E exceptional, . invalid.  Raises ValueError for an
-        unsupported pair, and IncompleteLedgerError for the first underivable
-        case, by genus then degree."""
-        return self.table(r, n, d_max, g_max)[0]
 
     def completeness_audit(
         self, r: int, n: int, d_max: int, g_max: int
@@ -528,8 +517,6 @@ class ClassificationEngine:
         The contract is that this list is empty; anything it returns is a
         hole in the ledger.
         """
-        if (r, n) not in SUPPORTED_PAIRS:
-            raise ValueError(f"unsupported pair ({r}, {n})")
         holes = []
         for g, row in enumerate(self._sweep(r, n, d_max, g_max)[0]):
             if "?" in row:
@@ -543,8 +530,6 @@ class ClassificationEngine:
         derivation is a single constructive ledger axiom; cases reached by a
         rule or a numeric-gate base are not frontier cases.  Ordered by genus.
         """
-        if (r, n) not in SUPPORTED_PAIRS:
-            raise ValueError(f"unsupported pair ({r}, {n})")
         return self._sweep(r, n, 0, g_max)[1]
 
     # -- trace validation ----------------------------------------------------

@@ -178,8 +178,10 @@ class Ledger:
 
 
 _INT_OR_NULL = (int, type(None))
+_STR_OR_NULL = (str, type(None))
 _FOUR_INTS = (int, int, int, int)
 _TEXT_FIELDS = ("id", "tag", "citation", "quote")
+_FLAG_FIELDS = ("rho_exempt", "premises_stated_only")
 _GLUE_FIELDS = frozenset(GlueData._fields)
 
 
@@ -200,6 +202,15 @@ def _entry_from_record(record: dict) -> LedgerEntry:
             raise LedgerFormatError(
                 f"entry {entry_id}: {name} must be a string, got {record[name]!r}"
             )
+    for name in _FLAG_FIELDS:
+        if type(record.get(name, False)) is not bool:
+            raise LedgerFormatError(
+                f"entry {entry_id}: {name} must be true or false, got {record[name]!r}"
+            )
+    if type(record.get("note")) not in _STR_OR_NULL:
+        raise LedgerFormatError(
+            f"entry {entry_id}: note must be a string or null, got {record['note']!r}"
+        )
     premises = record.get("premises", [])
     for premise in premises:
         if type(premise) is not list or tuple(map(type, premise)) != _FOUR_INTS:

@@ -36,7 +36,8 @@ def envelope(command: str, result: dict) -> dict:
 def to_json(payload: dict) -> str:
     """Canonical JSON rendering: sorted keys, two-space indent, ASCII.
 
-    A ``DerivationTrace`` is written as the flat list of its ``to_payload()``.
+    A ``DerivationTrace`` is written as the flat root-to-leaf list of its
+    ``steps()``, each an object of ``case``, ``rule`` and ``entry``.
     Any value other than a dict, list, tuple, string, int, boolean, None or
     trace raises TypeError.
     """

@@ -12,6 +12,7 @@ battery.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from collections.abc import Callable
 
@@ -684,28 +685,13 @@ def check_restriction_isomorphisms() -> CheckResult:
     )
 
 
-class _BatteryEngine(ClassificationEngine):
-    """The engine of one battery: ``exceptional-sweep`` and
-    ``completeness-audit`` read the same box audits, so each is run once.
-    An audit that raises is not kept, so it raises again in the next check
-    that asks for it."""
-
-    def __init__(self, ledger: Ledger | None) -> None:
-        super().__init__(ledger)
-        self._audits: dict[tuple[int, int, int, int], list[tuple[int, int]]] = {}
-
-    def completeness_audit(
-        self, r: int, n: int, d_max: int, g_max: int
-    ) -> list[tuple[int, int]]:
-        key = (r, n, d_max, g_max)
-        if key not in self._audits:
-            self._audits[key] = super().completeness_audit(r, n, d_max, g_max)
-        return self._audits[key]
-
-
 def run_all(ledger: Ledger | None = None) -> list[CheckResult]:
-    """Run the full battery in a fixed order and return one result per check."""
-    engine = _BatteryEngine(ledger)
+    """Run the full battery in a fixed order and return one result per check.
+    ``exceptional-sweep`` and ``completeness-audit`` read the same box audits,
+    so the battery's engine runs each once; ``cache`` keeps no result for an
+    audit that raises, so it raises again in the next check that asks."""
+    engine = ClassificationEngine(ledger)
+    engine.completeness_audit = functools.cache(engine.completeness_audit)
     checks: list[Callable[[], CheckResult]] = [
         check_lattice_invariants,
         check_chi_anchors,

@@ -5,6 +5,10 @@ memo and derives a case one segment at a time with ``first_step``, merging
 the segments with ``extend``.  The engine proper keeps only the breakpoints
 of each column on the ledger and shifts the last one at or below a genus up
 to it in closed form; the two must give identical segments.
+
+``to_payload`` is the flat JSON form of a trace as the library once built
+it, from ``steps()``; the report writer must render a trace as ``json``
+renders this list.
 """
 
 from gensect.engine import (
@@ -20,6 +24,14 @@ from gensect.engine import (
 from gensect.ledger import AUXILIARY_TAGS
 
 RUN_RULES = (RULE_ADD_LINE, RULE_ADD_CANONICAL)
+
+
+def to_payload(trace) -> list[dict]:
+    """Flat root-to-leaf list; keeps JSON nesting depth constant."""
+    return [
+        {"case": list(step.case), "rule": step.rule, "entry": step.entry_id}
+        for step in trace.steps()
+    ]
 
 
 def extend(segments: list, seg: Segment) -> None:

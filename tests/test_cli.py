@@ -76,18 +76,30 @@ def test_only_usage_errors_build_the_argparse_parser(tmp_path, capsys, monkeypat
         ("classify", "--r", "4", "--n", "1", "--d", "19", "--g", "18"),
     ]
     usage_error = ("classify", "--r", "3", "--n", "2", "--d", "8")
-    monkeypatch.setattr(cli, "_PARSER", None)
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
     first_calls = [run_cli(capsys, *argv) for argv in well_formed]
     assert [code for code, _, _ in first_calls] == [0, 0, 0]
-    assert cli._PARSER is None
+    assert built == []
     code, out, err = run_cli(capsys, *usage_error)
     assert (code, out) == (1, "")
     assert "usage" in err
-    parser = cli._PARSER
-    assert parser is not None
+    assert built == [1]
     assert run_cli(capsys, *usage_error) == (code, out, err)
     assert [run_cli(capsys, *argv) for argv in well_formed] == first_calls
-    assert cli._PARSER is parser
+    assert built == [1, 1]
+
+
+def test_an_attribute_set_on_one_parser_is_absent_from_the_next():
+    # a caller that wraps parse_args on the parser it got leaves the next
+    # call's parser as built
+    first = cli.build_parser()
+    first.parse_args = lambda *args: pytest.fail("the wrapped parse_args was called")
+    second = cli.build_parser()
+    assert second is not first
+    assert "parse_args" not in vars(second)
+    assert second.parse_args(["lines", "--k", "6"]).k == 6
 
 
 #: Tokens that argparse reads in ways the flag table leaves to it: help,
@@ -205,6 +217,17 @@ def test_trace_subcommand(capsys):
     code, out, _ = run_cli(capsys, "trace", "--r", "3", "--n", "2", "--d", "10", "--g", "9")
     assert code == 0
     assert "r3n2-pglue-10-9" in out
+
+
+def test_trace_json_names_its_own_command(capsys):
+    query = ("--r", "3", "--n", "2", "--d", "10", "--g", "9", "--json")
+    _, classified, _ = run_cli(capsys, "classify", *query)
+    assert json.loads(classified)["command"] == "classify"
+    # the flag table parses the first line, argparse the second
+    for argv in (("trace", *query), ("trace", "--r=3", *query[2:])):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out) == {**json.loads(classified), "command": "trace"}
 
 
 def test_text_trace_prints_one_line_per_segment(capsys):
@@ -641,6 +664,13 @@ def _three_number_premise():
     return json.dumps(payload)
 
 
+def _field_set_to(entry_id, name, value):
+    payload = json.loads(_bundled_ledger_text())
+    (entry,) = [entry for entry in payload["entries"] if entry["id"] == entry_id]
+    entry[name] = value
+    return json.dumps(payload)
+
+
 def _glue_changed(change):
     payload = json.loads(_bundled_ledger_text())
     assert payload["entries"][6]["id"] == "r3n2-hglue-7-2"
@@ -660,6 +690,15 @@ MALFORMED_LEDGERS = {
     "three-number-premise": _three_number_premise,
     "string-glue-points": lambda: _glue_changed(lambda glue: glue.update(points="3")),
     "glue-without-twist": lambda: _glue_changed(lambda glue: glue.pop("twist")),
+    "string-rho-exempt": lambda: _field_set_to("r4n1-skew-lines", "rho_exempt", "false"),
+    "number-rho-exempt": lambda: _field_set_to("r4n1-skew-lines", "rho_exempt", 1),
+    "string-premises-stated-only": lambda: _field_set_to(
+        "r4n1-hglue-12-9", "premises_stated_only", "no"
+    ),
+    "null-premises-stated-only": lambda: _field_set_to(
+        "r4n1-hglue-12-9", "premises_stated_only", None
+    ),
+    "list-note": lambda: _field_set_to("r4n1-skew-lines", "note", ["three skew lines"]),
 }
 
 
@@ -681,3 +720,9 @@ def test_malformed_ledger_exit_one(defect, command, tmp_path, capsys):
         assert "entry r3n2-hglue-7-2: premise [3, 2, 9] must be four integers" in err
     if "glue" in defect:
         assert "entry r3n2-hglue-7-2: glue must be an object of integers d2, g2, points" in err
+    if defect.endswith("-rho-exempt"):
+        assert "entry r4n1-skew-lines: rho_exempt must be true or false, got " in err
+    if defect.endswith("-premises-stated-only"):
+        assert "entry r4n1-hglue-12-9: premises_stated_only must be true or false, got " in err
+    if defect == "list-note":
+        assert "entry r4n1-skew-lines: note must be a string or null, got ['three" in err

@@ -22,7 +22,7 @@ from gensect.engine import (
 from gensect.ledger import CONSTRUCTIVE_TAGS, Ledger, load_ledger
 
 from quote_table import QUOTES
-from reference_engine import ReferenceEngine
+from reference_engine import ReferenceEngine, to_payload
 
 #: Restatement of the theorem lists, used as the sweep oracle.
 THEOREM_LISTS = {
@@ -95,7 +95,7 @@ def test_classify_invalid(engine):
 def test_classify_deterministic(engine):
     first = engine.classify(Query(3, 2, 20, 18))
     second = engine.classify(Query(3, 2, 20, 18))
-    assert first.trace.to_payload() == second.trace.to_payload()
+    assert to_payload(first.trace) == to_payload(second.trace)
 
 
 def test_classify_keeps_no_engine_between_calls(engine):
@@ -195,13 +195,14 @@ def test_completeness_audits_empty(engine):
     assert engine.completeness_audit(4, 1, 80, 50) == []
 
 
+@pytest.mark.parametrize("sweep", ["table", "frontier", "completeness_audit"])
 @pytest.mark.parametrize("pair", [(1, 1), (3, 3), (5, 1)])
-def test_grid_rejects_an_unsupported_pair_and_builds_no_window(pair):
-    engine = ClassificationEngine()
-    keys = set(engine.ledger.windows)
-    with pytest.raises(ValueError, match="unsupported pair"):
-        engine.grid(*pair, 10, 5)
-    assert set(engine.ledger.windows) == keys
+def test_a_sweep_rejects_an_unsupported_pair_and_builds_no_window(pair, sweep):
+    engine = ClassificationEngine(Ledger(load_ledger().entries))  # no window built yet
+    box = (5,) if sweep == "frontier" else (10, 5)
+    with pytest.raises(ValueError, match=rf"unsupported pair \({pair[0]}, {pair[1]}\)"):
+        getattr(engine, sweep)(*pair, *box)
+    assert engine.ledger.windows == {}
 
 
 def test_frontier_lists(engine):
@@ -244,7 +245,7 @@ def test_traces_validate_across_sweep(engine):
 
 def test_trace_json_round_trip(engine):
     trace = engine.classify(Query(4, 1, 30, 25)).trace
-    payload = json.loads(json.dumps(trace.to_payload()))
+    payload = json.loads(json.dumps(to_payload(trace)))
     rebuilt = trace_from_payload(payload)
     assert rebuilt == trace
     assert engine.validate_trace(rebuilt) == []
@@ -259,7 +260,7 @@ def test_long_chains_stay_within_the_interpreter_stack(engine):
     assert len(steps) == 2998
     assert steps[-1].entry_id == "r3n2-interp-3-0"
     assert engine.validate_trace(verdict.trace) == []
-    payload = json.loads(json.dumps(verdict.trace.to_payload()))
+    payload = json.loads(json.dumps(to_payload(verdict.trace)))
     rebuilt = trace_from_payload(payload)
     assert rebuilt == verdict.trace
 
@@ -269,14 +270,14 @@ def step(case, rule, entry=None):
 
 
 def test_validator_rejects_tampered_traces(engine):
-    good = engine.classify(Query(3, 2, 4, 0)).trace.to_payload()
+    good = to_payload(engine.classify(Query(3, 2, 4, 0)).trace)
     wrong_delta = trace_from_payload([step((3, 2, 5, 0), "add_line")] + good[1:])
     assert engine.validate_trace(wrong_delta) != []
     bogus_entry = trace_from_payload([step((3, 2, 3, 0), "ledger", "nope")])
     assert engine.validate_trace(bogus_entry) != []
     bad_downgrade = trace_from_payload(
         [step((3, 2, 9, 7), "downgrade")]
-        + engine.classify(Query(3, 2, 9, 7)).trace.to_payload()
+        + to_payload(engine.classify(Query(3, 2, 9, 7)).trace)
     )
     assert engine.validate_trace(bad_downgrade) != []
     exceptional_premise = trace_from_payload(
@@ -443,7 +444,7 @@ def test_an_auxiliary_base_seeds_its_threshold_column_wherever_it_sits():
             moved_engine.classify(Query(4, 1, 11, 8))
         assert raised.value.case == (4, 1, 11, 8)
         with pytest.raises(IncompleteLedgerError) as raised:
-            ClassificationEngine(move_seed(d)).grid(4, 1, 14, 9)
+            ClassificationEngine(move_seed(d)).table(4, 1, 14, 9)
         assert raised.value.case == (4, 1, 11, 8)
         assert (11, 8) in moved_engine.completeness_audit(4, 1, 14, 9)
 
@@ -508,12 +509,10 @@ def test_table_and_audit_agree_with_classify_on_every_cell(ledger_name):
         sweeper = ClassificationEngine(ledger)
         assert sweeper.completeness_audit(r, n, AGREEMENT_D_MAX, AGREEMENT_G_MAX) == holes
         if holes:
-            for sweep in (sweeper.grid, sweeper.table):
-                with pytest.raises(IncompleteLedgerError) as raised:
-                    sweep(r, n, AGREEMENT_D_MAX, AGREEMENT_G_MAX)
-                assert raised.value.case == (r, n, *holes[0])
+            with pytest.raises(IncompleteLedgerError) as raised:
+                sweeper.table(r, n, AGREEMENT_D_MAX, AGREEMENT_G_MAX)
+            assert raised.value.case == (r, n, *holes[0])
         else:
-            assert sweeper.grid(r, n, AGREEMENT_D_MAX, AGREEMENT_G_MAX) == rows
             assert sweeper.table(r, n, AGREEMENT_D_MAX, AGREEMENT_G_MAX) == (
                 rows,
                 frontier_oracle(ledger, r, n, AGREEMENT_G_MAX),
@@ -747,3 +746,41 @@ def test_engines_in_threads_share_a_window_safely():
     assert not any(thread.is_alive() for thread in threads)
     assert len(results) == 4 * rounds
     assert all(got == want for got in results)
+
+
+def test_threads_racing_to_build_a_window_keep_the_first_stored(monkeypatch):
+    # every thread builds the (3, 2) window before any stores one; each must
+    # then answer from the one window the ledger keeps, not from its own
+    import threading
+
+    threads, genera = 4, range(0, 40, 3)
+    barrier = threading.Barrier(threads, timeout=30)
+    build = ClassificationEngine._window
+
+    def built_together(self, r, n):
+        window = build(self, r, n)
+        barrier.wait()
+        return window
+
+    monkeypatch.setattr(ClassificationEngine, "_window", built_together)
+    ledger = Ledger(load_ledger().entries, source="copy")
+    results = []
+
+    def work():
+        try:
+            engine = ClassificationEngine(ledger)
+            results.append([engine._window_step(3, 2, g)[0] for g in genera])
+        except BaseException:
+            barrier.abort()  # so the other threads stop waiting for this one
+            raise
+
+    workers = [threading.Thread(target=work, daemon=True) for _ in range(threads)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=60)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(results) == threads
+    kept = [ClassificationEngine(ledger)._window_step(3, 2, g)[0] for g in genera]
+    assert all(step is not None for step in kept)
+    assert all(got is want for steps in results for got, want in zip(steps, kept))

@@ -214,7 +214,9 @@ def _classify_box(r, n):
     # parser per call would dominate 2,460 calls.
     for g in range(0, 41):
         for d in range(1, 61):
-            args = argparse.Namespace(r=r, n=n, d=d, g=g, json=True, ledger=None)
+            args = argparse.Namespace(
+                command="classify", r=r, n=n, d=d, g=g, json=True, ledger=None
+            )
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = cli._cmd_classify(args)

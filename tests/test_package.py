@@ -131,7 +131,7 @@ def test_importing_the_command_line_fills_no_lattice_cache():
 
 
 #: What parsing with argparse loads: argparse, its message catalogue and the
-#: locale that reads, and the module that copies the cached parser.
+#: locale that reads, and copy, which argparse's append actions may import.
 FOR_ARGPARSE_ONLY = ("argparse", "gettext", "locale", "copy")
 
 #: What reading a ``--ledger`` file loads: the JSON parser and the modules it

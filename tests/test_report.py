@@ -1,7 +1,8 @@
 """The report writer against the standard library's encoder: any JSON tree
 renders as ``json.dumps(sort_keys=True, indent=2, ensure_ascii=True)`` writes
-it, a trace renders from its segments as the encoder writes its flat
-``to_payload()`` form, and every ``table --json`` payload matches too."""
+it, a trace renders from its segments as the encoder writes its flat form
+(``reference_engine.to_payload``), and every ``table --json`` payload
+matches too."""
 
 import json
 from importlib import resources
@@ -14,6 +15,8 @@ from gensect.engine import SUPPORTED_PAIRS, ClassificationEngine, DerivationTrac
 from gensect.ledger import load_ledger
 from gensect.report import envelope, to_json
 
+from reference_engine import to_payload
+
 
 def encoder(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
@@ -24,7 +27,7 @@ def flat(payload: dict) -> dict:
     result = payload["result"]
     if "trace" not in result:
         return payload
-    return {**payload, "result": {**result, "trace": result["trace"].to_payload()}}
+    return {**payload, "result": {**result, "trace": to_payload(result["trace"])}}
 
 
 def classify_envelope(engine, case):

@@ -16,7 +16,7 @@ from gensect.engine import (  # noqa: E402
     trace_from_payload,
 )
 
-from reference_engine import extend  # noqa: E402
+from reference_engine import extend, to_payload  # noqa: E402
 
 ENGINE = ClassificationEngine()
 RULES = ("add_line", "add_canonical", "downgrade", "ledger", "attach_conic")
@@ -81,7 +81,7 @@ def mutate(payload: list, change: tuple) -> list:
 
 
 tampered = st.builds(
-    lambda case, changes: _apply(ENGINE.classify(Query(*case)).trace.to_payload(), changes),
+    lambda case, changes: _apply(to_payload(ENGINE.classify(Query(*case)).trace), changes),
     st.sampled_from(QUERIES),
     st.lists(mutation, max_size=6),
 )
