@@ -9,8 +9,10 @@ counts, dimension tallies) is reproducible through the verify battery.
 
 Importing the package loads none of its submodules.  Each public name is
 imported from the submodule that defines it on first access (PEP 562), so
-``gensect.ClassificationEngine()`` loads the engine, the ledger and the
-numerology, and never the lattice, Schubert or verify layers.
+``gensect.ClassificationEngine()`` loads the engine, the ledger, the
+numerology and the audits table, never the lattice, Schubert or verify
+layers, and from the standard library only ``__future__`` and the built-in
+``_collections``, which gives the records their field accessors.
 """
 
 import sys

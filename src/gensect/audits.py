@@ -17,8 +17,7 @@ ring of polynomials truncated past degree one.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from math import comb
+from ._record import _new, named_fields
 
 
 def rr_curve(deg: int, g: int) -> int:
@@ -60,14 +59,17 @@ def form_space_dim(ambient: str, degree: int | tuple[int, int]) -> int:
         return (m + 1) * (m + 2) // 2
     if ambient == "space":
         m = int(degree)
-        return comb(m + 3, 3)
+        if m < -3:
+            raise ValueError(f"degree must be >= -3, got {m}")
+        return (m + 1) * (m + 2) * (m + 3) // 6
     if ambient == "quadric_surface":
         a, b = degree
         return (a + 1) * (b + 1)
     raise ValueError(f"unknown ambient {ambient!r}")
 
 
-class ConditionCount(namedtuple("ConditionCount", "points h0 comparison system")):
+@named_fields
+class ConditionCount(tuple):
     """n points against an h0-dimensional system; slack = h0 - n.
 
     ``comparison`` records the sense of the failure: ``cut_out_by`` means the
@@ -78,39 +80,61 @@ class ConditionCount(namedtuple("ConditionCount", "points h0 comparison system")
 
     __slots__ = ()
 
+    def __new__(cls, points: int, h0: int, comparison: str, system: str) -> ConditionCount:
+        return _new(cls, (points, h0, comparison, system))
+
     @property
     def slack(self) -> int:
         return self.h0 - self.points
 
 
-class DimensionDeficit(namedtuple("DimensionDeficit", "components ambient_dim")):
+@named_fields
+class DimensionDeficit(tuple):
     """A labeled family-dimension tally, (label, dimension) pairs, falling
     short of the ambient."""
 
     __slots__ = ()
+
+    def __new__(
+        cls, components: tuple[tuple[str, int], ...], ambient_dim: int
+    ) -> DimensionDeficit:
+        return _new(cls, (components, ambient_dim))
 
     @property
     def total(self) -> int:
         return sum(v for _, v in self.components)
 
 
-class ExternalFact(namedtuple("ExternalFact", "citation")):
+@named_fields
+class ExternalFact(tuple):
     """A cited fact used as-is; no local arithmetic reproduces it."""
 
     __slots__ = ()
+
+    def __new__(cls, citation: str) -> ExternalFact:
+        return _new(cls, (citation,))
 
 
 Case = tuple[int, int, int, int]
 
 
-class ExceptionalCase(
-    namedtuple("ExceptionalCase", "case points description evidence note", defaults=(None,))
-):
+@named_fields
+class ExceptionalCase(tuple):
     """The exceptional intersection of ``points`` = d * n points of ``case``:
     what it is, and the evidence (a ``ConditionCount``, ``DimensionDeficit``
     or ``ExternalFact``) that it is not a general collection."""
 
     __slots__ = ()
+
+    def __new__(
+        cls,
+        case: Case,
+        points: int,
+        description: str,
+        evidence: ConditionCount | DimensionDeficit | ExternalFact,
+        note: str | None = None,
+    ) -> ExceptionalCase:
+        return _new(cls, (case, points, description, evidence, note))
 
 
 def _count(comparison: str, system: str, ambient: str, degree: int | tuple[int, int]):
@@ -258,10 +282,14 @@ def audit_evidence_problems(report: ExceptionalCase) -> list[str]:
 # -- cubic scroll case study -------------------------------------------------
 
 
-class CheckLine(namedtuple("CheckLine", "name computed expected")):
+@named_fields
+class CheckLine(tuple):
     """One named sub-check with its computed and expected values."""
 
     __slots__ = ()
+
+    def __new__(cls, name: str, computed: object, expected: object) -> CheckLine:
+        return _new(cls, (name, computed, expected))
 
     @property
     def ok(self) -> bool:
@@ -313,10 +341,14 @@ def scroll_case_study() -> list[CheckLine]:
 # -- truncated polynomial determinant ----------------------------------------
 
 
-class Jet(namedtuple("Jet", "c0 c1")):
+@named_fields
+class Jet(tuple):
     """An element c0 + c1 t of the polynomial ring truncated past degree 1."""
 
     __slots__ = ()
+
+    def __new__(cls, c0: int, c1: int) -> Jet:
+        return _new(cls, (c0, c1))
 
     def __add__(self, other: "Jet") -> "Jet":
         return Jet(self.c0 + other.c0, self.c1 + other.c1)

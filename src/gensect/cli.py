@@ -10,11 +10,11 @@ failure.
 from __future__ import annotations
 
 import sys
-from collections import namedtuple
 from collections.abc import Callable, Sequence
 from types import SimpleNamespace
 
 from . import audits, lattices, schubert, verify
+from ._record import _new, named_fields
 from .engine import (
     SUPPORTED_PAIRS,
     ClassificationEngine,
@@ -95,12 +95,11 @@ def _verdict_text(engine: ClassificationEngine, q: Query, verdict: Verdict) -> s
     return "\n".join(lines)
 
 
-def _emit(
-    args: SimpleNamespace, command: str, payload: Callable[[], dict], text: Callable[[], str]
-) -> None:
-    """Build and write only the requested format: JSON with --json, else text."""
+def _emit(args: SimpleNamespace, payload: Callable[[], dict], text: Callable[[], str]) -> None:
+    """Build and write only the requested format: JSON with --json, else text.
+    The envelope names the subcommand that ran."""
     if getattr(args, "json", False):
-        sys.stdout.write(to_json(envelope(command, payload())))
+        sys.stdout.write(to_json(envelope(args.command, payload())))
     else:
         out = text()
         sys.stdout.write(out if out.endswith("\n") else out + "\n")
@@ -120,7 +119,6 @@ def _cmd_classify(args: SimpleNamespace) -> int:
     verdict = engine.classify(q)
     _emit(
         args,
-        args.command,
         lambda: _verdict_payload(engine, q, verdict),
         lambda: _verdict_text(engine, q, verdict),
     )
@@ -158,7 +156,7 @@ def _cmd_table(args: SimpleNamespace) -> int:
         )
         return "\n".join(lines)
 
-    _emit(args, "table", lambda: payload, text)
+    _emit(args, lambda: payload, text)
     return EXIT_OK
 
 
@@ -228,7 +226,7 @@ def _cmd_audit(args: SimpleNamespace) -> int:
         return EXIT_INVALID
     payload = {"audits": [_audit_payload(rep) for rep in reports]}
     text = "\n".join(_audit_text(rep) for rep in reports)
-    _emit(args, "audit", lambda: payload, lambda: text)
+    _emit(args, lambda: payload, lambda: text)
     return EXIT_OK
 
 
@@ -269,7 +267,7 @@ def _cmd_schubert(args: SimpleNamespace) -> int:
         f"product in G(1,{args.n}): {rendered}\n"
         f"point-class coefficient: {schubert.top_degree(product)}"
     )
-    _emit(args, "schubert", lambda: payload, lambda: text)
+    _emit(args, lambda: payload, lambda: text)
     return EXIT_OK
 
 
@@ -291,7 +289,7 @@ def _cmd_lines(args: SimpleNamespace) -> int:
     }
     text_lines = [f"{len(line_classes)} lines on the blowup of the plane at {args.k} points"]
     text_lines.extend(lattices.format_class(S, c) for c in line_classes)
-    _emit(args, "lines", lambda: payload, lambda: "\n".join(text_lines))
+    _emit(args, lambda: payload, lambda: "\n".join(text_lines))
     return EXIT_OK
 
 
@@ -313,19 +311,46 @@ def _cmd_verify_all(args: SimpleNamespace) -> int:
     lines.append(
         f"{len(results)} checks: {payload['passed']} passed, {payload['failed']} failed"
     )
-    _emit(args, "verify-all", lambda: payload, lambda: "\n".join(lines))
+    _emit(args, lambda: payload, lambda: "\n".join(lines))
     return EXIT_OK if payload["failed"] == 0 else EXIT_VERIFICATION
 
 
 # -- command table ---------------------------------------------------------------
 
-#: One flag of a subcommand.  ``type`` is int, str or bool; a bool flag is a
-#: switch, which takes no value and stores True.
-_Flag = namedtuple("_Flag", "dest type required default help", defaults=(False, None, None))
+@named_fields
+class _Flag(tuple):
+    """One flag of a subcommand.  ``type`` is int, str or bool; a bool flag is
+    a switch, which takes no value and stores True."""
 
-#: One subcommand: its handler, its help, its flags by spelling, and the dest
-#: and help of its run of positionals, or None if it takes none.
-_Command = namedtuple("_Command", "handler help flags positional", defaults=(None,))
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        dest: str,
+        type: type,
+        required: bool = False,
+        default: object = None,
+        help: str | None = None,
+    ) -> _Flag:
+        return _new(cls, (dest, type, required, default, help))
+
+
+@named_fields
+class _Command(tuple):
+    """One subcommand: its handler, its help, its flags by spelling, and the
+    dest and help of its run of positionals, or None if it takes none."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        handler: Callable[[SimpleNamespace], int],
+        help: str,
+        flags: dict[str, _Flag],
+        positional: tuple[str, str] | None = None,
+    ) -> _Command:
+        return _new(cls, (handler, help, flags, positional))
+
 
 _LEDGER = _Flag("ledger", str, help="override the ledger data file")
 

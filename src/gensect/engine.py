@@ -28,8 +28,7 @@ Rules mirror the inductive structure of the underlying argument:
 
 from __future__ import annotations
 
-from collections import namedtuple
-
+from ._record import _new, named_fields
 from .audits import EXCEPTIONAL, ExceptionalCase
 from .ledger import (
     AUXILIARY_TAGS,
@@ -72,20 +71,34 @@ class IncompleteLedgerError(RuntimeError):
         self.case = case
 
 
-class Query(namedtuple("Query", "r n d g")):
+@named_fields
+class Query(tuple):
     __slots__ = ()
+
+    def __new__(cls, r: int, n: int, d: int, g: int) -> Query:
+        return _new(cls, (r, n, d, g))
 
     def case(self) -> tuple[int, int, int, int]:
         return (self.r, self.n, self.d, self.g)
 
 
-class Segment(namedtuple("Segment", "case rule repeat entry_id", defaults=(1, None))):
+@named_fields
+class Segment(tuple):
     """``repeat`` steps of one rule from ``case``, each resting on the next.
 
     Only ``add_line`` and ``add_canonical`` repeat; leaves carry an entry id.
     """
 
     __slots__ = ()
+
+    def __new__(
+        cls,
+        case: tuple[int, int, int, int],
+        rule: str,
+        repeat: int = 1,
+        entry_id: str | None = None,
+    ) -> Segment:
+        return _new(cls, (case, rule, repeat, entry_id))
 
     @property
     def delta(self) -> tuple[int, int]:
@@ -107,7 +120,8 @@ class Segment(namedtuple("Segment", "case rule repeat entry_id", defaults=(1, No
         return self.at(self.repeat) if self.rule in _RUN_RULES else None
 
 
-class DerivationTrace(namedtuple("DerivationTrace", "segments")):
+@named_fields
+class DerivationTrace(tuple):
     """A derivation: the path from the queried case down to a ledger leaf.
 
     Every rule has exactly one premise, so a derivation is a path, stored as
@@ -120,7 +134,7 @@ class DerivationTrace(namedtuple("DerivationTrace", "segments")):
     def __new__(cls, segments: tuple[Segment, ...]) -> DerivationTrace:
         if not segments:
             raise ValueError("a derivation has at least one step")
-        return super().__new__(cls, segments)
+        return _new(cls, (segments,))
 
     def steps(self) -> list[Segment]:
         """The single steps from root to leaf."""
@@ -195,14 +209,22 @@ def trace_from_payload(payload: list[dict]) -> DerivationTrace:
     return DerivationTrace(tuple(segments))
 
 
-class Verdict(
-    namedtuple("Verdict", "status reason trace descriptor", defaults=(None, None, None))
-):
+@named_fields
+class Verdict(tuple):
     """Outcome of a classification query: ``status`` is "general",
     "exceptional" or "invalid", with a ``trace``, a ``descriptor`` (the
     case's ``audits.ExceptionalCase`` row) or a ``reason`` to match."""
 
     __slots__ = ()
+
+    def __new__(
+        cls,
+        status: str,
+        reason: str | None = None,
+        trace: DerivationTrace | None = None,
+        descriptor: ExceptionalCase | None = None,
+    ) -> Verdict:
+        return _new(cls, (status, reason, trace, descriptor))
 
     @classmethod
     def invalid(cls, reason: str) -> "Verdict":
@@ -217,14 +239,22 @@ class Verdict(
         return cls(status="exceptional", descriptor=descriptor)
 
 
-class ConditionRow(namedtuple("ConditionRow", "name lhs relation rhs holds")):
+@named_fields
+class ConditionRow(tuple):
     """One evaluated inequality, reported with both sides."""
 
     __slots__ = ()
 
+    def __new__(cls, name: str, lhs: int, relation: str, rhs: int, holds: bool) -> ConditionRow:
+        return _new(cls, (name, lhs, relation, rhs, holds))
 
-class SideConditionReport(namedtuple("SideConditionReport", "entry_id rows")):
+
+@named_fields
+class SideConditionReport(tuple):
     __slots__ = ()
+
+    def __new__(cls, entry_id: str, rows: tuple[ConditionRow, ...]) -> SideConditionReport:
+        return _new(cls, (entry_id, rows))
 
     @property
     def all_hold(self) -> bool:

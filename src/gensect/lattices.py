@@ -21,11 +21,12 @@ fill on first use and are bounded.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Iterable
 from functools import cache, lru_cache
 from math import isqrt
 from operator import add, mul, neg, sub
+
+from ._record import _new, named_fields
 
 
 class LatticeError(ValueError):
@@ -36,13 +37,14 @@ class CertificateError(LatticeError):
     """A section count was requested for a class with no positivity certificate."""
 
 
-class DivisorClass(namedtuple("DivisorClass", "coeffs")):
+@named_fields
+class DivisorClass(tuple):
     """Integer coefficient vector in the basis of a surface lattice."""
 
     __slots__ = ()
 
     def __new__(cls, coeffs: Iterable[int]) -> DivisorClass:
-        return super().__new__(cls, tuple(map(int, coeffs)))
+        return _new(cls, (tuple(map(int, coeffs)),))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if len(self.coeffs) != len(other.coeffs):
@@ -64,11 +66,8 @@ class DivisorClass(namedtuple("DivisorClass", "coeffs")):
         return NotImplemented
 
 
-class SurfaceModel(
-    namedtuple(
-        "SurfaceModel", "kind gram canonical basis_names kind_tag", defaults=("rational",)
-    )
-):
+@named_fields
+class SurfaceModel(tuple):
     """A polarized integer lattice: Gram matrix, canonical vector, basis names.
 
     ``kind`` is one of ``del_pezzo`` (blowup of the plane at k points,
@@ -101,7 +100,7 @@ class SurfaceModel(
             raise LatticeError(f"unknown kind tag {kind_tag!r}")
         if kind_tag == "k3" and any(c != 0 for c in canonical):
             raise LatticeError("a K3 lattice has trivial canonical class")
-        return super().__new__(cls, kind, gram, canonical, basis_names, kind_tag)
+        return _new(cls, (kind, gram, canonical, basis_names, kind_tag))
 
     @property
     def rank(self) -> int:
@@ -171,16 +170,24 @@ class SurfaceModel(
         return DivisorClass(self.canonical)
 
 
-class Positivity(namedtuple("Positivity", "nef big ample")):
+@named_fields
+class Positivity(tuple):
     """Numeric positivity grades of a divisor class."""
 
     __slots__ = ()
 
+    def __new__(cls, nef: bool, big: bool, ample: bool) -> Positivity:
+        return _new(cls, (nef, big, ample))
 
-class K3Stats(namedtuple("K3Stats", "genus degree h0")):
+
+@named_fields
+class K3Stats(tuple):
     """Genus, polarized degree and section count of a curve class on a K3."""
 
     __slots__ = ()
+
+    def __new__(cls, genus: int, degree: int, h0: int) -> K3Stats:
+        return _new(cls, (genus, degree, h0))
 
 
 def _check_class(S: SurfaceModel, c: DivisorClass) -> None:

@@ -15,8 +15,7 @@ ledger is built once per process, on first use, and shared.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
+from ._record import _new, named_fields
 from .numerology import BNIndex, in_domain, interpolation_gates, is_interpolation_exception
 
 #: Tags whose entries are justified by a numeric gate alone.
@@ -44,19 +43,18 @@ _GATES = {
 GLUE_CHECK_TAGS = frozenset({"HyperplaneGlue", "PlaneCurveGlue"})
 
 
-class GlueData(namedtuple("GlueData", "d2 g2 points twist")):
+@named_fields
+class GlueData(tuple):
     """Invariants of an attached curve: degree, genus, attachment points, twist."""
 
     __slots__ = ()
 
+    def __new__(cls, d2: int, g2: int, points: int, twist: int) -> GlueData:
+        return _new(cls, (d2, g2, points, twist))
 
-class LedgerEntry(
-    namedtuple(
-        "LedgerEntry",
-        "id r n d g tag citation quote premises glue rho_exempt premises_stated_only note",
-        defaults=((), None, False, False, None),
-    )
-):
+
+@named_fields
+class LedgerEntry(tuple):
     """One base-case axiom.
 
     ``d`` and ``g`` of None match every degree and genus for the given
@@ -66,6 +64,28 @@ class LedgerEntry(
     """
 
     __slots__ = ()
+
+    def __new__(
+        cls,
+        id: str,
+        r: int,
+        n: int,
+        d: int | None,
+        g: int | None,
+        tag: str,
+        citation: str,
+        quote: str,
+        premises: tuple[tuple[int, int, int, int], ...] = (),
+        glue: GlueData | None = None,
+        rho_exempt: bool = False,
+        premises_stated_only: bool = False,
+        note: str | None = None,
+    ) -> LedgerEntry:
+        return _new(
+            cls,
+            (id, r, n, d, g, tag, citation, quote, premises, glue, rho_exempt,
+             premises_stated_only, note),
+        )
 
     @property
     def is_wildcard(self) -> bool:

@@ -15,7 +15,7 @@ identities between them for all integers.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from ._record import _new, named_fields
 
 #: (d, g, r) triples whose normal bundle fails interpolation even though the
 #: curve is nonspecial.  Each is a degree r+2, genus 2 curve; the vanishing
@@ -24,7 +24,8 @@ from collections import namedtuple
 INTERPOLATION_EXCEPTIONS = frozenset({(5, 2, 3), (6, 2, 4), (7, 2, 5)})
 
 
-class BNIndex(namedtuple("BNIndex", "r d g")):
+@named_fields
+class BNIndex(tuple):
     """The triple (r, d, g): a degree-d, genus-g curve mapped to P^r."""
 
     __slots__ = ()
@@ -36,7 +37,7 @@ class BNIndex(namedtuple("BNIndex", "r d g")):
             raise ValueError(f"degree d must be >= 1, got {d}")
         if g < 0:
             raise ValueError(f"genus g must be >= 0, got {g}")
-        return super().__new__(cls, r, d, g)
+        return _new(cls, (r, d, g))
 
 
 def rho(ix: BNIndex) -> int:

@@ -11,7 +11,7 @@ no multiplication table is hard-coded.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from ._record import _new, named_fields
 
 
 class SchubertError(ValueError):
@@ -23,7 +23,8 @@ def _check_partition(n: int, a: int, b: int) -> None:
         raise SchubertError(f"({a}, {b}) is not a two-row partition for G(1, {n})")
 
 
-class SchubertCycle(namedtuple("SchubertCycle", "ambient_n terms")):
+@named_fields
+class SchubertCycle(tuple):
     """An integer combination of two-row Schubert classes in G(1, n).
 
     Terms map partitions (a, b) to nonzero integer coefficients; zero
@@ -45,7 +46,7 @@ class SchubertCycle(namedtuple("SchubertCycle", "ambient_n terms")):
         normalized = tuple(
             sorted(((part, coeff) for part, coeff in cleaned.items() if coeff))
         )
-        return super().__new__(cls, ambient_n, normalized)
+        return _new(cls, (ambient_n, normalized))
 
     @classmethod
     def from_dict(cls, n: int, terms: dict[tuple[int, int], int]) -> "SchubertCycle":

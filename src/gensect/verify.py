@@ -13,11 +13,11 @@ battery.
 from __future__ import annotations
 
 import functools
-from collections import namedtuple
 from collections.abc import Callable
 
 from . import audits, lattices, schubert
 from . import engine as engine_module
+from ._record import _new, named_fields
 from .engine import (
     ClassificationEngine,
     IncompleteLedgerError,
@@ -68,8 +68,12 @@ SWEEP_D_MAX = 60
 SWEEP_G_MAX = 40
 
 
-class CheckResult(namedtuple("CheckResult", "id description ok detail")):
+@named_fields
+class CheckResult(tuple):
     __slots__ = ()
+
+    def __new__(cls, id: str, description: str, ok: bool, detail: str) -> CheckResult:
+        return _new(cls, (id, description, ok, detail))
 
 
 class _Poly:

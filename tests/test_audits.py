@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -53,6 +54,16 @@ def test_form_space_dims():
     assert form_space_dim("plane", 3) == 10
     with pytest.raises(ValueError):
         form_space_dim("line", 2)
+
+
+def test_space_form_dim_is_the_binomial_coefficient():
+    for m in range(-3, 41):
+        assert form_space_dim("space", m) == math.comb(m + 3, 3)
+    for m in (-4, -5, -40):
+        with pytest.raises(ValueError):
+            math.comb(m + 3, 3)
+        with pytest.raises(ValueError):
+            form_space_dim("space", m)
 
 
 def test_audit_count_cases():

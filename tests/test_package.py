@@ -22,18 +22,20 @@ from gensect.schubert import sigma
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
-#: Standard-library modules that no gensect command needs: records are
-#: namedtuples and annotations stay strings, and the help width is found
-#: without shutil.
+#: Standard-library modules that no gensect command needs: records are tuple
+#: subclasses with their own ``__new__`` and annotations stay strings, and the
+#: help width is found without shutil.
 NOT_FOR_ANY_COMMAND = ("dataclasses", "typing", "inspect", "shutil")
 
 #: The command line; the layers that only ``verify-all`` and the
 #: ``lines``/``schubert`` commands use; the standard-library packages that
 #: reading the bundled ledger does not need, since it ships as Python
 #: literals; ``importlib`` and ``warnings``, which the lazy namespace does
-#: without; and ``functools`` and ``weakref``, since the threshold window is
-#: a plain attribute of the ledger.  Loading an engine and answering a query
-#: imports none of them.
+#: without; ``functools`` and ``weakref``, since the threshold window is a
+#: plain attribute of the ledger; and ``collections``, with the modules it
+#: imports, and ``math``, since records get their field accessors from the
+#: built-in ``_collections`` and the one binomial coefficient is a closed
+#: form.  Loading an engine and answering a query imports none of them.
 NOT_FOR_THE_ENGINE = (
     "gensect.lattices",
     "gensect.schubert",
@@ -49,11 +51,22 @@ NOT_FOR_THE_ENGINE = (
     "os",
     "functools",
     "weakref",
+    "collections",
+    "math",
+    "keyword",
+    "reprlib",
+    "operator",
+    "itertools",
 ) + NOT_FOR_ANY_COMMAND
+
+#: All that a ready engine adds to the standard-library modules a bare
+#: ``python -S`` has loaded.
+ENGINE_STDLIB = {"__future__", "_collections"}
 
 #: The module set is read before the probe imports json to print it.
 PROBE = """
 import sys
+started = sorted(sys.modules)
 import gensect
 after_import = sorted(m for m in sys.modules if m.startswith("gensect."))
 from gensect import Query
@@ -63,6 +76,7 @@ import json
 print(json.dumps({
     "after_import": after_import,
     "status": verdict.status,
+    "started": started,
     "loaded": loaded,
 }))
 """
@@ -88,6 +102,8 @@ def test_a_ready_engine_loads_only_what_it_uses():
     assert probe["status"] == "general"
     assert "gensect.engine" in probe["loaded"]
     assert [m for m in NOT_FOR_THE_ENGINE if m in probe["loaded"]] == []
+    added = set(probe["loaded"]) - set(probe["started"])
+    assert {m for m in added if m != "gensect" and not m.startswith("gensect.")} <= ENGINE_STDLIB
 
 
 def test_verify_all_loads_no_record_or_terminal_machinery():
@@ -204,14 +220,18 @@ def test_help_still_comes_from_argparse(monkeypatch):
     assert done.stdout.startswith("usage: gensect [-h] {classify,trace,table,")
 
 
-def test_no_module_imports_dataclasses_or_typing():
+def package_trees():
+    """Each module of the package, by file name, parsed."""
     package = os.path.join(SRC, "gensect")
-    found = []
     for name in sorted(os.listdir(package)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(package, name), encoding="utf-8") as file:
-            tree = ast.parse(file.read())
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as file:
+                yield name, ast.parse(file.read())
+
+
+def test_no_module_imports_dataclasses_or_typing():
+    found = []
+    for name, tree in package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -222,6 +242,17 @@ def test_no_module_imports_dataclasses_or_typing():
             found += [
                 f"{name}: {m}" for m in modules if m.split(".")[0] in ("dataclasses", "typing")
             ]
+    assert found == []
+
+
+def test_no_module_calls_namedtuple():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "namedtuple" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
     assert found == []
 
 
