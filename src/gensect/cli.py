@@ -10,7 +10,6 @@ failure.
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Sequence
 from types import SimpleNamespace
 
 from . import audits, lattices, schubert, verify
@@ -29,23 +28,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_VERIFICATION = 3
-
-
-def _terminal_columns() -> int:
-    """The columns ``shutil.get_terminal_size()`` reports, found the same way
-    without importing shutil (and with it bz2, lzma, zlib and fnmatch)."""
-    import os
-
-    try:
-        columns = int(os.environ["COLUMNS"])
-    except (KeyError, ValueError):
-        columns = 0
-    if columns <= 0:
-        try:
-            columns = os.get_terminal_size(sys.__stdout__.fileno()).columns
-        except (AttributeError, ValueError, OSError):
-            columns = 0
-    return columns or 80
 
 
 def _verdict_payload(engine: ClassificationEngine, q: Query, verdict: Verdict) -> dict:
@@ -95,10 +77,11 @@ def _verdict_text(engine: ClassificationEngine, q: Query, verdict: Verdict) -> s
     return "\n".join(lines)
 
 
-def _emit(args: SimpleNamespace, payload: Callable[[], dict], text: Callable[[], str]) -> None:
-    """Build and write only the requested format: JSON with --json, else text.
-    The envelope names the subcommand that ran."""
-    if getattr(args, "json", False):
+def _emit(args: SimpleNamespace, payload, text) -> None:
+    """Build and write only the requested format: JSON with --json, else text,
+    each from a function of no arguments.  The envelope names the subcommand
+    that ran."""
+    if args.json:
         sys.stdout.write(to_json(envelope(args.command, payload())))
     else:
         out = text()
@@ -344,7 +327,7 @@ class _Command(tuple):
 
     def __new__(
         cls,
-        handler: Callable[[SimpleNamespace], int],
+        handler,
         help: str,
         flags: dict[str, _Flag],
         positional: tuple[str, str] | None = None,
@@ -410,7 +393,7 @@ _COMMANDS = {
 }
 
 
-def _parse_well_formed(argv: Sequence[str]) -> SimpleNamespace | None:
+def _parse_well_formed(argv: list[str]) -> SimpleNamespace | None:
     """The namespace argparse returns for ``argv``, if ``argv`` has the plain
     shape: a subcommand, then flags, each spelled exactly and followed by its
     value unless it is a switch, every required flag among them, and for
@@ -456,35 +439,19 @@ def _parse_well_formed(argv: Sequence[str]) -> SimpleNamespace | None:
         if not run:
             return None
         values[command.positional[0]] = run
-    return SimpleNamespace(command=argv[0], func=command.handler, **values)
+    return SimpleNamespace(command=argv[0], **values)
 
 
 # -- argparse parser -------------------------------------------------------------
 
 def build_parser():
-    """The argparse parser, which prints help and usage errors.  Each call
-    builds a new one, so attributes set on one result (a wrapped
-    ``parse_args``, say) do not carry over to the next."""
+    """A stock argparse parser built from ``_COMMANDS``, which prints help and
+    usage errors; ``main`` maps its exit status.  Each call builds a new one,
+    so attributes set on one result (a wrapped ``parse_args``, say) do not
+    carry over to the next."""
     import argparse
 
-    class _Formatter(argparse.HelpFormatter):
-        # argparse's own default width, which it gets from shutil
-        def __init__(self, prog, indent_increment=2, max_help_position=24, width=None) -> None:
-            if width is None:
-                width = _terminal_columns() - 2
-            super().__init__(prog, indent_increment, max_help_position, width)
-
-    class _Parser(argparse.ArgumentParser):
-        def __init__(self, **kwargs) -> None:
-            super().__init__(formatter_class=_Formatter, **kwargs)
-
-        # argparse exits with status 2 on bad flags; the contract reserves 2
-        # for invalid queries, so usage errors are remapped to 1.
-        def error(self, message: str) -> None:  # type: ignore[override]
-            self.print_usage(sys.stderr)
-            self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="gensect",
         description=(
             "classify when a general curve in P^r meets a general degree-n "
@@ -509,21 +476,22 @@ def build_parser():
         if command.positional is not None:
             dest, help_text = command.positional
             p.add_argument(dest, nargs="+", help=help_text)
-        p.set_defaults(func=command.handler)
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _parse_well_formed(argv)
     if args is None:
         try:
-            args = build_parser().parse_args(argv, SimpleNamespace())
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
-            return int(exc.code or 0)
+            # argparse exits 0 after help and 2 on a usage error; the contract
+            # reserves 2 for invalid queries
+            return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        return _COMMANDS[args.command].handler(args)
     except (OSError, LedgerFormatError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

@@ -345,7 +345,7 @@ class ClassificationEngine:
         if (q.r, q.n) not in SUPPORTED_PAIRS:
             return Verdict.invalid(
                 f"unsupported pair (r, n) = ({q.r}, {q.n}); generality is possible "
-                "only for (2, 1), (2, 2), (3, 1), (3, 2), (4, 1)"
+                f"only for {', '.join(map(str, sorted(SUPPORTED_PAIRS)))}"
             )
         if q.d < 1:
             return Verdict.invalid(f"degree must be at least 1, got {q.d}")

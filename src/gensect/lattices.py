@@ -21,7 +21,6 @@ fill on first use and are bounded.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from functools import cache, lru_cache
 from math import isqrt
 from operator import add, mul, neg, sub
@@ -39,11 +38,12 @@ class CertificateError(LatticeError):
 
 @named_fields
 class DivisorClass(tuple):
-    """Integer coefficient vector in the basis of a surface lattice."""
+    """Integer coefficient vector in the basis of a surface lattice, built
+    from any iterable of integers."""
 
     __slots__ = ()
 
-    def __new__(cls, coeffs: Iterable[int]) -> DivisorClass:
+    def __new__(cls, coeffs) -> DivisorClass:
         return _new(cls, (tuple(map(int, coeffs)),))
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
@@ -149,12 +149,14 @@ class SurfaceModel(tuple):
     @classmethod
     def polarized(
         cls,
-        gram: Iterable[Iterable[int]],
-        canonical: Iterable[int],
-        basis_names: Iterable[str],
+        gram,
+        canonical,
+        basis_names,
         kind_tag: str = "rational",
     ) -> "SurfaceModel":
-        """A general polarized lattice from explicit Gram data."""
+        """A general polarized lattice from explicit Gram data: the rows of
+        integers, the canonical class's coefficients and the basis names, each
+        any iterable."""
         g = tuple(tuple(int(x) for x in row) for row in gram)
         return cls("polarized", g, tuple(int(c) for c in canonical), tuple(basis_names), kind_tag)
 
@@ -221,7 +223,7 @@ def _diagonal(gram: tuple[tuple[int, ...], ...]) -> tuple[int, ...] | None:
     return tuple(row[i] for i, row in enumerate(gram))
 
 
-def _dot(u: Iterable[int], v: Iterable[int]) -> int:
+def _dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
@@ -281,7 +283,7 @@ def _lines_for_blowup(k: int) -> frozenset[DivisorClass]:
     return frozenset(DivisorClass(v) for v in found)
 
 
-def _distinct_permutations(values: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+def _distinct_permutations(values: tuple[int, ...]):
     # Each distinct ordering of a multiset once.  itertools.permutations
     # yields all k! orderings with repeats: 720 for each sorted line at
     # k = 6, where 6, 15 or 6 are distinct.

@@ -13,7 +13,6 @@ battery.
 from __future__ import annotations
 
 import functools
-from collections.abc import Callable
 
 from . import audits, lattices, schubert
 from . import engine as engine_module
@@ -147,7 +146,7 @@ class _Poly:
 _R, _D, _G = _Poly({(1, 0, 0): 1}), _Poly({(0, 1, 0): 1}), _Poly({(0, 0, 1): 1})
 
 
-def _proved(holds: Callable[..., bool], *args) -> bool:
+def _proved(holds, *args) -> bool:
     """Whether the identity ``holds`` is proved for every integer point.
 
     ``holds`` compares a numerology core with the value it should take; its
@@ -696,7 +695,7 @@ def run_all(ledger: Ledger | None = None) -> list[CheckResult]:
     audit that raises, so it raises again in the next check that asks."""
     engine = ClassificationEngine(ledger)
     engine.completeness_audit = functools.cache(engine.completeness_audit)
-    checks: list[Callable[[], CheckResult]] = [
+    checks = [
         check_lattice_invariants,
         check_chi_anchors,
         check_chi_untwisted_identity,

@@ -202,15 +202,28 @@ def test_the_workload_command_lines_never_reach_argparse(tmp_path, capsys, monke
     assert {argv: run_cli(capsys, *argv)[0] for argv in runs} == runs
 
 
-@pytest.mark.parametrize("columns", [None, "40", "200", "0", "-3", "wide"])
-def test_help_width_is_the_one_shutil_reports(columns, monkeypatch):
-    import shutil
-
-    if columns is None:
-        monkeypatch.delenv("COLUMNS", raising=False)
+@settings(max_examples=300, deadline=None, database=None)
+@given(argvs())
+@example(["-h"])
+@example([""])
+@example(["classify", "--r", "3", "--n", "2", "--d", "8"])
+@example(["schubert", "--n", "4", "--help"])
+def test_main_maps_the_argparse_exit_status(argv):
+    # an argv argparse rejects reaches no handler, and main keeps exit 2 for
+    # invalid queries: help exits 0 and a usage error 1, with the same output
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        status = exc.code
     else:
-        monkeypatch.setenv("COLUMNS", columns)
-    assert cli._terminal_columns() == shutil.get_terminal_size().columns
+        return
+    main_out, main_err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(main_out), contextlib.redirect_stderr(main_err):
+        code = main(argv)
+    assert code == (0 if status == 0 else 1)
+    assert (main_out.getvalue(), main_err.getvalue()) == (out.getvalue(), err.getvalue())
 
 
 def test_trace_subcommand(capsys):
@@ -437,11 +450,22 @@ def _exempt_an_in_domain_case(entries):
     next(e for e in entries if e["id"] == "r3n2-interp-3-0")["rho_exempt"] = True
 
 
+def _make_premise_circular(entries):
+    # the glue arithmetic still holds, and the premise classifies as general
+    # through the entry itself
+    entry = next(e for e in entries if e["id"] == "r3n1-line-glue-8-6")
+    entry["premises"] = [[3, 1, 8, 6]]
+    entry["glue"] = {"d2": 0, "g2": 0, "points": 1, "twist": 1}
+
+
 INTEGRITY_DETAILS = {
     _drop_glue: "r3n2-hglue-6-3: the HyperplaneGlue side conditions need glue data",
     _retag_interpolation_as_plane: "r3n2-interp-3-0: PlaneCurve tags only the r = 2 wildcards",
     _exempt_an_in_domain_case: (
         "r3n2-interp-3-0: case (3, 2, 3, 0) is exempted but not out of domain"
+    ),
+    _make_premise_circular: (
+        "r3n1-line-glue-8-6: premise (3, 1, 8, 6) is not below the entry in degree"
     ),
 }
 
@@ -454,14 +478,15 @@ INTEGRITY_DETAILS = {
         (_drop_glue, {"ledger-integrity"}),
         (_retag_interpolation_as_plane, {"ledger-integrity"}),
         (_exempt_an_in_domain_case, {"ledger-integrity"}),
+        (_make_premise_circular, {"ledger-integrity"}),
     ],
 )
 def test_verify_all_fails_single_field_mutants(edit, failed, tmp_path, capsys):
     # the seed one degree down leaves genus 8 of (4, 1) underivable; a plane
     # wildcard with a constructive tag puts every plane case on the frontier;
     # a gluing entry without glue has no side conditions to check; the plane
-    # tag off the plane wildcards and the exemption on a case in domain are
-    # each a ledger invariant
+    # tag off the plane wildcards, the exemption on a case in domain and a
+    # premise not below its entry in degree are each a ledger invariant
     code, out, _ = run_cli(
         capsys, "verify-all", "--ledger", _doctored_ledger(tmp_path, edit), "--json"
     )

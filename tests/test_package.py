@@ -23,8 +23,8 @@ from gensect.schubert import sigma
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 #: Standard-library modules that no gensect command needs: records are tuple
-#: subclasses with their own ``__new__`` and annotations stay strings, and the
-#: help width is found without shutil.
+#: subclasses with their own ``__new__`` and annotations stay strings.  Only
+#: argparse's help and usage errors load shutil, for the terminal width.
 NOT_FOR_ANY_COMMAND = ("dataclasses", "typing", "inspect", "shutil")
 
 #: The command line; the layers that only ``verify-all`` and the
