@@ -202,6 +202,25 @@ def test_the_workload_command_lines_never_reach_argparse(tmp_path, capsys, monke
     assert {argv: run_cli(capsys, *argv)[0] for argv in runs} == runs
 
 
+@pytest.mark.parametrize("columns", [None, "40", "200", "0", "-3", "wide"])
+def test_help_width_is_the_one_shutil_reports(columns, capsys, monkeypatch):
+    import shutil
+    import textwrap
+
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    width = shutil.get_terminal_size().columns
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    # argparse fills the description two columns short of the terminal
+    description = textwrap.fill(cli.build_parser().description, width - 2)
+    assert f"\n\n{description}\n\n" in out
+    monkeypatch.setenv("COLUMNS", str(width))
+    assert run_cli(capsys, "--help") == (0, out, "")
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(argvs())
 @example(["-h"])
