@@ -27,11 +27,8 @@ _EXPORTS = {
         "ExceptionalCase",
         "ExternalFact",
         "form_space_dim",
-        "local_determinant_check",
         "rr_curve",
         "run_audit",
-        "scroll_case_study",
-        "surface_restriction_isomorphism_check",
     ),
     "engine": (
         "ClassificationEngine",

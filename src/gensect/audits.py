@@ -10,9 +10,7 @@ intersection lie on (or are cut out by) a linear system that a general point
 collection of the same size would escape.  Two cases tally family dimensions
 and exhibit a deficit against the symmetric power of the surface.  One case
 rests on a cited external interpolation bound and is recorded as such rather
-than refabricated.  The module also houses the two self-contained local
-computations: the cubic-scroll case study and a 3x3 determinant over the
-ring of polynomials truncated past degree one.
+than refabricated.
 """
 
 from __future__ import annotations
@@ -186,8 +184,8 @@ def _row(case: Case, description: str, evidence, note: str | None = None) -> Exc
 
 #: The ten exceptional cases of the theorem.  The engine's exceptional lists
 #: and verdict descriptors are read from this table.  All h0 values are
-#: recomputed from form_space_dim, rr_curve or the lattice section counts; the
-#: only literals are the case data themselves (bidegrees, genus tallies).
+#: recomputed from form_space_dim or rr_curve; the only literals are the case
+#: data themselves (bidegrees, genus tallies).
 EXCEPTIONAL: dict[Case, ExceptionalCase] = {
     case: _row(case, *rest)
     for case, *rest in (
@@ -277,189 +275,3 @@ def audit_evidence_problems(report: ExceptionalCase) -> list[str]:
         if ev.ambient_dim != 2 * report.points:
             problems.append(f"{report.case}: ambient is not Sym^n of a surface")
     return problems
-
-
-# -- cubic scroll case study -------------------------------------------------
-
-
-@named_fields
-class CheckLine(tuple):
-    """One named sub-check with its computed and expected values."""
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, computed: object, expected: object) -> CheckLine:
-        return _new(cls, (name, computed, expected))
-
-    @property
-    def ok(self) -> bool:
-        return self.computed == self.expected
-
-
-def scroll_case_study() -> list[CheckLine]:
-    """The elliptic-quintic construction on the cubic scroll, re-verified.
-
-    The scroll is the blowup of the plane at a point, embedded by 2L - E.
-    The curve is the proper transform 3L - E of a plane cubic through the
-    center; it is elliptic of degree 5.  Projecting from a well-chosen point
-    decomposes the twisted normal bundle into two degree-zero pieces, and
-    the top exterior power is 8L - 4E.
-    """
-    from . import lattices  # here, not at the top: the engine imports audits
-
-    S = lattices.SurfaceModel.scroll()
-    hyperplane = S.cls_(2, -1)
-    cubic = S.cls_(3, -1)
-    checks = [
-        CheckLine("scroll degree (2L - E)^2", lattices.intersect(S, hyperplane, hyperplane), 3),
-        CheckLine("curve degree (3L - E).(2L - E)", lattices.intersect(S, cubic, hyperplane), 5),
-        CheckLine("curve genus", lattices.adjunction_genus(S, cubic), 1),
-        CheckLine(
-            "first twisted piece degree (-L + E + p + q)",
-            lattices.restricted_degree(S, cubic, S.cls_(-1, 1), +2),
-            0,
-        ),
-        CheckLine(
-            "second twisted piece degree (L - E - p - q)",
-            lattices.restricted_degree(S, cubic, S.cls_(1, -1), -2),
-            0,
-        ),
-    ]
-    first = (S.cls_(3, -1), +2)
-    second = (S.cls_(5, -3), -2)
-    total = (first[0] + second[0], first[1] + second[1])
-    checks.append(
-        CheckLine(
-            "determinant class (3L - E + p + q) + (5L - 3E - p - q)",
-            (total[0].coeffs, total[1]),
-            ((8, -4), 0),
-        )
-    )
-    return checks
-
-
-# -- truncated polynomial determinant ----------------------------------------
-
-
-@named_fields
-class Jet(tuple):
-    """An element c0 + c1 t of the polynomial ring truncated past degree 1."""
-
-    __slots__ = ()
-
-    def __new__(cls, c0: int, c1: int) -> Jet:
-        return _new(cls, (c0, c1))
-
-    def __add__(self, other: "Jet") -> "Jet":
-        return Jet(self.c0 + other.c0, self.c1 + other.c1)
-
-    def __sub__(self, other: "Jet") -> "Jet":
-        return Jet(self.c0 - other.c0, self.c1 - other.c1)
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        return Jet(self.c0 * other.c0, self.c0 * other.c1 + self.c1 * other.c0)
-
-    def __rmul__(self, other):  # not the tuple's repetition
-        return NotImplemented
-
-    def is_zero(self) -> bool:
-        return self.c0 == 0 and self.c1 == 0
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        if self.c0:
-            terms.append(str(self.c0))
-        if self.c1:
-            if self.c1 == 1:
-                terms.append("t")
-            elif self.c1 == -1:
-                terms.append("-t")
-            else:
-                terms.append(f"{self.c1}t")
-        return " + ".join(terms).replace("+ -", "- ")
-
-
-def det3(matrix: list[list[Jet]]) -> Jet:
-    """Cofactor expansion of a 3x3 matrix of jets along the first row."""
-    if len(matrix) != 3 or any(len(row) != 3 for row in matrix):
-        raise ValueError("det3 needs a 3x3 matrix")
-
-    def det2(a: Jet, b: Jet, c: Jet, d: Jet) -> Jet:
-        return a * d - b * c
-
-    m = matrix
-    return (
-        m[0][0] * det2(m[1][1], m[1][2], m[2][1], m[2][2])
-        - m[0][1] * det2(m[1][0], m[1][2], m[2][0], m[2][2])
-        + m[0][2] * det2(m[1][0], m[1][1], m[2][0], m[2][1])
-    )
-
-
-def local_determinant_check() -> Jet:
-    """The local independence determinant for the add-a-line step.
-
-    Rows are the two chords to the marked points and the tangent vector,
-    reduced modulo t^2: (t - 1, 0, -1), (t + 1, 0, -1), (1, 2t, 0).  The
-    determinant is -4t, nonzero modulo t^2, which is what the general-
-    position argument needs.
-    """
-    t = Jet(0, 1)
-    one = Jet(1, 0)
-    zero = Jet(0, 0)
-    matrix = [
-        [t - one, zero, zero - one],
-        [t + one, zero, zero - one],
-        [one, t + t, zero],
-    ]
-    return det3(matrix)
-
-
-# -- restriction isomorphism checks -------------------------------------------
-
-
-RESTRICTION_CASES = (
-    "(7,4)-cubic",
-    "(8,5)-cubic",
-    "(7,5)-cubic",
-    "(9,5)-quartic",
-    "(6,2)-scroll-h0",
-)
-
-
-def surface_restriction_isomorphism_check(case: str) -> CheckLine:
-    """Pair a surface-level and a curve-level section count claimed equal.
-
-    Each case is a site where the restriction map from forms on the surface
-    to the curve is an isomorphism, so the two h^0 computations must agree.
-    """
-    from . import lattices  # here, not at the top: the engine imports audits
-
-    dp6 = lattices.SurfaceModel.del_pezzo(6)
-    dp5 = lattices.SurfaceModel.del_pezzo(5)
-    if case == "(7,4)-cubic":
-        surface = lattices.h0_rational(dp6, -dp6.canonical_class())
-        curve = rr_curve(7, 4)
-    elif case == "(8,5)-cubic":
-        surface = lattices.h0_rational(dp6, -dp6.canonical_class())
-        # degree 8 on genus 5 sits at the canonical degree; the hyperplane
-        # bundle of this curve is general (it is twisted by five general
-        # points of the construction), so the general-bundle count applies.
-        curve = general_bundle_h0(8, 5)
-    elif case == "(7,5)-cubic":
-        surface = lattices.h0_rational(dp6, 2 * -dp6.canonical_class())
-        curve = rr_curve(14, 5)
-    elif case == "(9,5)-quartic":
-        surface = 2 * lattices.h0_rational(dp5, -dp5.canonical_class())
-        curve = 2 * rr_curve(9, 5)
-    elif case == "(6,2)-scroll-h0":
-        scroll = lattices.SurfaceModel.scroll()
-        # chi of the very ample hyperplane class; vanishing is classical for
-        # the scroll, whose positivity grades this lattice model declines to
-        # certify.
-        surface = lattices.riemann_roch_chi(scroll, scroll.cls_(2, -1))
-        curve = rr_curve(6, 2)
-    else:
-        raise ValueError(f"unknown restriction case {case!r}")
-    return CheckLine(name=case, computed=surface, expected=curve)

@@ -161,9 +161,12 @@ class Ledger:
         off the r = 2 wildcards or a SkewLines tag off the exact cases below
         genus 0, an exact Interpolation or GenusTwo entry its numeric gate
         fails, a gluing tag without the glue data its side conditions read,
-        an exact entry with a premise not strictly below it in degree.
-        Derivations never raise the degree, so that last rule keeps an entry
-        from resting on itself."""
+        a wildcard entry with any premise, an exact entry with a premise not
+        strictly below it in degree.  A wildcard matches every case of its
+        pair, so a premise in that pair is the wildcard itself, and one in
+        the other plane pair can close a cycle of two wildcards; derivations
+        never raise the degree, so the last rule keeps an exact entry from
+        resting on itself."""
         problems = []
         for entry in self.entries:
             if entry.tag not in KNOWN_TAGS:
@@ -190,13 +193,16 @@ class Ledger:
                 problems.append(f"{entry.id}: the {entry.tag} gate does not hold")
             if entry.tag in GLUE_CHECK_TAGS and entry.glue is None:
                 problems.append(f"{entry.id}: the {entry.tag} side conditions need glue data")
-            if not entry.is_wildcard:
-                for pr, pn, pd, pg in entry.premises:
-                    if pd >= entry.d:
-                        problems.append(
-                            f"{entry.id}: premise ({pr}, {pn}, {pd}, {pg}) is not below "
-                            "the entry in degree"
-                        )
+            for pr, pn, pd, pg in entry.premises:
+                if entry.is_wildcard:
+                    problems.append(
+                        f"{entry.id}: premise ({pr}, {pn}, {pd}, {pg}) on a wildcard entry"
+                    )
+                elif pd >= entry.d:
+                    problems.append(
+                        f"{entry.id}: premise ({pr}, {pn}, {pd}, {pg}) is not below "
+                        "the entry in degree"
+                    )
             if entry.glue is not None:
                 d2, g2, pts = entry.glue.d2, entry.glue.g2, entry.glue.points
                 for pr, pn, pd, pg in entry.premises:

@@ -7,7 +7,7 @@ failure line instead.
 
 import json
 
-from gensect import audits, lattices, schubert
+from gensect import audits, lattices, schubert, verify
 from gensect.cli import main
 from gensect.engine import (
     ClassificationEngine,
@@ -175,8 +175,8 @@ def test_criterion_11_audits(capsys):
     assert (six_two.total, six_two.ambient_dim) == (23, 24)
     seven_five = audits.run_audit((3, 2, 7, 5)).evidence
     assert (seven_five.total, seven_five.ambient_dim) == (27, 28)
-    det = audits.local_determinant_check()
-    assert (det.c0, det.c1) == (0, -4)
+    determinant = verify.check_local_determinant()
+    assert determinant.ok and determinant.detail == "determinant = -4t"
     report(11, "ten audits not-general; deficits 23 < 24 and 27 < 28; determinant -4t")
 
 

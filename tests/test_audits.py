@@ -7,20 +7,14 @@ from gensect import cli
 from gensect.audits import (
     AUDIT_CASES,
     EXCEPTIONAL,
-    RESTRICTION_CASES,
     ConditionCount,
     DimensionDeficit,
     ExternalFact,
-    Jet,
     audit_evidence_problems,
-    det3,
     form_space_dim,
     general_bundle_h0,
-    local_determinant_check,
     rr_curve,
     run_audit,
-    scroll_case_study,
-    surface_restriction_isomorphism_check,
 )
 
 
@@ -140,63 +134,3 @@ def test_condition_count_h0_agrees_with_lattice_counts():
 def test_unknown_audit_case():
     with pytest.raises(ValueError):
         run_audit((3, 2, 9, 9))
-
-
-# -- jets and the local determinant ---------------------------------------------
-
-
-def test_jet_arithmetic():
-    t = Jet(0, 1)
-    one = Jet(1, 0)
-    assert (t * t).is_zero()  # truncated past degree 1
-    assert ((one + t) * (one - t)) == Jet(1, 0)
-    assert str(Jet(0, -4)) == "-4t"
-    assert str(Jet(2, 1)) == "2 + t"
-    assert str(Jet(0, 0)) == "0"
-
-
-def test_local_determinant():
-    value = local_determinant_check()
-    assert (value.c0, value.c1) == (0, -4)
-    assert not value.is_zero()
-    assert str(value) == "-4t"
-
-
-def test_det3_degenerate_matrices():
-    zero = Jet(0, 0)
-    one = Jet(1, 0)
-    assert det3([[zero] * 3 for _ in range(3)]) == Jet(0, 0)
-    identity = [
-        [one if i == j else zero for j in range(3)] for i in range(3)
-    ]
-    assert det3(identity) == Jet(1, 0)
-    with pytest.raises(ValueError):
-        det3([[zero, zero], [zero, zero]])
-
-
-# -- case studies ---------------------------------------------------------------
-
-
-def test_scroll_case_study():
-    checks = scroll_case_study()
-    assert all(c.ok for c in checks)
-    by_name = {c.name: c.computed for c in checks}
-    assert by_name["scroll degree (2L - E)^2"] == 3
-    assert by_name["curve degree (3L - E).(2L - E)"] == 5
-    assert by_name["curve genus"] == 1
-
-
-def test_restriction_isomorphisms():
-    expected = {
-        "(7,4)-cubic": 4,
-        "(8,5)-cubic": 4,
-        "(7,5)-cubic": 10,
-        "(9,5)-quartic": 10,
-        "(6,2)-scroll-h0": 5,
-    }
-    for case in RESTRICTION_CASES:
-        line = surface_restriction_isomorphism_check(case)
-        assert line.ok
-        assert line.computed == expected[case]
-    with pytest.raises(ValueError):
-        surface_restriction_isomorphism_check("(1,1)-mystery")

@@ -477,6 +477,12 @@ def _make_premise_circular(entries):
     entry["glue"] = {"d2": 0, "g2": 0, "points": 1, "twist": 1}
 
 
+def _give_a_wildcard_a_premise(entries):
+    # the wildcard answers its own premise, so the premise classifies as
+    # general through the entry itself
+    next(e for e in entries if e["id"] == "r2n1-plane")["premises"] = [[2, 1, 4, 3]]
+
+
 INTEGRITY_DETAILS = {
     _drop_glue: "r3n2-hglue-6-3: the HyperplaneGlue side conditions need glue data",
     _retag_interpolation_as_plane: "r3n2-interp-3-0: PlaneCurve tags only the r = 2 wildcards",
@@ -486,6 +492,7 @@ INTEGRITY_DETAILS = {
     _make_premise_circular: (
         "r3n1-line-glue-8-6: premise (3, 1, 8, 6) is not below the entry in degree"
     ),
+    _give_a_wildcard_a_premise: "r2n1-plane: premise (2, 1, 4, 3) on a wildcard entry",
 }
 
 
@@ -498,14 +505,16 @@ INTEGRITY_DETAILS = {
         (_retag_interpolation_as_plane, {"ledger-integrity"}),
         (_exempt_an_in_domain_case, {"ledger-integrity"}),
         (_make_premise_circular, {"ledger-integrity"}),
+        (_give_a_wildcard_a_premise, {"ledger-integrity"}),
     ],
 )
 def test_verify_all_fails_single_field_mutants(edit, failed, tmp_path, capsys):
     # the seed one degree down leaves genus 8 of (4, 1) underivable; a plane
     # wildcard with a constructive tag puts every plane case on the frontier;
     # a gluing entry without glue has no side conditions to check; the plane
-    # tag off the plane wildcards, the exemption on a case in domain and a
-    # premise not below its entry in degree are each a ledger invariant
+    # tag off the plane wildcards, the exemption on a case in domain, a
+    # premise not below its entry in degree and a premise on a wildcard are
+    # each a ledger invariant
     code, out, _ = run_cli(
         capsys, "verify-all", "--ledger", _doctored_ledger(tmp_path, edit), "--json"
     )

@@ -6,7 +6,7 @@ fails every misplaced exemption and plane or skew-lines tag."""
 
 import pytest
 
-from gensect import engine as engine_module, numerology, verify
+from gensect import audits, engine as engine_module, lattices, numerology, verify
 from gensect.audits import EXCEPTIONAL
 from gensect.engine import ClassificationEngine, IncompleteLedgerError, Query
 from gensect.ledger import Ledger, load_ledger
@@ -394,3 +394,68 @@ def test_every_exemption_of_a_case_not_out_of_domain_fails_ledger_integrity(entr
 def test_plane_and_skew_line_tags_sit_where_they_belong(entry_id, fields, problem):
     problems = _mutant(entry_id, **fields).invariant_problems()
     assert f"{entry_id}: {problem}" in problems
+
+
+@pytest.mark.parametrize(
+    "entry_id, premise", [("r2n1-plane", (2, 1, 4, 3)), ("r2n2-plane", (2, 1, 4, 3))]
+)
+def test_a_wildcard_entry_lists_no_premise(entry_id, premise):
+    # in its own pair the premise is the wildcard itself; in the other plane
+    # pair it is a wildcard that may rest on this one in turn
+    problems = _mutant(entry_id, premises=(premise,)).invariant_problems()
+    assert problems == [f"{entry_id}: premise {premise} on a wildcard entry"]
+
+
+# -- case studies -------------------------------------------------------------------
+
+
+def test_local_determinant_fails_without_a_linear_term(monkeypatch):
+    # with d for t the determinant is -4d: zero modulo t^2
+    monkeypatch.setattr(verify, "_R", verify._D)
+    result = verify.check_local_determinant()
+    assert not result.ok
+    assert result.detail == "determinant = 0"
+
+
+def test_scroll_case_study_names_each_line_it_computes(monkeypatch):
+    # the class sum reads no intersection, so one of the six lines still
+    # holds: the check fails unless every line does
+    intersect = lattices.intersect
+    monkeypatch.setattr(lattices, "intersect", lambda S, a, b: intersect(S, a, b) + 1)
+    result = verify.check_scroll_case_study()
+    assert not result.ok
+    assert result.detail.startswith(
+        "scroll degree (2L - E)^2: 4; curve degree (3L - E).(2L - E): 6; "
+    )
+    assert result.detail.endswith(
+        "; determinant class (3L - E + p + q) + (5L - 3E - p - q): ((8, -4), 0)"
+    )
+
+
+@pytest.mark.parametrize(
+    "module, name, mutant, detail",
+    [
+        (
+            audits,
+            "rr_curve",
+            lambda deg, g: deg - g + 2,
+            "(7,4)-cubic: 4 != 5; (7,5)-cubic: 10 != 11; (9,5)-quartic: 10 != 12; "
+            "(6,2)-scroll-h0: 5 != 6",
+        ),
+        (
+            lattices,
+            "h0_rational",
+            lambda S, C: 0,
+            "(7,4)-cubic: 0 != 4; (8,5)-cubic: 0 != 4; (7,5)-cubic: 0 != 10; "
+            "(9,5)-quartic: 0 != 10",
+        ),
+    ],
+    ids=["curve side", "surface side"],
+)
+def test_restriction_isomorphisms_name_the_sites_that_disagree(
+    module, name, mutant, detail, monkeypatch
+):
+    monkeypatch.setattr(module, name, mutant)
+    result = verify.check_restriction_isomorphisms()
+    assert not result.ok
+    assert result.detail == detail
