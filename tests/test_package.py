@@ -306,6 +306,27 @@ def test_public_name_resolves_to_its_definition(name):
     assert vars(gensect)[name] is value  # cached after the first access
 
 
+@pytest.mark.parametrize(
+    "name",
+    [
+        "CheckLine",
+        "Jet",
+        "RESTRICTION_CASES",
+        "det3",
+        "local_determinant_check",
+        "scroll_case_study",
+        "surface_restriction_isomorphism_check",
+    ],
+)
+def test_the_case_studies_left_audits_without_an_alias(name):
+    # the battery's case studies are tables inside their verify checks
+    from gensect import audits
+
+    assert not hasattr(audits, name)
+    with pytest.raises(AttributeError, match=name):
+        getattr(gensect, name)
+
+
 def test_namespace_lists_and_binds_every_public_name():
     assert "composite_invariants" not in gensect.__all__
     assert set(gensect.__all__) <= set(dir(gensect))

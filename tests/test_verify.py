@@ -396,9 +396,8 @@ def test_plane_and_skew_line_tags_sit_where_they_belong(entry_id, fields, proble
     assert f"{entry_id}: {problem}" in problems
 
 
-@pytest.mark.parametrize(
-    "entry_id, premise", [("r2n1-plane", (2, 1, 4, 3)), ("r2n2-plane", (2, 1, 4, 3))]
-)
+@pytest.mark.parametrize("premise", [(2, 1, 4, 3), (2, 2, 4, 3)])
+@pytest.mark.parametrize("entry_id", ["r2n1-plane", "r2n2-plane"])
 def test_a_wildcard_entry_lists_no_premise(entry_id, premise):
     # in its own pair the premise is the wildcard itself; in the other plane
     # pair it is a wildcard that may rest on this one in turn
@@ -409,26 +408,74 @@ def test_a_wildcard_entry_lists_no_premise(entry_id, premise):
 # -- case studies -------------------------------------------------------------------
 
 
-def test_local_determinant_fails_without_a_linear_term(monkeypatch):
-    # with d for t the determinant is -4d: zero modulo t^2
-    monkeypatch.setattr(verify, "_R", verify._D)
+@pytest.mark.parametrize(
+    "t, ok, detail",
+    [
+        (verify._R, True, "-4t"),
+        # with d for t the determinant is -4d: zero modulo t^2
+        (verify._D, False, "0"),
+        (verify._R + 1, False, "-4 - 4t"),
+    ],
+    ids=["t", "no linear term", "constant term"],
+)
+def test_local_determinant_reads_the_coefficients_of_one_and_t(t, ok, detail, monkeypatch):
+    monkeypatch.setattr(verify, "_R", t)
     result = verify.check_local_determinant()
-    assert not result.ok
-    assert result.detail == "determinant = 0"
+    assert result.ok is ok
+    assert result.detail == f"determinant = {detail}"
 
 
-def test_scroll_case_study_names_each_line_it_computes(monkeypatch):
-    # the class sum reads no intersection, so one of the six lines still
-    # holds: the check fails unless every line does
-    intersect = lattices.intersect
-    monkeypatch.setattr(lattices, "intersect", lambda S, a, b: intersect(S, a, b) + 1)
+SCROLL_LINES = {
+    "scroll degree (2L - E)^2": 3,
+    "curve degree (3L - E).(2L - E)": 5,
+    "curve genus": 1,
+    "first twisted piece degree (-L + E + p + q)": 0,
+    "second twisted piece degree (L - E - p - q)": 0,
+    "determinant class (3L - E + p + q) + (5L - 3E - p - q)": ((8, -4), 0),
+}
+
+
+@pytest.mark.parametrize(
+    "name, mutant, wrong",
+    [
+        (None, None, {}),
+        (
+            "intersect",
+            # the genus and the twisted degrees are read off intersections too
+            lambda S, a, b, f=lattices.intersect: f(S, a, b) + 1,
+            {
+                "scroll degree (2L - E)^2": 4,
+                "curve degree (3L - E).(2L - E)": 6,
+                "curve genus": 2,
+                "first twisted piece degree (-L + E + p + q)": 1,
+                "second twisted piece degree (L - E - p - q)": 1,
+            },
+        ),
+        (
+            "adjunction_genus",
+            lambda S, C, f=lattices.adjunction_genus: f(S, C) + 1,
+            {"curve genus": 2},
+        ),
+        (
+            "restricted_degree",
+            lambda S, C, B, shift, f=lattices.restricted_degree: f(S, C, B, shift) + 1,
+            {
+                "first twisted piece degree (-L + E + p + q)": 1,
+                "second twisted piece degree (L - E - p - q)": 1,
+            },
+        ),
+    ],
+    ids=["as computed", "intersect", "adjunction_genus", "restricted_degree"],
+)
+def test_scroll_case_study_names_each_line_it_computes(name, mutant, wrong, monkeypatch):
+    # the class sum reads no kernel, so one of the six lines always holds:
+    # the check fails unless every line does
+    if name:
+        monkeypatch.setattr(lattices, name, mutant)
     result = verify.check_scroll_case_study()
-    assert not result.ok
-    assert result.detail.startswith(
-        "scroll degree (2L - E)^2: 4; curve degree (3L - E).(2L - E): 6; "
-    )
-    assert result.detail.endswith(
-        "; determinant class (3L - E + p + q) + (5L - 3E - p - q): ((8, -4), 0)"
+    assert result.ok is (not wrong)
+    assert result.detail == "; ".join(
+        f"{line}: {wrong.get(line, value)}" for line, value in SCROLL_LINES.items()
     )
 
 
@@ -436,12 +483,20 @@ def test_scroll_case_study_names_each_line_it_computes(monkeypatch):
     "module, name, mutant, detail",
     [
         (
+            None,
+            None,
+            None,
+            "(7,4)-cubic: 4 = 4; (8,5)-cubic: 4 = 4; (7,5)-cubic: 10 = 10; "
+            "(9,5)-quartic: 10 = 10; (6,2)-scroll-h0: 5 = 5",
+        ),
+        (
             audits,
             "rr_curve",
             lambda deg, g: deg - g + 2,
             "(7,4)-cubic: 4 != 5; (7,5)-cubic: 10 != 11; (9,5)-quartic: 10 != 12; "
             "(6,2)-scroll-h0: 5 != 6",
         ),
+        (audits, "general_bundle_h0", lambda deg, g: deg - g + 2, "(8,5)-cubic: 4 != 5"),
         (
             lattices,
             "h0_rational",
@@ -449,13 +504,23 @@ def test_scroll_case_study_names_each_line_it_computes(monkeypatch):
             "(7,4)-cubic: 0 != 4; (8,5)-cubic: 0 != 4; (7,5)-cubic: 0 != 10; "
             "(9,5)-quartic: 0 != 10",
         ),
+        (
+            lattices,
+            "riemann_roch_chi",
+            # h0_rational reads chi too, so only the scroll's chi moves
+            lambda S, C, f=lattices.riemann_roch_chi, scroll=lattices.SurfaceModel.scroll(): (
+                f(S, C) - (S == scroll)
+            ),
+            "(6,2)-scroll-h0: 4 != 5",
+        ),
     ],
-    ids=["curve side", "surface side"],
+    ids=["as computed", "rr_curve", "general_bundle_h0", "h0_rational", "riemann_roch_chi"],
 )
 def test_restriction_isomorphisms_name_the_sites_that_disagree(
     module, name, mutant, detail, monkeypatch
 ):
-    monkeypatch.setattr(module, name, mutant)
+    if module:
+        monkeypatch.setattr(module, name, mutant)
     result = verify.check_restriction_isomorphisms()
-    assert not result.ok
+    assert result.ok is (module is None)
     assert result.detail == detail
