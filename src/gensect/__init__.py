@@ -37,7 +37,6 @@ _EXPORTS = {
         "Query",
         "Verdict",
         "classify",
-        "side_condition_check",
     ),
     "lattices": (
         "CertificateError",
@@ -53,7 +52,6 @@ _EXPORTS = {
         "k3_stats",
         "kv_vanishing_certificate",
         "positivity",
-        "restricted_degree",
         "riemann_roch_chi",
     ),
     "ledger": ("Ledger", "LedgerEntry", "load_ledger"),

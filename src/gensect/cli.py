@@ -85,7 +85,9 @@ def _emit(args: SimpleNamespace, payload, text) -> None:
         sys.stdout.write(to_json(envelope(args.command, payload())))
     else:
         out = text()
-        sys.stdout.write(out if out.endswith("\n") else out + "\n")
+        sys.stdout.write(out)
+        if not out.endswith("\n"):
+            sys.stdout.write("\n")
 
 
 # -- subcommand handlers -------------------------------------------------------

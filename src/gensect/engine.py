@@ -33,7 +33,6 @@ from .audits import EXCEPTIONAL, ExceptionalCase
 from .ledger import (
     AUXILIARY_TAGS,
     CONSTRUCTIVE_TAGS,
-    GLUE_CHECK_TAGS,
     Ledger,
     LedgerEntry,
     load_ledger,
@@ -77,9 +76,6 @@ class Query(tuple):
 
     def __new__(cls, r: int, n: int, d: int, g: int) -> Query:
         return _new(cls, (r, n, d, g))
-
-    def case(self) -> tuple[int, int, int, int]:
-        return (self.r, self.n, self.d, self.g)
 
 
 @named_fields
@@ -226,65 +222,6 @@ class Verdict(tuple):
     ) -> Verdict:
         return _new(cls, (status, reason, trace, descriptor))
 
-    @classmethod
-    def invalid(cls, reason: str) -> "Verdict":
-        return cls(status="invalid", reason=reason)
-
-    @classmethod
-    def general(cls, trace: DerivationTrace) -> "Verdict":
-        return cls(status="general", trace=trace)
-
-    @classmethod
-    def exceptional(cls, descriptor: ExceptionalCase) -> "Verdict":
-        return cls(status="exceptional", descriptor=descriptor)
-
-
-@named_fields
-class ConditionRow(tuple):
-    """One evaluated inequality, reported with both sides."""
-
-    __slots__ = ()
-
-    def __new__(cls, name: str, lhs: int, relation: str, rhs: int, holds: bool) -> ConditionRow:
-        return _new(cls, (name, lhs, relation, rhs, holds))
-
-
-@named_fields
-class SideConditionReport(tuple):
-    __slots__ = ()
-
-    def __new__(cls, entry_id: str, rows: tuple[ConditionRow, ...]) -> SideConditionReport:
-        return _new(cls, (entry_id, rows))
-
-    @property
-    def all_hold(self) -> bool:
-        return all(row.holds for row in self.rows)
-
-
-def side_condition_check(entry: LedgerEntry) -> SideConditionReport:
-    """Evaluate the gluing side conditions attached to a ledger entry.
-
-    For a curve of degree d2 and genus g2 in a hyperplane of P^r, attached at
-    n points with twist k, the derivation needs
-    (r-2) n <= r d2 - (r-4)(g2-1) - k (r-2) d2 (the restricted bundle keeps
-    enough Euler characteristic), n at least g2 (k = 1) or g2 - 1 + (k-1) d2
-    (k > 1) (the twisted hyperplane series has no H^1), and n >= g2 - d2 + r
-    (the glued curve smooths).
-    """
-    if entry.tag not in GLUE_CHECK_TAGS or entry.glue is None:
-        raise ValueError(f"entry {entry.id} carries no checkable gluing data")
-    r, k = entry.r, entry.glue.twist
-    d2, g2, n = entry.glue.d2, entry.glue.g2, entry.glue.points
-    chi_bound = r * d2 - (r - 4) * (g2 - 1) - k * (r - 2) * d2
-    series_bound = g2 if k == 1 else g2 - 1 + (k - 1) * d2
-    smooth_bound = g2 - d2 + r
-    rows = (
-        ConditionRow("restricted-chi", (r - 2) * n, "<=", chi_bound, (r - 2) * n <= chi_bound),
-        ConditionRow("twisted-series", n, ">=", series_bound, n >= series_bound),
-        ConditionRow("smoothing", n, ">=", smooth_bound, n >= smooth_bound),
-    )
-    return SideConditionReport(entry_id=entry.id, rows=rows)
-
 
 def admissible_floor(r: int, n: int, g: int) -> int | None:
     """The least d with (r, n, d, g) in domain and not exceptional, if any.
@@ -342,41 +279,40 @@ class ClassificationEngine:
 
     def classify(self, q: Query) -> Verdict:
         """Total and deterministic; General verdicts carry a complete trace."""
-        if (q.r, q.n) not in SUPPORTED_PAIRS:
-            return Verdict.invalid(
-                f"unsupported pair (r, n) = ({q.r}, {q.n}); generality is possible "
-                f"only for {', '.join(map(str, sorted(SUPPORTED_PAIRS)))}"
+        r, n, d, g = q
+        if (r, n) not in SUPPORTED_PAIRS:
+            return Verdict(
+                "invalid",
+                f"unsupported pair (r, n) = ({r}, {n}); generality is possible "
+                f"only for {', '.join(map(str, sorted(SUPPORTED_PAIRS)))}",
             )
-        if q.d < 1:
-            return Verdict.invalid(f"degree must be at least 1, got {q.d}")
-        if q.g < 0:
-            return Verdict.invalid(f"genus must be nonnegative, got {q.g}")
-        if not in_domain(q.r, q.d, q.g):
-            value = rho(BNIndex(q.r, q.d, q.g))
-            return Verdict.invalid(
-                f"rho({q.d}, {q.g}, {q.r}) = {value} < 0: no such general curve"
-            )
-        if self.is_exceptional(q.r, q.n, q.d, q.g):
-            return Verdict.exceptional(EXCEPTIONAL[q.case()])
-        r, n, d, g = q.case()
+        if d < 1:
+            return Verdict("invalid", f"degree must be at least 1, got {d}")
+        if g < 0:
+            return Verdict("invalid", f"genus must be nonnegative, got {g}")
+        if not in_domain(r, d, g):
+            value = rho(BNIndex(r, d, g))
+            return Verdict("invalid", f"rho({d}, {g}, {r}) = {value} < 0: no such general curve")
+        if self.is_exceptional(r, n, d, g):
+            return Verdict("exceptional", descriptor=EXCEPTIONAL[(r, n, d, g)])
         segments: list[Segment] = []
         threshold = self._threshold(r, n, g)
         if (r, n) == (3, 1) and threshold is not None and d >= threshold.case[2]:
-            segments.append(Segment(q.case(), RULE_DOWNGRADE))
+            segments.append(Segment(tuple(q), RULE_DOWNGRADE))
             n = 2
         while threshold is not None and d >= threshold.case[2]:
             if d > threshold.case[2]:
                 segments.append(Segment((r, n, d, g), RULE_ADD_LINE, d - threshold.case[2]))
             segments.append(threshold)
             if threshold.rule == RULE_LEDGER:
-                return Verdict.general(DerivationTrace(tuple(segments)))
+                return Verdict("general", trace=DerivationTrace(tuple(segments)))
             r, n, d, g = threshold.premise()
             threshold = self._threshold(r, n, g) if g >= 0 else None  # no rule below genus 0
         entry = self._leaf(r, n, d, g)
         if entry is None:
-            raise IncompleteLedgerError(q.case())
+            raise IncompleteLedgerError(tuple(q))
         segments.append(Segment((r, n, d, g), RULE_LEDGER, 1, entry.id))
-        return Verdict.general(DerivationTrace(tuple(segments)))
+        return Verdict("general", trace=DerivationTrace(tuple(segments)))
 
     def _leaf(self, r: int, n: int, d: int, g: int) -> LedgerEntry | None:
         """The ledger entry a case may rest on directly.  Auxiliary bases serve
@@ -508,22 +444,16 @@ class ClassificationEngine:
         row = "." * min(low - 1, d_max) + "E" * (floor - low) + band + "G" * (d_max + 1 - top)
         return row[:d_max], seed
 
-    def _sweep(
-        self, r: int, n: int, d_max: int, g_max: int
-    ) -> tuple[list[str], list[tuple[int, int]]]:
-        """The rows of g = 0..g_max and the frontier, from one walk."""
+    def _sweep(self, r: int, n: int, d_max: int, g_max: int):
+        """The row of each genus g = 0..g_max and its frontier degree (None
+        if it has none), one genus at a time."""
         if (r, n) not in SUPPORTED_PAIRS:
             raise ValueError(f"unsupported pair ({r}, {n})")
         wildcard = self.ledger.wildcard(r, n)
         if wildcard is not None and wildcard.tag in AUXILIARY_TAGS:
             wildcard = None  # as _leaf rules: no auxiliary leaf from genus 0 up
-        rows, frontier = [], []
         for g in range(0, g_max + 1):
-            row, seed = self._genus(r, n, g, d_max, wildcard)
-            rows.append(row)
-            if seed is not None:
-                frontier.append((seed, g))
-        return rows, frontier
+            yield self._genus(r, n, g, d_max, wildcard)
 
     def table(
         self, r: int, n: int, d_max: int, g_max: int
@@ -532,11 +462,14 @@ class ClassificationEngine:
         general, E exceptional, . invalid), and ``frontier(r, n, g_max)``,
         read from one walk over the genera.  Raises ValueError for an
         unsupported pair, and IncompleteLedgerError for the first underivable
-        case, by genus then degree."""
-        rows, frontier = self._sweep(r, n, d_max, g_max)
-        for g, row in enumerate(rows):
+        case, by genus then degree, as soon as its row is built."""
+        rows, frontier = [], []
+        for g, (row, seed) in enumerate(self._sweep(r, n, d_max, g_max)):
             if "?" in row:
                 raise IncompleteLedgerError((r, n, row.index("?") + 1, g))
+            rows.append(row)
+            if seed is not None:
+                frontier.append((seed, g))
         return rows, frontier
 
     def completeness_audit(
@@ -548,7 +481,7 @@ class ClassificationEngine:
         hole in the ledger.
         """
         holes = []
-        for g, row in enumerate(self._sweep(r, n, d_max, g_max)[0]):
+        for g, (row, _) in enumerate(self._sweep(r, n, d_max, g_max)):
             if "?" in row:
                 holes.extend((d, g) for d, code in enumerate(row, start=1) if code == "?")
         return holes
@@ -560,7 +493,7 @@ class ClassificationEngine:
         derivation is a single constructive ledger axiom; cases reached by a
         rule or a numeric-gate base are not frontier cases.  Ordered by genus.
         """
-        return self._sweep(r, n, 0, g_max)[1]
+        return self.table(r, n, 0, g_max)[1]  # empty rows: no hole to raise
 
     # -- trace validation ----------------------------------------------------
 

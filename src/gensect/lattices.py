@@ -106,12 +106,6 @@ class SurfaceModel(tuple):
     def rank(self) -> int:
         return len(self.gram)
 
-    @property
-    def blowup_points(self) -> int:
-        if self.kind != "del_pezzo":
-            raise LatticeError("blowup_points is only defined for del Pezzo models")
-        return self.rank - 1
-
     @classmethod
     @cache
     def del_pezzo(cls, k: int) -> "SurfaceModel":
@@ -305,7 +299,7 @@ def enumerate_lines(S: SurfaceModel) -> frozenset[DivisorClass]:
     """
     if S.kind != "del_pezzo":
         raise LatticeError("line enumeration is defined on del Pezzo blowups only")
-    return _lines_for_blowup(S.blowup_points)
+    return _lines_for_blowup(S.rank - 1)
 
 
 @lru_cache(maxsize=8)
@@ -439,13 +433,6 @@ def k3_stats(S: SurfaceModel, C: DivisorClass, H: DivisorClass) -> K3Stats:
         raise LatticeError(f"malformed class: C^2 = {square} is odd on an even lattice")
     genus = 1 + square // 2
     return K3Stats(genus=genus, degree=intersect(S, C, H), h0=1 + genus)
-
-
-def restricted_degree(
-    S: SurfaceModel, C: DivisorClass, B: DivisorClass, point_shift: int
-) -> int:
-    """Degree on C of B restricted and twisted by a signed sum of points."""
-    return intersect(S, C, B) + point_shift
 
 
 def format_class(S: SurfaceModel, C: DivisorClass) -> str:

@@ -69,14 +69,6 @@ class SchubertCycle(tuple):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "SchubertCycle") -> "SchubertCycle":
-        if self.ambient_n != other.ambient_n:
-            raise SchubertError("ambient mismatch")
-        merged = self.as_dict()
-        for part, coeff in other.terms:
-            merged[part] = merged.get(part, 0) + coeff
-        return SchubertCycle.from_dict(self.ambient_n, merged)
-
     def __mul__(self, other: "SchubertCycle") -> "SchubertCycle":
         return multiply(self, other)
 

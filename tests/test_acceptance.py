@@ -13,7 +13,6 @@ from gensect.engine import (
     ClassificationEngine,
     Query,
     in_domain,
-    side_condition_check,
     trace_from_payload,
 )
 from gensect.lattices import DivisorClass, SurfaceModel
@@ -181,16 +180,11 @@ def test_criterion_11_audits(capsys):
 
 
 def test_criterion_12_gluing_gates():
-    bn3 = side_condition_check(ENGINE.ledger.get("r3n2-pglue-10-9"))
-    rows = {row.name: (row.lhs, row.rhs) for row in bn3.rows}
-    assert rows["restricted-chi"] == (6, 6)
-    assert rows["twisted-series"] == (6, 6)
-    assert bn3.all_hold
-    bn4 = side_condition_check(ENGINE.ledger.get("r4n1-hglue-16-15"))
-    rows = {row.name: (row.lhs, row.rhs) for row in bn4.rows}
-    assert rows["restricted-chi"] == (14, 18)
-    assert rows["twisted-series"] == (7, 6)
-    assert bn4.all_hold
+    gates = verify.check_side_conditions(ENGINE)
+    assert gates.ok
+    rows = dict(line.split(": ", 1) for line in gates.detail.split("; "))
+    assert rows["r3n2-pglue-10-9"].startswith("restricted-chi 6 <= 6, twisted-series 6 >= 6, ")
+    assert rows["r4n1-hglue-16-15"].startswith("restricted-chi 14 <= 18, twisted-series 7 >= 6, ")
     report(12, "gluing gates read 6 <= 6, 6 >= 6 and 14 <= 18, 7 >= 6 exactly")
 
 

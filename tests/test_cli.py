@@ -2,8 +2,12 @@ import contextlib
 import io
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -397,6 +401,40 @@ def test_table_with_an_incomplete_ledger_exits_three(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert err == "incomplete ledger: no derivation for in-domain case (3, 2, 7, 4)\n"
+
+
+@pytest.mark.parametrize("text, writes", [("GG\nGG", ["GG\nGG", "\n"]), ("GG\n", ["GG\n"])])
+def test_a_text_report_is_written_as_built_then_its_newline(text, writes, monkeypatch):
+    # the report is not copied to append the newline
+    written = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=written.append))
+    cli._emit(SimpleNamespace(json=False, command="table"), None, lambda: text)
+    assert written == writes and written[0] is text
+
+
+def test_table_reports_a_hole_in_its_first_row_before_sweeping_the_rest(tmp_path):
+    # without the plane wildcard, (2, 1, 2, 0) in the row g = 0 is a hole; the
+    # rows above it are never built, so a 10^4 x 10^4 box answers at once
+    def drop(entries):
+        entries[:] = [e for e in entries if e["id"] != "r2n1-plane"]
+
+    # the child caps its own CPU time at 2 s, then runs the command
+    capped = (
+        "import resource; resource.setrlimit(resource.RLIMIT_CPU, (2, 2)); "
+        "from gensect.cli import console_main; console_main()"
+    )
+    box = ("--r", "2", "--n", "1", "--d-max", "10000", "--g-max", "10000")
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", capped, "table", *box,
+         "--ledger", _doctored_ledger(tmp_path, drop)],
+        env={"PYTHONPATH": os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == "incomplete ledger: no derivation for in-domain case (2, 1, 2, 0)\n"
 
 
 def test_a_ledger_file_serves_only_its_own_call(tmp_path, capsys):

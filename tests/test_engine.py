@@ -16,7 +16,6 @@ from gensect.engine import (
     Segment,
     admissible_floor,
     in_domain,
-    side_condition_check,
     trace_from_payload,
 )
 from gensect.ledger import CONSTRUCTIVE_TAGS, Ledger, load_ledger
@@ -343,38 +342,7 @@ def test_stated_only_premise_is_flagged(engine):
     assert not in_domain(r, d, g)
 
 
-# -- side conditions and gluing arithmetic ------------------------------------------
-
-
-def test_side_conditions_plane_quartic(engine):
-    report = side_condition_check(engine.ledger.get("r3n2-pglue-10-9"))
-    by_name = {row.name: row for row in report.rows}
-    assert (by_name["restricted-chi"].lhs, by_name["restricted-chi"].rhs) == (6, 6)
-    assert (by_name["twisted-series"].lhs, by_name["twisted-series"].rhs) == (6, 6)
-    assert (by_name["smoothing"].lhs, by_name["smoothing"].rhs) == (6, 2)
-    assert report.all_hold
-
-
-def test_side_conditions_hyperplane_nine_six(engine):
-    report = side_condition_check(engine.ledger.get("r4n1-hglue-16-15"))
-    by_name = {row.name: row for row in report.rows}
-    assert (by_name["restricted-chi"].lhs, by_name["restricted-chi"].rhs) == (14, 18)
-    assert (by_name["twisted-series"].lhs, by_name["twisted-series"].rhs) == (7, 6)
-    assert report.all_hold
-
-
-def test_side_conditions_all_glue_entries(engine):
-    checked = 0
-    for entry in engine.ledger.entries:
-        if entry.tag in ("HyperplaneGlue", "PlaneCurveGlue"):
-            assert side_condition_check(entry).all_hold
-            checked += 1
-    assert checked == 15
-
-
-def test_side_conditions_rejects_plain_entries(engine):
-    with pytest.raises(ValueError):
-        side_condition_check(engine.ledger.get("r3n2-interp-3-0"))
+# -- gluing arithmetic ------------------------------------------------------------
 
 
 def test_glue_arithmetic_reaches_case(engine):
@@ -412,6 +380,23 @@ def test_incomplete_ledger_reported_by_audit():
     assert (5, 1) in missing
     # everything reached only through (5, 1) is gone too
     assert (6, 1) in missing
+
+
+def test_table_stops_at_the_first_row_with_a_hole_and_the_audit_lists_them_all(monkeypatch):
+    # without the plane wildcard every admissible case of (2, 1) is a hole
+    broken = ClassificationEngine(drop_entry("r2n1-plane"))
+    built, genus = [], ClassificationEngine._genus
+    monkeypatch.setattr(
+        ClassificationEngine, "_genus", lambda self, *a: built.append(a[2]) or genus(self, *a)
+    )
+    with pytest.raises(IncompleteLedgerError) as raised:
+        broken.table(2, 1, 6, 3)
+    assert raised.value.case == (2, 1, 2, 0)
+    assert built == [0]
+    assert broken.completeness_audit(2, 1, 6, 3) == [
+        (2, 0), (3, 0), (4, 0), (5, 0), (6, 0), (3, 1), (4, 1), (5, 1), (6, 1),
+        (4, 2), (5, 2), (6, 2), (4, 3), (5, 3), (6, 3),
+    ]
 
 
 def move_seed(d):

@@ -18,7 +18,6 @@ from gensect.lattices import (
     k3_stats,
     kv_vanishing_certificate,
     positivity,
-    restricted_degree,
     riemann_roch_chi,
 )
 
@@ -346,13 +345,6 @@ def test_k3_stats():
     assert (h_only.genus, h_only.degree, h_only.h0) == (4, 6, 5)
     with pytest.raises(LatticeError):
         k3_stats(DP6, DP6.cls_(1, 0, 0, 0, 0, 0, 0), DP6.cls_(1, 0, 0, 0, 0, 0, 0))
-
-
-def test_restricted_degrees_on_scroll():
-    cubic = SCROLL.cls_(3, -1)
-    assert restricted_degree(SCROLL, cubic, SCROLL.cls_(-1, 1), +2) == 0
-    assert restricted_degree(SCROLL, cubic, SCROLL.cls_(1, -1), -2) == 0
-    assert restricted_degree(SCROLL, cubic, SCROLL.cls_(2, -1), 0) == 5
 
 
 def test_scroll_class_additivity_with_point_bookkeeping():

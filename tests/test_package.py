@@ -13,11 +13,11 @@ from importlib import resources
 import pytest
 
 import gensect
-from gensect import cli, report
+from gensect import cli, engine, lattices, report
 from gensect.engine import Query, Verdict
-from gensect.lattices import DivisorClass
+from gensect.lattices import DivisorClass, SurfaceModel
 from gensect.ledger import load_ledger
-from gensect.schubert import sigma
+from gensect.schubert import SchubertCycle, sigma
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -276,7 +276,7 @@ def test_audits_imports_only_the_record_helpers():
         (Query(3, 2, 30, 20), "d"),
         (load_ledger().entries[0], "tag"),
         (DivisorClass((1, 0)), "coeffs"),
-        (Verdict.invalid("no"), "status"),
+        (Verdict("invalid", "no"), "status"),
     ],
     ids=["Query", "LedgerEntry", "DivisorClass", "Verdict"],
 )
@@ -325,6 +325,41 @@ def test_the_case_studies_left_audits_without_an_alias(name):
     assert not hasattr(audits, name)
     with pytest.raises(AttributeError, match=name):
         getattr(gensect, name)
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        (engine, "ConditionRow"),
+        (engine, "SideConditionReport"),
+        (engine, "side_condition_check"),
+        (engine, "GLUE_CHECK_TAGS"),
+        (lattices, "restricted_degree"),
+    ],
+)
+def test_the_inlined_wrappers_left_no_alias(module, name):
+    # each was written out at its one caller: the side conditions in their
+    # verify check, the restricted degrees in the scroll case study
+    assert not hasattr(module, name)
+    with pytest.raises(AttributeError, match=name):
+        getattr(gensect, name)
+
+
+@pytest.mark.parametrize(
+    "cls, name",
+    [
+        (Verdict, "invalid"),
+        (Verdict, "general"),
+        (Verdict, "exceptional"),
+        (Query, "case"),
+        (SurfaceModel, "blowup_points"),
+        (SchubertCycle, "__add__"),
+    ],
+)
+def test_the_inlined_methods_left_no_alias(cls, name):
+    # callers build the verdict and unpack the query themselves; a cycle
+    # has no sum of its own, so ``+`` is the tuple's
+    assert getattr(cls, name, None) is getattr(tuple, name, None)
 
 
 def test_namespace_lists_and_binds_every_public_name():

@@ -16,14 +16,7 @@ from gensect.audits import (
     ExceptionalCase,
     ExternalFact,
 )
-from gensect.engine import (
-    ConditionRow,
-    DerivationTrace,
-    Query,
-    Segment,
-    SideConditionReport,
-    Verdict,
-)
+from gensect.engine import DerivationTrace, Query, Segment, Verdict
 from gensect.lattices import DivisorClass, K3Stats, LatticeError, Positivity, SurfaceModel
 from gensect.ledger import GlueData, LedgerEntry
 from gensect.numerology import BNIndex
@@ -31,7 +24,6 @@ from gensect.schubert import SchubertCycle, SchubertError
 from gensect.verify import CheckResult
 
 LEAF = Segment((3, 2, 9, 4), "ledger", 1, "r3n2-interp-9-4")
-ROW = ConditionRow("smoothing", 4, ">=", 3, True)
 
 #: Per record: the class, its namedtuple field string and defaults, and one
 #: valid value per field, already in the form its constructor stores.
@@ -65,8 +57,6 @@ RECORDS = [
         (None, None, None),
         ("general", "a reason", DerivationTrace((LEAF,)), ExternalFact("x")),
     ),
-    (ConditionRow, "name lhs relation rhs holds", (), ("smoothing", 4, ">=", 3, True)),
-    (SideConditionReport, "entry_id rows", (), ("r3n2-hglue-7-2", (ROW,))),
     (DivisorClass, "coeffs", (), ((2, -1),)),
     (
         SurfaceModel,
@@ -98,7 +88,7 @@ def reference(cls, fields, defaults):
 
 
 def test_every_record_is_listed():
-    assert len(RECORDS) == len({row[0] for row in RECORDS}) == 21
+    assert len(RECORDS) == len({row[0] for row in RECORDS}) == 19
 
 
 @PARAMS

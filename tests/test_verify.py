@@ -299,7 +299,7 @@ def test_sweep_classifies_only_the_exceptional_table(monkeypatch):
     classify = ClassificationEngine.classify
 
     def counting(self, q):
-        calls.append(q.case())
+        calls.append(tuple(q))
         return classify(self, q)
 
     monkeypatch.setattr(ClassificationEngine, "classify", counting)
@@ -405,6 +405,41 @@ def test_a_wildcard_entry_lists_no_premise(entry_id, premise):
     assert problems == [f"{entry_id}: premise {premise} on a wildcard entry"]
 
 
+# -- gluing side conditions ---------------------------------------------------------
+
+
+def test_side_conditions_read_every_gluing_entry_and_only_those():
+    glued = [e.id for e in load_ledger().entries if e.tag in ("HyperplaneGlue", "PlaneCurveGlue")]
+    result = verify.check_side_conditions(ClassificationEngine())
+    assert result.ok
+    lines = result.detail.split("; ")
+    assert len(glued) == 15
+    assert [line.split(": ")[0] for line in lines] == glued
+    assert "r3n2-pglue-10-9: restricted-chi 6 <= 6, twisted-series 6 >= 6, smoothing 6 >= 2" in lines
+
+
+@pytest.mark.parametrize(
+    "glue, detail",
+    [
+        ({"twist": 3}, "restricted-chi 14 <= -18, twisted-series 7 >= 23, smoothing 7 >= 1"),
+        ({"points": 10}, "restricted-chi 20 <= 18, twisted-series 10 >= 6, smoothing 10 >= 1"),
+        ({"points": 5}, "restricted-chi 10 <= 18, twisted-series 5 >= 6, smoothing 5 >= 1"),
+        (
+            {"d2": 2, "g2": 2, "points": 2},
+            "restricted-chi 4 <= 4, twisted-series 2 >= 2, smoothing 2 >= 4",
+        ),
+    ],
+    ids=["twist 3", "restricted-chi", "twisted-series", "smoothing"],
+)
+def test_side_conditions_name_the_entry_whose_conditions_fail(glue, detail):
+    # the last three break one condition each, the first two at once
+    entry_id = "r4n1-hglue-16-15"
+    doctored = _mutant(entry_id, glue=load_ledger().get(entry_id).glue._replace(**glue))
+    result = verify.check_side_conditions(ClassificationEngine(doctored))
+    assert not result.ok
+    assert result.detail == f"{entry_id}: {detail}"
+
+
 # -- case studies -------------------------------------------------------------------
 
 
@@ -456,16 +491,8 @@ SCROLL_LINES = {
             lambda S, C, f=lattices.adjunction_genus: f(S, C) + 1,
             {"curve genus": 2},
         ),
-        (
-            "restricted_degree",
-            lambda S, C, B, shift, f=lattices.restricted_degree: f(S, C, B, shift) + 1,
-            {
-                "first twisted piece degree (-L + E + p + q)": 1,
-                "second twisted piece degree (L - E - p - q)": 1,
-            },
-        ),
     ],
-    ids=["as computed", "intersect", "adjunction_genus", "restricted_degree"],
+    ids=["as computed", "intersect", "adjunction_genus"],
 )
 def test_scroll_case_study_names_each_line_it_computes(name, mutant, wrong, monkeypatch):
     # the class sum reads no kernel, so one of the six lines always holds:
