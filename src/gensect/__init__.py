@@ -36,7 +36,6 @@ _EXPORTS = {
         "IncompleteLedgerError",
         "Query",
         "Verdict",
-        "classify",
     ),
     "lattices": (
         "CertificateError",

@@ -250,14 +250,12 @@ EXCEPTIONAL: dict[Case, ExceptionalCase] = {
     )
 }
 
-AUDIT_CASES: tuple[Case, ...] = tuple(EXCEPTIONAL)
-
-
 def run_audit(case: Case) -> ExceptionalCase:
     """The exceptional case, with the evidence that it is not general."""
-    if case not in AUDIT_CASES:
-        raise ValueError(f"unknown audit case {case}")
-    return EXCEPTIONAL[case]
+    try:
+        return EXCEPTIONAL[case]
+    except (KeyError, TypeError):  # TypeError: an unhashable case, such as a list
+        raise ValueError(f"unknown audit case {case}") from None
 
 
 def audit_evidence_problems(report: ExceptionalCase) -> list[str]:

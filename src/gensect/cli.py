@@ -55,39 +55,39 @@ def _verdict_payload(engine: ClassificationEngine, q: Query, verdict: Verdict) -
     return payload
 
 
-def _verdict_text(engine: ClassificationEngine, q: Query, verdict: Verdict) -> str:
-    lines = [f"query: r={q.r} n={q.n} d={q.d} g={q.g}", f"verdict: {verdict.status}"]
+def _verdict_text(engine: ClassificationEngine, q: Query, verdict: Verdict):
+    yield f"query: r={q.r} n={q.n} d={q.d} g={q.g}"
+    yield f"verdict: {verdict.status}"
     if verdict.status == "invalid":
-        lines.append(f"reason: {verdict.reason}")
+        yield f"reason: {verdict.reason}"
     elif verdict.status == "exceptional":
-        lines.append(f"intersection: {verdict.descriptor.description}")
-        lines.append(f"audit: {verdict.descriptor.case}")
+        yield f"intersection: {verdict.descriptor.description}"
+        yield f"audit: {verdict.descriptor.case}"
     else:
         # one line per segment, indented by its depth; a run says how long it is
-        lines.append("trace:")
+        yield "trace:"
         for depth, seg in enumerate(verdict.trace.segments):
             indent = "  " * (depth + 1)
             r, n, d, g = seg.case
             if seg.rule == "ledger":
                 entry = engine.ledger.get(seg.entry_id)
-                lines.append(f"{indent}({r},{n},{d},{g})  base [{entry.id}] {entry.citation}")
+                yield f"{indent}({r},{n},{d},{g})  base [{entry.id}] {entry.citation}"
             else:
                 run = f" x{seg.repeat}" if seg.repeat > 1 else ""
-                lines.append(f"{indent}({r},{n},{d},{g})  {seg.rule}{run}")
-    return "\n".join(lines)
+                yield f"{indent}({r},{n},{d},{g})  {seg.rule}{run}"
 
 
-def _emit(args: SimpleNamespace, payload, text) -> None:
-    """Build and write only the requested format: JSON with --json, else text,
-    each from a function of no arguments.  The envelope names the subcommand
-    that ran."""
+def _emit(args: SimpleNamespace, payload, lines) -> None:
+    """Write the requested format: with --json, ``payload`` in the envelope
+    that names the subcommand that ran; else each of ``lines`` and then a
+    newline, one line at a time, so no text report is held whole."""
     if args.json:
-        sys.stdout.write(to_json(envelope(args.command, payload())))
+        sys.stdout.write(to_json(envelope(args.command, payload)))
     else:
-        out = text()
-        sys.stdout.write(out)
-        if not out.endswith("\n"):
-            sys.stdout.write("\n")
+        write = sys.stdout.write
+        for line in lines:
+            write(line)
+            write("\n")
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -102,11 +102,7 @@ def _cmd_classify(args: SimpleNamespace) -> int:
     engine = ClassificationEngine(load_ledger(args.ledger))
     q = Query(args.r, args.n, args.d, args.g)
     verdict = engine.classify(q)
-    _emit(
-        args,
-        lambda: _verdict_payload(engine, q, verdict),
-        lambda: _verdict_text(engine, q, verdict),
-    )
+    _emit(args, _verdict_payload(engine, q, verdict), _verdict_text(engine, q, verdict))
     return EXIT_INVALID if verdict.status == "invalid" else EXIT_OK
 
 
@@ -129,19 +125,17 @@ def _cmd_table(args: SimpleNamespace) -> int:
         "frontier": [list(pair) for pair in frontier],
     }
 
-    def text() -> str:
-        lines = [
-            f"verdicts for r={args.r} n={args.n}, d = 1..{args.d_max} per row, g = 0..{args.g_max}",
-            "legend: G general, E exceptional, . invalid",
-        ]
-        lines.extend(f"g={g:>3} {row}" for g, row in enumerate(rows))
-        lines.append("frontier (minimal construction seeds, ordered by genus):")
-        lines.append(
-            "  " + ", ".join(f"({d}, {g})" for d, g in frontier) if frontier else "  (none)"
+    def text():
+        yield (
+            f"verdicts for r={args.r} n={args.n}, d = 1..{args.d_max} per row, g = 0..{args.g_max}"
         )
-        return "\n".join(lines)
+        yield "legend: G general, E exceptional, . invalid"
+        for g, row in enumerate(rows):
+            yield f"g={g:>3} {row}"
+        yield "frontier (minimal construction seeds, ordered by genus):"
+        yield "  " + ", ".join(f"({d}, {g})" for d, g in frontier) if frontier else "  (none)"
 
-    _emit(args, lambda: payload, text)
+    _emit(args, payload, text())
     return EXIT_OK
 
 
@@ -194,7 +188,7 @@ def _audit_text(report: audits.ExceptionalCase) -> str:
 
 def _cmd_audit(args: SimpleNamespace) -> int:
     if args.all:
-        cases = list(audits.AUDIT_CASES)
+        cases = list(audits.EXCEPTIONAL)
     elif args.case:
         try:
             cases = [_parse_case(args.case)]
@@ -209,9 +203,7 @@ def _cmd_audit(args: SimpleNamespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_INVALID
-    payload = {"audits": [_audit_payload(rep) for rep in reports]}
-    text = "\n".join(_audit_text(rep) for rep in reports)
-    _emit(args, lambda: payload, lambda: text)
+    _emit(args, {"audits": [_audit_payload(rep) for rep in reports]}, map(_audit_text, reports))
     return EXIT_OK
 
 
@@ -249,10 +241,10 @@ def _cmd_schubert(args: SimpleNamespace) -> int:
         "top_degree": schubert.top_degree(product),
     }
     text = (
-        f"product in G(1,{args.n}): {rendered}\n"
-        f"point-class coefficient: {schubert.top_degree(product)}"
+        f"product in G(1,{args.n}): {rendered}",
+        f"point-class coefficient: {payload['top_degree']}",
     )
-    _emit(args, lambda: payload, lambda: text)
+    _emit(args, payload, text)
     return EXIT_OK
 
 
@@ -274,7 +266,7 @@ def _cmd_lines(args: SimpleNamespace) -> int:
     }
     text_lines = [f"{len(line_classes)} lines on the blowup of the plane at {args.k} points"]
     text_lines.extend(lattices.format_class(S, c) for c in line_classes)
-    _emit(args, lambda: payload, lambda: "\n".join(text_lines))
+    _emit(args, payload, text_lines)
     return EXIT_OK
 
 
@@ -296,7 +288,7 @@ def _cmd_verify_all(args: SimpleNamespace) -> int:
     lines.append(
         f"{len(results)} checks: {payload['passed']} passed, {payload['failed']} failed"
     )
-    _emit(args, lambda: payload, lambda: "\n".join(lines))
+    _emit(args, payload, lines)
     return EXIT_OK if payload["failed"] == 0 else EXIT_VERIFICATION
 
 

@@ -269,12 +269,6 @@ class ClassificationEngine:
     def __init__(self, ledger: Ledger | None = None) -> None:
         self.ledger = ledger if ledger is not None else load_ledger()
 
-    # -- domain predicates -------------------------------------------------
-
-    @staticmethod
-    def is_exceptional(r: int, n: int, d: int, g: int) -> bool:
-        return (d, g) in EXCEPTIONAL_PAIRS.get((r, n), frozenset())
-
     # -- classification ----------------------------------------------------
 
     def classify(self, q: Query) -> Verdict:
@@ -293,7 +287,7 @@ class ClassificationEngine:
         if not in_domain(r, d, g):
             value = rho(BNIndex(r, d, g))
             return Verdict("invalid", f"rho({d}, {g}, {r}) = {value} < 0: no such general curve")
-        if self.is_exceptional(r, n, d, g):
+        if (d, g) in EXCEPTIONAL_PAIRS.get((r, n), ()):
             return Verdict("exceptional", descriptor=EXCEPTIONAL[(r, n, d, g)])
         segments: list[Segment] = []
         threshold = self._threshold(r, n, g)
@@ -555,14 +549,9 @@ class ClassificationEngine:
             and self.ledger.has(child.entry_id)
             and self.ledger.get(child.entry_id).rho_exempt
         )
-        admissible = in_domain(cr, cd, cg) and not self.is_exceptional(cr, cn, cd, cg)
+        admissible = in_domain(cr, cd, cg) and (cd, cg) not in EXCEPTIONAL_PAIRS.get((cr, cn), ())
         if not (admissible or exempt):
             problems.append(f"{node.case}: {node.rule} premise {child.case} not admissible")
         if cd >= d:
             problems.append(f"{node.case}: premise degree does not decrease")
         return True
-
-
-def classify(q: Query) -> Verdict:
-    """Classify against the bundled ledger, with a fresh engine."""
-    return ClassificationEngine().classify(q)

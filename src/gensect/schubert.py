@@ -27,15 +27,14 @@ def _check_partition(n: int, a: int, b: int) -> None:
 class SchubertCycle(tuple):
     """An integer combination of two-row Schubert classes in G(1, n).
 
-    Terms map partitions (a, b) to nonzero integer coefficients; zero
-    coefficients are dropped on construction.
+    Built from any iterable of (partition, coefficient) pairs, such as a
+    dict's items; ``terms`` holds the sorted pairs of nonzero coefficients,
+    with repeated partitions summed and zero coefficients dropped.
     """
 
     __slots__ = ()
 
-    def __new__(
-        cls, ambient_n: int, terms: tuple[tuple[tuple[int, int], int], ...]
-    ) -> SchubertCycle:
+    def __new__(cls, ambient_n: int, terms) -> SchubertCycle:
         if ambient_n < 2:
             raise SchubertError(f"ambient n must be >= 2, got {ambient_n}")
         cleaned = {}
@@ -49,37 +48,19 @@ class SchubertCycle(tuple):
         return _new(cls, (ambient_n, normalized))
 
     @classmethod
-    def from_dict(cls, n: int, terms: dict[tuple[int, int], int]) -> "SchubertCycle":
-        return cls(n, tuple(terms.items()))
-
-    @classmethod
-    def zero(cls, n: int) -> "SchubertCycle":
-        return cls(n, ())
-
-    @classmethod
     def identity(cls, n: int) -> "SchubertCycle":
-        return cls.from_dict(n, {(0, 0): 1})
+        return cls(n, {(0, 0): 1}.items())
 
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.terms)
-
-    def coefficient(self, a: int, b: int) -> int:
-        return self.as_dict().get((a, b), 0)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __mul__(self, other: "SchubertCycle") -> "SchubertCycle":
-        return multiply(self, other)
-
-    def __rmul__(self, other):  # not the tuple's repetition
+    def __add__(self, other):  # not the tuple's concatenation or repetition
         return NotImplemented
+
+    __mul__ = __rmul__ = __add__
 
 
 def sigma(n: int, a: int, b: int = 0) -> SchubertCycle:
     """The Schubert class sigma_{a,b} in G(1, n)."""
     _check_partition(n, a, b)
-    return SchubertCycle.from_dict(n, {(a, b): 1})
+    return SchubertCycle(n, {(a, b): 1}.items())
 
 
 def _pieri(n: int, p: int, terms: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
@@ -102,7 +83,7 @@ def pieri(n: int, p: int, c: SchubertCycle) -> SchubertCycle:
         raise SchubertError("ambient mismatch")
     if not 1 <= p <= n - 1:
         raise SchubertError(f"special class index must satisfy 1 <= p <= {n - 1}, got {p}")
-    return SchubertCycle.from_dict(n, _pieri(n, p, dict(c.terms)))
+    return SchubertCycle(n, _pieri(n, p, dict(c.terms)).items())
 
 
 def multiply(c1: SchubertCycle, c2: SchubertCycle) -> SchubertCycle:
@@ -123,18 +104,18 @@ def multiply(c1: SchubertCycle, c2: SchubertCycle) -> SchubertCycle:
         for sign, terms in expansion:
             for part, k in terms.items():
                 total[part] = total.get(part, 0) + sign * k
-    return SchubertCycle.from_dict(n, total)
+    return SchubertCycle(n, total.items())
 
 
 def top_degree(c: SchubertCycle) -> int:
     """Coefficient of the point class sigma_{n-1,n-1}."""
     n = c.ambient_n
-    return c.coefficient(n - 1, n - 1)
+    return dict(c.terms).get((n - 1, n - 1), 0)
 
 
 def format_cycle(c: SchubertCycle) -> str:
     """Render a cycle as ``s[3,1] + s[2,2]``; the zero cycle prints ``0``."""
-    if c.is_zero():
+    if not c.terms:
         return "0"
     parts = []
     for (a, b), coeff in sorted(c.terms, reverse=True):

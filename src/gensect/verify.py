@@ -625,7 +625,7 @@ def check_frontier(engine: ClassificationEngine) -> CheckResult:
 
 def check_audits() -> CheckResult:
     problems = []
-    for case in audits.AUDIT_CASES:
+    for case in audits.EXCEPTIONAL:
         problems.extend(audits.audit_evidence_problems(audits.run_audit(case)))
     deficit62 = audits.run_audit((3, 2, 6, 2)).evidence
     deficit75 = audits.run_audit((3, 2, 7, 5)).evidence

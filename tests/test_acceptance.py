@@ -168,7 +168,7 @@ def test_criterion_10_schubert():
 def test_criterion_11_audits(capsys):
     assert main(["audit", "--all", "--json"]) == 0
     verdicts = json.loads(capsys.readouterr().out)["result"]["audits"]
-    assert sorted(tuple(v["case"]) for v in verdicts) == sorted(audits.AUDIT_CASES)
+    assert sorted(tuple(v["case"]) for v in verdicts) == sorted(audits.EXCEPTIONAL)
     assert all(v["verdict"] == "not_general" for v in verdicts)
     six_two = audits.run_audit((3, 2, 6, 2)).evidence
     assert (six_two.total, six_two.ambient_dim) == (23, 24)

@@ -5,7 +5,6 @@ import pytest
 
 from gensect import cli
 from gensect.audits import (
-    AUDIT_CASES,
     EXCEPTIONAL,
     ConditionCount,
     DimensionDeficit,
@@ -101,19 +100,19 @@ def test_audit_external_fact():
 
 
 def test_every_exceptional_case_has_one_audit(capsys):
-    assert len(AUDIT_CASES) == 10
-    for case in AUDIT_CASES:
+    assert len(EXCEPTIONAL) == 10
+    for case in EXCEPTIONAL:
         report = run_audit(case)
         assert report is EXCEPTIONAL[case]  # the table's own row
         assert audit_evidence_problems(report) == []
     assert cli.main(["audit", "--all", "--json"]) == 0
     audits = json.loads(capsys.readouterr().out)["result"]["audits"]
-    assert [tuple(a["case"]) for a in audits] == sorted(AUDIT_CASES)
+    assert [tuple(a["case"]) for a in audits] == sorted(EXCEPTIONAL)
     assert {a["verdict"] for a in audits} == {"not_general"}
 
 
 def test_deficit_ambient_is_symmetric_power_dimension():
-    for case in AUDIT_CASES:
+    for case in EXCEPTIONAL:
         ev = run_audit(case).evidence
         if isinstance(ev, DimensionDeficit):
             r, n, d, g = case
@@ -131,6 +130,10 @@ def test_condition_count_h0_agrees_with_lattice_counts():
         )
 
 
-def test_unknown_audit_case():
-    with pytest.raises(ValueError):
-        run_audit((3, 2, 9, 9))
+@pytest.mark.parametrize(
+    "case", [(3, 2, 9, 9), [3, 2, 4, 1], (3, 2, [4], 1)], ids=["unknown", "list", "unhashable"]
+)
+def test_unknown_audit_case(case):
+    # a list is no case, even with the numbers of one
+    with pytest.raises(ValueError, match="unknown audit case"):
+        run_audit(case)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -48,6 +49,12 @@ def test_classify_invalid_exit_two(capsys):
 def test_unsupported_pair_exit_two(capsys):
     code, out, _ = run_cli(capsys, "classify", "--r", "5", "--n", "1", "--d", "10", "--g", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_table_of_an_unsupported_pair_exit_two(json_flag, capsys):
+    code, out, err = run_cli(capsys, "table", "--r", "5", "--n", "1", *json_flag)
+    assert (code, out, err) == (2, "", "unsupported pair (r, n) = (5, 1)\n")
 
 
 def test_malformed_input_exit_one(capsys):
@@ -403,13 +410,61 @@ def test_table_with_an_incomplete_ledger_exits_three(tmp_path, capsys):
     assert err == "incomplete ledger: no derivation for in-domain case (3, 2, 7, 4)\n"
 
 
-@pytest.mark.parametrize("text, writes", [("GG\nGG", ["GG\nGG", "\n"]), ("GG\n", ["GG\n"])])
-def test_a_text_report_is_written_as_built_then_its_newline(text, writes, monkeypatch):
-    # the report is not copied to append the newline
-    written = []
+def test_a_text_report_is_written_line_by_line(monkeypatch):
+    # each line and then its newline, before the next line is made, so the
+    # report is never held whole; a JSON report reads no line at all
+    written, seen = [], []
     monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=written.append))
-    cli._emit(SimpleNamespace(json=False, command="table"), None, lambda: text)
-    assert written == writes and written[0] is text
+
+    def lines():
+        for line in ("GG", "", "G."):
+            seen.append(len(written))
+            yield line
+
+    cli._emit(SimpleNamespace(json=False, command="table"), None, lines())
+    assert written == ["GG", "\n", "", "\n", "G.", "\n"]
+    assert seen == [0, 2, 4]
+    written.clear()
+    cli._emit(SimpleNamespace(json=True, command="table"), {"r": 3}, lines())
+    assert len(written) == 1 and json.loads(written[0])["result"] == {"r": 3}
+    assert seen == [0, 2, 4]
+
+
+def test_a_text_table_at_the_bound_holds_about_one_copy_of_its_report():
+    # 100 MB of rows: the rows themselves fit under 160 MB, a second copy of
+    # the report would not.  ru_maxrss is in kilobytes on Linux, and wait4
+    # reads this child's own peak, not that of every child the tests ran.
+    box = ("--r", "3", "--n", "2", "--d-max", "10000", "--g-max", "10000")
+    child = subprocess.Popen(
+        [sys.executable, "-B", "-c", "from gensect.cli import console_main; console_main()",
+         "table", *box],
+        env={"PYTHONPATH": os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")},
+        stdout=subprocess.PIPE,
+    )
+    digest, size = hashlib.sha256(), 0
+    while chunk := child.stdout.read(1 << 20):
+        digest.update(chunk)
+        size += len(chunk)
+    child.stdout.close()
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+    assert child.returncode == 0
+    assert (size, digest.hexdigest()[:16]) == (100_089_273, "e4d05b4a998d9cff")
+    assert usage.ru_maxrss < 160 * 1024
+
+
+def test_table_takes_no_auxiliary_wildcard_as_a_leaf(tmp_path, capsys):
+    # SkewLines bases serve only below genus 0, so retagged the plane
+    # wildcard derives nothing, and the row g = 0 holds the first hole
+    def retag(entries):
+        (plane,) = [e for e in entries if e["id"] == "r2n1-plane"]
+        plane["tag"] = "SkewLines"
+
+    code, out, err = run_cli(
+        capsys, "table", "--r", "2", "--n", "1", "--ledger", _doctored_ledger(tmp_path, retag)
+    )
+    assert (code, out) == (3, "")
+    assert err == "incomplete ledger: no derivation for in-domain case (2, 1, 2, 0)\n"
 
 
 def test_table_reports_a_hole_in_its_first_row_before_sweeping_the_rest(tmp_path):
@@ -790,6 +845,7 @@ MALFORMED_LEDGERS = {
         "r4n1-hglue-12-9", "premises_stated_only", None
     ),
     "list-note": lambda: _field_set_to("r4n1-skew-lines", "note", ["three skew lines"]),
+    "null-degree-with-genus": lambda: _degree_set_to(None),
 }
 
 
@@ -817,3 +873,5 @@ def test_malformed_ledger_exit_one(defect, command, tmp_path, capsys):
         assert "entry r4n1-hglue-12-9: premises_stated_only must be true or false, got " in err
     if defect == "list-note":
         assert "entry r4n1-skew-lines: note must be a string or null, got ['three" in err
+    if defect == "null-degree-with-genus":
+        assert "entry r3n2-scroll-5-1: d and g must both be set or both null" in err

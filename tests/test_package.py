@@ -13,8 +13,8 @@ from importlib import resources
 import pytest
 
 import gensect
-from gensect import cli, engine, lattices, report
-from gensect.engine import Query, Verdict
+from gensect import audits, cli, engine, lattices, report
+from gensect.engine import ClassificationEngine, Query, Verdict
 from gensect.lattices import DivisorClass, SurfaceModel
 from gensect.ledger import load_ledger
 from gensect.schubert import SchubertCycle, sigma
@@ -288,13 +288,21 @@ def test_records_are_immutable(record, field):
 
 
 def test_algebraic_records_do_not_repeat_as_tuples():
-    for product in (
+    # neither a tuple's repetition nor its concatenation
+    for operation in (
         lambda: DivisorClass((1, 0)) * 2,
         lambda: 2 * sigma(3, 1),
+        lambda: sigma(3, 1) * 2,
+        lambda: sigma(3, 1) * sigma(3, 1),
+        lambda: sigma(3, 1) + sigma(3, 1),
+        lambda: DivisorClass((1, 2)) + (3, 4),
+        lambda: DivisorClass((1, 2)) - (3, 4),
     ):
         with pytest.raises(TypeError):
-            product()
+            operation()
     assert 2 * DivisorClass((1, -1)) == DivisorClass((2, -2))
+    assert DivisorClass((1, 2)) + DivisorClass((3, 4)) == DivisorClass((4, 6))
+    assert DivisorClass((1, 2)) - DivisorClass((3, 4)) == DivisorClass((-2, -2))
 
 
 @pytest.mark.parametrize("name", gensect.__all__)
@@ -320,8 +328,6 @@ def test_public_name_resolves_to_its_definition(name):
 )
 def test_the_case_studies_left_audits_without_an_alias(name):
     # the battery's case studies are tables inside their verify checks
-    from gensect import audits
-
     assert not hasattr(audits, name)
     with pytest.raises(AttributeError, match=name):
         getattr(gensect, name)
@@ -335,11 +341,15 @@ def test_the_case_studies_left_audits_without_an_alias(name):
         (engine, "side_condition_check"),
         (engine, "GLUE_CHECK_TAGS"),
         (lattices, "restricted_degree"),
+        (engine, "classify"),
+        (audits, "AUDIT_CASES"),
     ],
 )
 def test_the_inlined_wrappers_left_no_alias(module, name):
     # each was written out at its one caller: the side conditions in their
-    # verify check, the restricted degrees in the scroll case study
+    # verify check, the restricted degrees in the scroll case study; the
+    # exceptional table's keys are the audit cases, and the package never
+    # classified through a fresh engine of its own
     assert not hasattr(module, name)
     with pytest.raises(AttributeError, match=name):
         getattr(gensect, name)
@@ -353,12 +363,17 @@ def test_the_inlined_wrappers_left_no_alias(module, name):
         (Verdict, "exceptional"),
         (Query, "case"),
         (SurfaceModel, "blowup_points"),
-        (SchubertCycle, "__add__"),
+        (ClassificationEngine, "is_exceptional"),
+        (SchubertCycle, "from_dict"),
+        (SchubertCycle, "zero"),
+        (SchubertCycle, "as_dict"),
+        (SchubertCycle, "coefficient"),
+        (SchubertCycle, "is_zero"),
     ],
 )
 def test_the_inlined_methods_left_no_alias(cls, name):
-    # callers build the verdict and unpack the query themselves; a cycle
-    # has no sum of its own, so ``+`` is the tuple's
+    # callers build the verdict, unpack the query, test the exceptional
+    # pairs and read or build a cycle's terms themselves
     assert getattr(cls, name, None) is getattr(tuple, name, None)
 
 

@@ -396,6 +396,19 @@ def test_plane_and_skew_line_tags_sit_where_they_belong(entry_id, fields, proble
     assert f"{entry_id}: {problem}" in problems
 
 
+@pytest.mark.parametrize(
+    "fields, problem",
+    [
+        ({"tag": "Bogus"}, "unknown tag 'Bogus'"),
+        ({"quote": " "}, "empty quote"),
+        ({"citation": ""}, "empty citation"),
+    ],
+)
+def test_every_entry_has_a_known_tag_a_quote_and_a_citation(fields, problem):
+    problems = _mutant("r3n2-interp-3-0", **fields).invariant_problems()
+    assert problems == [f"r3n2-interp-3-0: {problem}"]
+
+
 @pytest.mark.parametrize("premise", [(2, 1, 4, 3), (2, 2, 4, 3)])
 @pytest.mark.parametrize("entry_id", ["r2n1-plane", "r2n2-plane"])
 def test_a_wildcard_entry_lists_no_premise(entry_id, premise):
