@@ -56,14 +56,11 @@ _EXPORTS = {
     "ledger": ("Ledger", "LedgerEntry", "load_ledger"),
     "numerology": (
         "BNIndex",
-        "chi_twisted_normal",
         "interpolation_gates",
         "max_general_hypersurface_degree",
-        "moduli_dim",
         "rho",
-        "rho_canonical_reduction_delta",
     ),
-    "schubert": ("SchubertCycle", "format_cycle", "multiply", "pieri", "sigma", "top_degree"),
+    "schubert": ("SchubertCycle", "format_cycle", "multiply", "sigma", "top_degree"),
 }
 
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -65,6 +65,9 @@ class DivisorClass(tuple):
     def __mul__(self, other):  # not the tuple's repetition
         return NotImplemented
 
+    def __radd__(self, other):  # NotImplemented would let a tuple concatenate
+        raise TypeError(f"cannot add {type(other).__name__} and DivisorClass")
+
 
 @named_fields
 class SurfaceModel(tuple):

@@ -16,7 +16,7 @@ ledger is built once per process, on first use, and shared.
 from __future__ import annotations
 
 from ._record import _new, named_fields
-from .numerology import BNIndex, in_domain, interpolation_gates, is_interpolation_exception
+from .numerology import INTERPOLATION_EXCEPTIONS, BNIndex, in_domain, interpolation_gates
 
 #: Tags whose entries are justified by a numeric gate alone.
 AUTOMATIC_TAGS = frozenset({"Interpolation", "GenusTwo", "PlaneCurve"})
@@ -36,7 +36,7 @@ KNOWN_TAGS = AUTOMATIC_TAGS | CONSTRUCTIVE_TAGS | AUXILIARY_TAGS
 #: a GenusTwo entry is one of the interpolation exceptions.
 _GATES = {
     "Interpolation": lambda ix, n: n in (0, 1, 2) and interpolation_gates(ix, n),
-    "GenusTwo": lambda ix, n: is_interpolation_exception(ix),
+    "GenusTwo": lambda ix, n: (ix.d, ix.g, ix.r) in INTERPOLATION_EXCEPTIONS,
 }
 
 #: Tags that carry hyperplane-gluing side conditions.

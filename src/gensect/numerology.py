@@ -6,10 +6,10 @@ maps, Euler characteristics of twisted normal bundles, and the inequality
 gates that decide when a twisted normal bundle interpolates.  All arithmetic
 is over Python integers; nothing here is approximate.
 
-Each formula is written once, in a core named ``<function>_at`` that takes
-plain values and does no validation; the public function validates its
-``BNIndex`` (and twist) and calls the core.  A core uses only +, - and *, so
-it evaluates on polynomials too, which is how the verify battery proves the
+Each formula is written once, in a core named ``<name>_at`` that takes plain
+values and does no validation; ``rho`` alone also takes a validated
+``BNIndex`` and calls its core.  A core uses only +, - and *, so it
+evaluates on polynomials too, which is how the verify battery proves the
 identities between them for all integers.
 """
 
@@ -68,34 +68,19 @@ def in_domain(r: int, d: int, g: int) -> bool:
     return r >= 2 and g >= 0 and d >= domain_floor(r, g)
 
 
-def moduli_dim(ix: BNIndex) -> int:
-    """Dimension (r+1)d - (r-3)(g-1) of the space of such maps.
-
-    For r = 3 this collapses to 4d, independent of the genus.
-    """
-    return moduli_dim_at(ix.r, ix.d, ix.g)
-
-
 def moduli_dim_at(r, d, g):
-    """``moduli_dim`` on plain values, unchecked."""
+    """Dimension (r+1)d - (r-3)(g-1) of the space of such maps; 4d if r = 3."""
     return (r + 1) * d - (r - 3) * (g - 1)
 
 
-def chi_twisted_normal(ix: BNIndex, k: int) -> int:
-    """Euler characteristic of the normal bundle twisted down k times.
+def chi_twisted_normal_at(r, d, g, k):
+    """Euler characteristic of the normal bundle twisted down k >= 0 times.
 
     For an unramified f : C -> P^r the normal bundle has rank r - 1 and
-    determinant K_C + (r+1)H, so deg N_f(-k) = (r+1)d + 2g - 2 - k(r-1)d and
-    Riemann-Roch gives chi = deg + (r-1)(1-g).  At k = 1, 2 this reproduces
-    the anchor values 2d (r = 3), 0 (r = 3) and 2d - g + 1 (r = 4).
+    determinant K_C + (r+1)H, so Riemann-Roch gives chi = (r+1)d + 2g - 2 -
+    k(r-1)d + (r-1)(1-g): the anchors 2d and 0 at r = 3, k = 1, 2, and
+    2d - g + 1 at r = 4, k = 1.
     """
-    if k < 0:
-        raise ValueError(f"twist k must be >= 0, got {k}")
-    return chi_twisted_normal_at(ix.r, ix.d, ix.g, k)
-
-
-def chi_twisted_normal_at(r, d, g, k):
-    """``chi_twisted_normal`` on plain values, unchecked."""
     degree = (r + 1) * d + 2 * (g - 1) - k * (r - 1) * d
     return degree + (r - 1) * (1 - g)
 
@@ -114,53 +99,25 @@ def max_general_hypersurface_degree(r: int) -> int:
     return (3 * r + 3) // (r * r - r)
 
 
-def is_nonspecial_range(ix: BNIndex) -> bool:
-    """d >= g + r: the hyperplane series of a general such curve is nonspecial."""
-    return ix.d >= ix.g + ix.r
-
-
-def is_interpolation_exception(ix: BNIndex) -> bool:
-    """Whether (d, g, r) is one of the three known interpolation failures."""
-    return (ix.d, ix.g, ix.r) in INTERPOLATION_EXCEPTIONS
-
-
-def twist_chi_bound_holds(ix: BNIndex, k: int) -> bool:
-    """chi(N_f(-k)) >= (rank N_f) * g, the sufficient bound for twisting.
-
-    A bundle satisfying interpolation keeps satisfying it after a twist that
-    leaves this much Euler characteristic; in particular its H^1 vanishes.
-    """
-    return chi_twisted_normal(ix, k) >= (ix.r - 1) * ix.g
-
-
 def interpolation_gates(ix: BNIndex, k: int) -> bool:
     """The combined numeric gate for H^1(N_f(-k)) = 0 via interpolation.
 
-    True iff the curve is in the nonspecial range, is not one of the three
-    interpolation exceptions, and the twist bound leaves enough sections.
+    True iff d >= g + r (a general such curve is nonspecial), (d, g, r) is
+    not in ``INTERPOLATION_EXCEPTIONS``, and chi_twisted_normal_at(r, d, g, k)
+    >= (r - 1) * g: an interpolating bundle twisted with that much Euler
+    characteristic left, rank times genus, keeps H^1 = 0.
     """
     if k not in (0, 1, 2):
         raise ValueError(f"gate twist k must be 0, 1 or 2, got {k}")
+    r, d, g = ix
     return (
-        is_nonspecial_range(ix)
-        and not is_interpolation_exception(ix)
-        and twist_chi_bound_holds(ix, k)
+        d >= g + r
+        and (d, g, r) not in INTERPOLATION_EXCEPTIONS
+        and chi_twisted_normal_at(r, d, g, k) >= (r - 1) * g
     )
 
 
-def rho_canonical_reduction_delta(ix: BNIndex) -> int:
-    """rho(d - r, g - r - 1, r) - rho(d, g, r); identically zero.
-
-    Peeling a rational normal curve off a curve of genus g > r leaves these
-    invariants, and the Brill-Noether number is unchanged.  The difference is
-    returned (rather than asserted) so sweeps can check the identity.
-    """
-    r, d, g = ix.r, ix.d, ix.g
-    if d <= r or g <= r:
-        raise ValueError(f"reduction needs d > r and g > r, got (r={r}, d={d}, g={g})")
-    return rho_canonical_reduction_delta_at(r, d, g)
-
-
 def rho_canonical_reduction_delta_at(r, d, g):
-    """``rho_canonical_reduction_delta`` on plain values, unchecked."""
+    """rho(d - r, g - r - 1, r) - rho(d, g, r), identically zero: peeling a
+    rational normal curve off a curve of genus g > r leaves rho unchanged."""
     return rho_at(r, d - r, g - r - 1) - rho_at(r, d, g)

@@ -56,6 +56,9 @@ class SchubertCycle(tuple):
 
     __mul__ = __rmul__ = __add__
 
+    def __radd__(self, other):  # NotImplemented would let a tuple concatenate
+        raise TypeError(f"cannot add {type(other).__name__} and SchubertCycle")
+
 
 def sigma(n: int, a: int, b: int = 0) -> SchubertCycle:
     """The Schubert class sigma_{a,b} in G(1, n)."""
@@ -75,15 +78,6 @@ def _pieri(n: int, p: int, terms: dict[tuple[int, int], int]) -> dict[tuple[int,
             part = (size - b2, b2)
             out[part] = out.get(part, 0) + coeff
     return out
-
-
-def pieri(n: int, p: int, c: SchubertCycle) -> SchubertCycle:
-    """Multiply c by the special class sigma_p via the horizontal-strip rule."""
-    if c.ambient_n != n:
-        raise SchubertError("ambient mismatch")
-    if not 1 <= p <= n - 1:
-        raise SchubertError(f"special class index must satisfy 1 <= p <= {n - 1}, got {p}")
-    return SchubertCycle(n, _pieri(n, p, dict(c.terms)).items())
 
 
 def multiply(c1: SchubertCycle, c2: SchubertCycle) -> SchubertCycle:

@@ -7,7 +7,7 @@ failure line instead.
 
 import json
 
-from gensect import audits, lattices, schubert, verify
+from gensect import audits, lattices, numerology, schubert, verify
 from gensect.cli import main
 from gensect.engine import (
     ClassificationEngine,
@@ -16,7 +16,6 @@ from gensect.engine import (
     trace_from_payload,
 )
 from gensect.lattices import DivisorClass, SurfaceModel
-from gensect.numerology import BNIndex, chi_twisted_normal, rho_canonical_reduction_delta
 
 ENGINE = ClassificationEngine()
 
@@ -67,9 +66,9 @@ def test_criterion_03_frontier_lists():
 def test_criterion_04_chi_identities():
     for d in range(1, 101):
         for g in range(0, 101):
-            assert chi_twisted_normal(BNIndex(3, d, g), 2) == 0
-            assert chi_twisted_normal(BNIndex(3, d, g), 1) == 2 * d
-            assert chi_twisted_normal(BNIndex(4, d, g), 1) == 2 * d - g + 1
+            assert numerology.chi_twisted_normal_at(3, d, g, 2) == 0
+            assert numerology.chi_twisted_normal_at(3, d, g, 1) == 2 * d
+            assert numerology.chi_twisted_normal_at(4, d, g, 1) == 2 * d - g + 1
     report(4, "chi identities hold exactly for all d, g <= 100")
 
 
@@ -77,7 +76,7 @@ def test_criterion_05_rho_invariance():
     for r in range(3, 7):
         for d in range(r + 1, 61):
             for g in range(r + 1, 61):
-                assert rho_canonical_reduction_delta(BNIndex(r, d, g)) == 0
+                assert numerology.rho_canonical_reduction_delta_at(r, d, g) == 0
     report(5, "rho is invariant under the canonical reduction, 3 <= r <= 6, d, g <= 60")
 
 
