@@ -385,6 +385,37 @@ def test_the_public_surface_is_the_declared_one():
         )
 
 
+with open(API_SURFACE, encoding="utf-8") as _file:
+    DECLARED_OWNERS = [line.split(":", 1)[0] for line in _file.read().splitlines()]
+
+
+@pytest.mark.parametrize("owner", DECLARED_OWNERS)
+def test_a_name_added_to_any_declared_owner_changes_its_line(owner, monkeypatch):
+    # the snapshot is exhaustive: a new public function in any module, a new
+    # method on any class or a new entry in ``__all__`` changes its owner's
+    # line and no other, so the snapshot test names where it went
+    before = public_surface()
+    module_name, _, class_name = owner.partition(".")[2].partition(".")
+
+    def probe():
+        pass
+
+    if owner == "gensect":
+        monkeypatch.setattr(gensect, "__all__", [*gensect.__all__, "probe"])
+    elif not class_name:
+        probe.__module__ = owner
+        monkeypatch.setattr(sys.modules[owner], "probe", probe, raising=False)
+    else:
+        probe.__module__ = f"gensect.{module_name}"
+        cls = getattr(sys.modules[probe.__module__], class_name)
+        monkeypatch.setattr(cls, "probe", probe, raising=False)
+    after = public_surface()
+    changed = [(old, new) for old, new in zip(before, after) if old != new]
+    assert len(after) == len(before) and len(changed) == 1
+    old, new = changed[0]
+    assert old.split(":", 1)[0] == owner and "probe" in new.split(": ", 1)[1].split(", ")
+
+
 def test_the_readme_library_use_runs_on_public_names():
     with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as file:
         section = file.read().split("\n## Library use\n", 1)[1]
