@@ -22,7 +22,7 @@ from .engine import (
     Verdict,
 )
 from .ledger import LedgerFormatError, load_ledger
-from .report import envelope, to_json
+from .report import _Grid, envelope, to_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -121,7 +121,7 @@ def _cmd_table(args: SimpleNamespace) -> int:
         "d_max": args.d_max,
         "g_max": args.g_max,
         "legend": {"G": "general", "E": "exceptional", ".": "invalid"},
-        "grid": [{"g": g, "row": row} for g, row in enumerate(rows)],
+        "grid": _Grid(rows),  # to_json writes one f-string per row
         "frontier": [list(pair) for pair in frontier],
     }
 

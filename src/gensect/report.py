@@ -5,7 +5,9 @@ carry an explicit deterministic order, there are no timestamps, and the
 schema is versioned.  The JSON schema is documented in the README.
 
 Reports are written by ``_write``, one recursive writer over dicts, lists,
-tuples, strings, ints, booleans, None and derivation traces.  It writes what
+tuples, strings, ints, booleans, None, derivation traces and table grids.
+A trace is written from its runs and a table's grid by one template per
+row, neither walked value by value.  It writes what
 ``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True)`` writes:
 strings go through ``_json.encode_basestring_ascii``, the C function the
 encoder itself calls, ints through ``int.__repr__`` and the layout is the
@@ -23,6 +25,12 @@ from .engine import DerivationTrace
 SCHEMA_VERSION = "1.0"
 
 
+# a list, not a tuple: CPython 3.11 keeps up to 2000 freed 20-item tuples on
+# a free list that no allocation takes from
+class _Grid(list):
+    """A table's rows, the row of genus g at index g for g = 0..g_max."""
+
+
 def envelope(command: str, result: dict) -> dict:
     """Wrap a result payload with the command echo and version stamps."""
     return {
@@ -37,9 +45,10 @@ def to_json(payload: dict) -> str:
     """Canonical JSON rendering: sorted keys, two-space indent, ASCII.
 
     A ``DerivationTrace`` is written as the flat root-to-leaf list of its
-    ``steps()``, each an object of ``case``, ``rule`` and ``entry``.
-    Any value other than a dict, list, tuple, string, int, boolean, None or
-    trace raises TypeError.
+    ``steps()``, each an object of ``case``, ``rule`` and ``entry``, and a
+    ``_Grid`` of table rows as the list of objects ``{"g": g, "row": row}``
+    for g = 0, 1, ..., one f-string per row.  Any value other than a dict,
+    list, tuple, string, int, boolean, None, trace or grid raises TypeError.
     """
     out: list[str] = []
     _write(payload, "\n", out)
@@ -80,6 +89,8 @@ def _write(value: object, indent: str, out: list[str]) -> None:
         out.append(int.__repr__(value))
     elif isinstance(value, DerivationTrace):
         _write_trace(value, indent, out)
+    elif type(value) is _Grid:
+        _write_grid(value, indent, out)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
@@ -115,4 +126,17 @@ def _write_trace(trace: DerivationTrace, indent: str, out: list[str]) -> None:
         else:
             out += [f"{before}{d - i * dd},{item}{g - i * dg}{after}" for i in range(repeat)]
     out[start] = "[" + out[start][1:]  # the first step follows "[", not a comma
+    out.append(indent + "]")
+
+
+def _write_grid(grid: _Grid, indent: str, out: list[str]) -> None:
+    """Append a grid as the list of its ``{"g", "row"}`` objects, one f-string
+    per row."""
+    step = indent + "  "
+    inner = step + "  "
+    # a row, after a comma, is before, its genus, between, its quoted row, after
+    before, between, after = f',{step}{{{inner}"g": ', f',{inner}"row": ', step + "}"
+    start = len(out)
+    out += [f"{before}{g}{between}{_quote(row)}{after}" for g, row in enumerate(grid)]
+    out[start] = "[" + out[start][1:]  # the first row follows "[", not a comma
     out.append(indent + "]")

@@ -1,19 +1,22 @@
 """The report writer against the standard library's encoder: any JSON tree
 renders as ``json.dumps(sort_keys=True, indent=2, ensure_ascii=True)`` writes
 it, a trace renders from its segments as the encoder writes its flat form
-(``reference_engine.to_payload``), and every ``table --json`` payload
-matches too."""
+(``reference_engine.to_payload``), a table's grid renders as the encoder
+writes its list of ``{"g", "row"}`` objects, and every ``table --json``
+payload matches too."""
 
+import contextlib
+import io
 import json
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gensect import cli
+from gensect import cli, report
 from gensect.engine import SUPPORTED_PAIRS, ClassificationEngine, DerivationTrace, Query, Segment
 from gensect.ledger import load_ledger
-from gensect.report import envelope, to_json
+from gensect.report import _Grid, envelope, to_json
 
 from reference_engine import to_payload
 
@@ -204,3 +207,57 @@ def test_table_json_renders_as_the_encoder_writes_it(argv, frontier, capsys):
     assert result["frontier"] == frontier
     assert [row["g"] for row in result["grid"]] == list(range(result["g_max"] + 1))
     assert {len(row["row"]) for row in result["grid"]} == {result["d_max"]}
+
+
+#: Rows with what the encoder escapes, the empty row and the three verdicts.
+ROWS = st.lists(st.just("") | TEXT | st.text("GE.", max_size=12), min_size=1, max_size=8)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(ROWS)
+def test_any_grid_renders_as_the_encoder_writes_its_rows(rows):
+    """At the depth ``table --json`` writes it, between other keys."""
+    expanded = [{"g": g, "row": row} for g, row in enumerate(rows)]
+    result = {"d_max": 3, "frontier": [[5, 1]], "g_max": len(rows) - 1, "legend": {"G": "general"}}
+    payload = envelope("table", {**result, "grid": _Grid(rows)})
+    assert to_json(payload) == encoder(envelope("table", {**result, "grid": expanded}))
+
+
+def run_table(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["table", *argv]) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    st.sampled_from(sorted(SUPPORTED_PAIRS)),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=60),
+)
+def test_table_json_rows_are_the_text_rows(pair, d_max, g_max):
+    argv = ["--r", str(pair[0]), "--n", str(pair[1]), "--d-max", str(d_max), "--g-max", str(g_max)]
+    out = run_table(*argv, "--json")
+    document = json.loads(out)
+    assert out == encoder(document)
+    lines = run_table(*argv).splitlines()[2 : g_max + 3]
+    prefixes = [f"g={g:>3} " for g in range(g_max + 1)]
+    assert [line[: len(p)] for line, p in zip(lines, prefixes)] == prefixes
+    text_rows = [line[len(p) :] for line, p in zip(lines, prefixes)]
+    assert document["result"]["grid"] == [{"g": g, "row": row} for g, row in enumerate(text_rows)]
+
+
+def test_a_table_grid_is_not_walked_row_by_row(monkeypatch):
+    """``_write`` is called as often for 1001 rows as for 11: the grid is
+    written by its template, whatever its height.  (3, 1) has the same
+    frontier in both boxes, so only the grid's height differs."""
+    calls = []
+    write = report._write
+    monkeypatch.setattr(report, "_write", lambda *a: calls.append(1) or write(*a))
+    counts = []
+    for g_max in ("10", "1000"):
+        calls.clear()
+        run_table("--r", "3", "--n", "1", "--d-max", "20", "--g-max", g_max, "--json")
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
