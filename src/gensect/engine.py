@@ -364,9 +364,8 @@ class ClassificationEngine:
         genus 0.  So the window holds at most dg steps plus two per entry or
         exceptional genus, however high those genera sit."""
         dd, dg = CANONICAL_STEP[r]
-        exact = [e.g for e in self.ledger.entries if (e.r, e.n) == (r, n) and not e.is_wildcard]
         genera = set(range(dg))  # each column's least genus
-        for g in exact + [g for _, g in EXCEPTIONAL_PAIRS[(r, n)]]:
+        for g in (*self.ledger.exact_genera(r, n), *(g for _, g in EXCEPTIONAL_PAIRS[(r, n)])):
             genera.update((g, g + dg))
         columns = [[] for _ in range(dg)]
         for h in sorted(h for h in genera if h >= 0):  # each column bottom up
@@ -440,21 +439,60 @@ class ClassificationEngine:
 
     def _sweep(self, r: int, n: int, d_max: int, g_max: int):
         """The row of each genus g = 0..g_max and its frontier degree (None
-        if it has none), one genus at a time."""
+        if it has none).
+
+        ``_genus`` derives the rows up to one period past g0, the highest
+        genus of an exact entry or an exceptional case of (r, n), or of
+        (3, 2) for (3, 1), which reads the (3, 2) window.  Above g0 the floor
+        is domain_floor(r, g) and only the wildcard offers a leaf.  For
+        (3, 2), (3, 1) and (4, 1) the period is the canonical step's
+        (dd, dg): the window breaks only at the genera above, dg higher and
+        at each column's least genus, so a row above g0 is at or past the
+        last breakpoint of its column g mod dg, and its threshold, that
+        breakpoint's step shifted, rises by dd every dg as the floor does,
+        since r dg = (r + 1) dd.  The plane pairs have no threshold, and
+        their period is one genus.  So a row above g0 recurs a period higher
+        with its Gs moved to the new floor: once one is dots then Gs and
+        seeds no frontier case, every later row of its column is the slice
+        of '.' * d_max + 'G' * d_max whose Gs start at domain_floor(r, g),
+        and is not derived.  A column whose rows hold a hole or a seed is
+        derived genus by genus, so ``table`` raises at its first hole and
+        the audit lists every one."""
         if (r, n) not in SUPPORTED_PAIRS:
             raise ValueError(f"unsupported pair ({r}, {n})")
         wildcard = self.ledger.wildcard(r, n)
         if wildcard is not None and wildcard.tag in AUXILIARY_TAGS:
             wildcard = None  # as _leaf rules: no auxiliary leaf from genus 0 up
+        dg = CANONICAL_STEP[r][1] if r in CANONICAL_STEP else 1
+        pairs = {(r, n), (3, 2) if (r, n) == (3, 1) else (r, n)}
+        g0 = max(
+            [g for pair in pairs for _, g in EXCEPTIONAL_PAIRS[pair]]
+            + [g for pair in pairs for g in self.ledger.exact_genera(*pair)[-1:]],  # highest
+            default=-1,
+        )
+        strip, closed = "." * d_max + "G" * d_max, set()  # closed: columns g mod dg
         for g in range(0, g_max + 1):
-            yield self._genus(r, n, g, d_max, wildcard)
+            if g > g0:
+                dots = min(domain_floor(r, g) - 1, d_max)
+                whole = strip[d_max - dots : 2 * d_max - dots]
+                if g % dg in closed:
+                    yield whole, None
+                    continue
+            row, seed = self._genus(r, n, g, d_max, wildcard)
+            if g > g0 and seed is None and row == whole:
+                closed.add(g % dg)
+            yield row, seed
 
     def table(
         self, r: int, n: int, d_max: int, g_max: int
     ) -> tuple[list[str], list[tuple[int, int]]]:
         """Verdict rows for g = 0..g_max, one character per d = 1..d_max (G
         general, E exceptional, . invalid), and ``frontier(r, n, g_max)``,
-        read from one walk over the genera.  Raises ValueError for an
+        read from one walk over the genera (``_sweep``): rows are derived
+        only up to one period past the last exact entry or exceptional case
+        the pair reads, and above it a column of whole rows is one string
+        sliced at the domain floor, so the derivations a grid costs are
+        bounded by the ledger, not by g_max.  Raises ValueError for an
         unsupported pair, and IncompleteLedgerError for the first underivable
         case, by genus then degree, as soon as its row is built."""
         rows, frontier = [], []
@@ -472,7 +510,10 @@ class ClassificationEngine:
         """All in-domain non-exceptional (d, g) in the box with no derivation.
 
         The contract is that this list is empty; anything it returns is a
-        hole in the ledger.
+        hole in the ledger.  The sweep takes a column's rows in closed form
+        only above the last exact entry or exceptional case the pair reads
+        and only once one of them is whole, so a column with a hole is
+        derived genus by genus and every hole in the box is listed.
         """
         holes = []
         for g, (row, _) in enumerate(self._sweep(r, n, d_max, g_max)):

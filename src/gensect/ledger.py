@@ -123,6 +123,7 @@ class Ledger:
         self._by_case: dict = {}
         self._wildcards: dict = {}
         degrees: dict = {}
+        genera: dict = {}
         # the first entry per case wins, and the first wildcard per (r, n)
         for entry in entries:
             if entry.d is None and entry.g is None:
@@ -132,7 +133,9 @@ class Ledger:
             else:
                 self._by_case.setdefault(entry.case_key(), entry)
                 degrees.setdefault((entry.r, entry.n, entry.g), set()).add(entry.d)
+                genera.setdefault((entry.r, entry.n), set()).add(entry.g)
         self._degrees = {key: tuple(sorted(ds)) for key, ds in degrees.items()}
+        self._genera = {key: tuple(sorted(gs)) for key, gs in genera.items()}
         self.windows: dict = {}
 
     def get(self, entry_id: str) -> LedgerEntry:
@@ -153,6 +156,10 @@ class Ledger:
     def exact_degrees(self, r: int, n: int, g: int) -> tuple[int, ...]:
         """The degrees of the exact-case entries at genus g, ascending."""
         return self._degrees.get((r, n, g), ())
+
+    def exact_genera(self, r: int, n: int) -> tuple[int, ...]:
+        """The genera of the exact-case entries of (r, n), ascending."""
+        return self._genera.get((r, n), ())
 
     def invariant_problems(self) -> list[str]:
         """Structural violations: bad tags, empty quotes, a case out of domain

@@ -307,27 +307,22 @@ def check_degree_bound() -> CheckResult:
 
 
 def check_low_genus_nonspecial() -> CheckResult:
-    # rho rises by r + 1 with each degree, for all integers r, d, g; so for
-    # g <= r it is >= 0 exactly from d = g + r on if it is >= 0 there and < 0
-    # one degree below
-    slope = _proved(lambda r, d, g: rho_at(r, d + 1, g) - rho_at(r, d, g) == r + 1, _R, _D, _G)
-    bad = [
-        (r, g)
-        for r in range(2, 7)
-        for g in range(0, r + 1)
-        if not rho_at(r, g + r, g) >= 0 > rho_at(r, g + r - 1, g)
-    ]
-    if not slope:
-        detail = "not proved: rho(d + 1, g, r) - rho(d, g, r) = r + 1"
-    elif bad:
-        detail = f"rho(d, g, r) >= 0 does not start at d = g + r for (r, g) = {bad[0]}"
-    else:
-        detail = "implication holds"
+    # rho rises by r + 1 with each degree, is g at d = g + r and g - r - 1
+    # one degree below, for all integers r, d, g; so for g <= r and r >= 2 it
+    # is >= 0 exactly from d = g + r on
+    identities = {
+        "rho(d + 1, g, r) - rho(d, g, r) = r + 1": (
+            lambda r, d, g: rho_at(r, d + 1, g) - rho_at(r, d, g) == r + 1
+        ),
+        "rho(g + r, g, r) = g": lambda r, d, g: rho_at(r, g + r, g) == g,
+        "rho(g + r - 1, g, r) = g - r - 1": lambda r, d, g: rho_at(r, g + r - 1, g) == g - r - 1,
+    }
+    bad = [identity for identity, holds in identities.items() if not _proved(holds, _R, _D, _G)]
     return CheckResult(
         "low-genus-nonspecial",
-        "rho >= 0 forces d >= g + r whenever g <= r (checked g <= r <= 6, every d)",
-        slope and not bad,
-        detail,
+        "rho >= 0 forces d >= g + r whenever g <= r, for all integers r >= 2, d, g",
+        not bad,
+        f"not proved: {'; '.join(bad)}" if bad else f"proved: {'; '.join(identities)}",
     )
 
 

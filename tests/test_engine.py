@@ -18,7 +18,8 @@ from gensect.engine import (
     in_domain,
     trace_from_payload,
 )
-from gensect.ledger import CONSTRUCTIVE_TAGS, Ledger, load_ledger
+from gensect.ledger import AUXILIARY_TAGS, CONSTRUCTIVE_TAGS, Ledger, load_ledger
+from gensect.numerology import domain_floor
 
 from quote_table import QUOTES
 from reference_engine import ReferenceEngine, to_payload
@@ -122,8 +123,22 @@ def test_skew_lines_premise(engine):
     assert leaf.entry_id == "r4n1-skew-lines"
 
 
+def at_the_bottom_of_its_column(table):
+    """The cases of ``table`` with an in-domain case one degree below them
+    that is not in ``table``."""
+    return [
+        (r, n, d, g)
+        for r, n, d, g in table
+        if in_domain(r, d - 1, g) and (r, n, d - 1, g) not in table
+    ]
+
+
 def test_exceptional_cases_sit_below_the_admissible_floor():
-    # this is what makes the derivable degrees at each genus one interval
+    # this is what makes the derivable degrees at each genus one interval, and
+    # what validate_trace's O(1) replay of a run rests on; a case added above
+    # the floor, as (20, 5) for (3, 2), breaks it
+    assert at_the_bottom_of_its_column(EXCEPTIONAL) == []
+    assert at_the_bottom_of_its_column({**EXCEPTIONAL, (3, 2, 20, 5): None}) == [(3, 2, 20, 5)]
     for (r, n), exceptional in EXCEPTIONAL_PAIRS.items():
         for g in range(0, 41):
             floor = admissible_floor(r, n, g)
@@ -778,3 +793,98 @@ def test_threads_racing_to_build_a_window_keep_the_first_stored(monkeypatch):
     kept = [ClassificationEngine(ledger)._window_step(3, 2, g)[0] for g in genera]
     assert all(step is not None for step in kept)
     assert all(got is want for steps in results for got, want in zip(steps, kept))
+
+
+# -- the sweep's closed form ------------------------------------------------------------
+
+
+def test_a_canonical_step_lifts_the_domain_floor_by_its_degree():
+    # r dg = (r + 1) dd, so domain_floor(r, g) = ceil(r (g + r + 1) / (r + 1))
+    # rises by exactly dd every dg: the lemma behind the sweep's closed form
+    # and the threshold window's shift
+    for r, (dd, dg) in CANONICAL_STEP.items():
+        assert r * dg == (r + 1) * dd
+        for g in range(0, 4 * dg):
+            assert domain_floor(r, g + dg) == domain_floor(r, g) + dd
+
+
+def genus_walk(ledger, r, n, d_max, g_max):
+    """The rows and seeds of ``_sweep`` with every genus derived by ``_genus``."""
+    engine = ClassificationEngine(ledger)
+    wildcard = ledger.wildcard(r, n)
+    if wildcard is not None and wildcard.tag in AUXILIARY_TAGS:
+        wildcard = None
+    return [engine._genus(r, n, g, d_max, wildcard) for g in range(g_max + 1)]
+
+
+def high_r3n1_entry(tag, r3n1_wildcard):
+    """The ledger without (3, 2, 14, 14), where the (3, 2) threshold of the
+    column g = 6 mod 8 sits one degree above the floor from genus 14 up,
+    plus a (3, 1) entry tagged ``tag`` at the floor of genus 102 in that
+    column, far above the (3, 2) window, and a (3, 1) wildcard if asked."""
+    ledger = drop_entry("r3n2-pglue-14-14")
+    if r3n1_wildcard:
+        ledger = with_wildcard(3, 1, full=ledger)
+    high = ledger.get("r3n1-delpezzo-7-5")._replace(
+        id="r3n1-high", d=domain_floor(3, 102), g=102, tag=tag
+    )
+    return Ledger(ledger.entries + (high,), source="doctored")
+
+
+SWEEP_LEDGERS = {
+    **ORACLE_LEDGERS,
+    "(3, 2, 14, 14) moved to genus 174": lambda: move_up("r3n2-pglue-14-14", 20),
+    "(4, 1, 16, 15) moved to genus 215": lambda: move_up("r4n1-hglue-16-15", 20),
+    "wildcard (3, 1)": lambda: with_wildcard(3, 1),
+    "constructive wildcard (3, 1)": lambda: with_wildcard(3, 1, "DelPezzo"),
+    "only a constructive wildcard for (3, 2)": lambda: only_wildcard(3, 2, "DelPezzo"),
+    "only a wildcard for (4, 1)": lambda: only_wildcard(4, 1),
+    # past the window, every (3, 1) row of the column g = 6 mod 8 seeds the
+    # frontier, so that column is derived genus by genus
+    "without (3, 2, 14, 14), a constructive wildcard (3, 1)": lambda: with_wildcard(
+        3, 1, "DelPezzo", full=drop_entry("r3n2-pglue-14-14")
+    ),
+    # the frontier seed sits past the (3, 2) window: (3, 1)'s own entries
+    # count towards g0
+    "a constructive (3, 1) entry at genus 102": lambda: high_r3n1_entry("DelPezzo", True),
+    # its row is whole, the rows of its column above it have a hole: the
+    # closed form starts only above g0
+    "a (3, 1) entry at genus 102 without a wildcard": lambda: high_r3n1_entry(
+        "Interpolation", False
+    ),
+}
+
+
+@pytest.mark.parametrize("ledger_name", list(SWEEP_LEDGERS))
+def test_a_sweep_equals_the_genus_by_genus_walk(ledger_name):
+    ledger = SWEEP_LEDGERS[ledger_name]()
+    engine = ClassificationEngine(ledger)
+    for r, n in sorted(SUPPORTED_PAIRS):
+        for d_max in (0, 1, 7, 60, 200):
+            want = genus_walk(ledger, r, n, d_max, 300)
+            assert list(engine._sweep(r, n, d_max, 300)) == want, (r, n, d_max)
+            holes = [
+                (d, g) for g, (row, _) in enumerate(want) for d, code in enumerate(row, 1)
+                if code == "?"
+            ]
+            assert engine.completeness_audit(r, n, d_max, 300) == holes
+
+
+#: g0 of each pair on the bundled ledger: the highest genus of an exact entry
+#: or an exceptional case of the pair, or of (3, 2) for (3, 1): that of
+#: (3, 2, 14, 14) and of (4, 1, 18, 17).  The threshold window's last
+#: breakpoint sits dg higher.
+BUNDLED_G0 = {(2, 1): -1, (2, 2): -1, (3, 2): 14, (3, 1): 14, (4, 1): 17}
+
+
+@pytest.mark.parametrize("pair", sorted(SUPPORTED_PAIRS))
+def test_a_table_derives_its_rows_only_up_to_the_threshold_window(pair, monkeypatch):
+    calls, genus = [], ClassificationEngine._genus
+    monkeypatch.setattr(
+        ClassificationEngine, "_genus", lambda self, *a: calls.append(a[2]) or genus(self, *a)
+    )
+    r, n = pair
+    dg = CANONICAL_STEP[r][1] if r in CANONICAL_STEP else 1
+    rows, _ = ClassificationEngine().table(r, n, 60, 10_000)
+    assert len(rows) == 10_001
+    assert len(calls) <= BUNDLED_G0[pair] + dg + 1  # the genera 0..g0 + dg at most

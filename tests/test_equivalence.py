@@ -5,11 +5,11 @@ derivation as a tree of single steps, before derivations became run-length
 paths; those of the exceptional cases and the whole-battery commands were
 recorded before the exceptional cases became one table in ``audits``,
 except the two ``verify-all`` digests, recorded when the
-``low-genus-nonspecial`` check began to cover every degree.  The three
-``schubert`` digests were recorded from the kernel that built a whole cycle
-per Pieri step, before products were summed in one dict.  The help and
-usage-error digests were recorded when argparse parsed every command line,
-before well-formed ones were parsed from the flag table.  A
+``low-genus-nonspecial`` check began to prove its claim for all integers.
+The three ``schubert`` digests were recorded from the kernel that built a
+whole cycle per Pieri step, before products were summed in one dict.  The
+help and usage-error digests were recorded when argparse parsed every
+command line, before well-formed ones were parsed from the flag table.  A
 change to any verdict, trace, table, audit, exit code or message on the
 bundled ledger, or on a ledger missing any one of its 33 entries, changes a
 digest.  ``python tests/test_equivalence.py`` prints the digests of the code
@@ -79,8 +79,8 @@ EXCEPTIONAL = {
 COMMANDS = {
     "audit --all": "6f158375d3c2b314e83ce4a67a1148408b6f63894d20bc49ac7aaad6726d2734",
     "audit --all --json": "05c335ae8e9484f66df050ed15e8289cdaa4aafa3aac98cbe138a3d0ca23f48c",
-    "verify-all": "69e4df30bbda1cc2524533523cc4ab5a2c8404c22e6da87ec9eafbca8996c079",
-    "verify-all --json": "b77783fe4be7c9e8aea62fa3f40bba18f668f4bb3214f432057ba970c7738632",
+    "verify-all": "4a753b21402d1e52223944d3c3e2f88625d6224ac90a7b7e59ba709fa72c15f1",
+    "verify-all --json": "eed7926d23864c8333e6ea8ab82b91b0169b7f9854912e32c8a3b18ceec554e6",
     "audit --case 3,2,9,9": "0ff1be943853413242a040432251ea8d1b01b136c7381221f9f7943a1a25e441",
     "schubert --n 4 2 2 2": "cde6c90c3bc116b0bf04cdc81071d7b0c7e0e89ecc1a71d4c0958c322702c437",
     "schubert --n 6 1 2,1 3,3 1,1 --json": (

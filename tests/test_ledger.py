@@ -1,7 +1,7 @@
 """The bundled ledger ships twice: as the JSON data file that is the public
 contract, and as the Python literals a ready engine is built from.  The two
 must agree.  The bundled ledger is built once per process; a file is read on
-every load."""
+every load.  A ledger indexes its exact entries by case, degree and genus."""
 
 import json
 from importlib import resources
@@ -43,3 +43,13 @@ def test_a_ledger_file_is_built_anew_on_every_load():
     assert first is not second
     assert first.entries == second.entries
     assert first is not load_ledger()
+
+
+def test_exact_genera_are_the_genera_of_a_pairs_exact_entries():
+    ledger = load_ledger()
+    for r, n in {(e.r, e.n) for e in ledger.entries}:
+        exact = {e.g for e in ledger.entries if (e.r, e.n) == (r, n) and not e.is_wildcard}
+        assert ledger.exact_genera(r, n) == tuple(sorted(exact))
+    assert ledger.exact_genera(2, 1) == ()  # only its wildcard
+    assert ledger.exact_genera(4, 1)[0] == -2  # the skew-lines seed
+    assert ledger.exact_genera(5, 1) == ()

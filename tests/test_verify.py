@@ -192,6 +192,11 @@ def test_polynomial_equality_answers_only_where_every_point_agrees():
 # -- low-genus-nonspecial -------------------------------------------------------------
 
 
+SLOPE = "rho(d + 1, g, r) - rho(d, g, r) = r + 1"
+AT_G_PLUS_R = "rho(g + r, g, r) = g"
+ONE_BELOW = "rho(g + r - 1, g, r) = g - r - 1"
+
+
 def test_low_genus_nonspecial_holds_for_every_degree_without_a_degree_loop(monkeypatch):
     integer_calls = []
 
@@ -203,30 +208,44 @@ def test_low_genus_nonspecial_holds_for_every_degree_without_a_degree_loop(monke
     patch_core(monkeypatch, "rho_at", counting)
     result = verify.check_low_genus_nonspecial()
     assert result.ok
-    assert result.detail == "implication holds"
-    # two degrees per (r, g) with g <= r <= 6, not one call per cell of a box
-    assert len(integer_calls) == 2 * sum(r + 1 for r in range(2, 7))
+    assert result.detail == f"proved: {SLOPE}; {AT_G_PLUS_R}; {ONE_BELOW}"
+    # three identities proved on polynomials: no (r, g) is enumerated
+    assert integer_calls == []
 
 
-@pytest.mark.parametrize(
-    "offset, first",
-    # one more: at g = r, rho is already 0 at d = g + r - 1; one less: at
-    # g = 0, rho is still -1 at d = g + r
-    [(1, (2, 2)), (-1, (2, 0))],
-    ids=["one more", "one less"],
-)
-def test_low_genus_nonspecial_fails_on_a_rho_wrong_by_one(offset, first, monkeypatch):
+@pytest.mark.parametrize("offset", [1, -1], ids=["one more", "one less"])
+def test_low_genus_nonspecial_fails_on_a_rho_wrong_by_one(offset, monkeypatch):
     patch_core(monkeypatch, "rho_at", lambda r, d, g: RHO(r, d, g) + offset)
     result = verify.check_low_genus_nonspecial()
     assert not result.ok
-    assert result.detail == (
-        f"rho(d, g, r) >= 0 does not start at d = g + r for (r, g) = {first}"
-    )
+    assert result.detail == f"not proved: {AT_G_PLUS_R}; {ONE_BELOW}"
+
+
+#: rho_at, (r + 1) d - r g - r (r + 1), with one coefficient changed, and the
+#: identities each mutant breaks.  With g's coefficient r + 1, rho is
+#: (r + 1)(d - g - r): it still starts at d = g + r, so a check that only
+#: enumerated where rho turns nonnegative for g <= r <= 6 passed it.
+RHO_ONE_COEFFICIENT = {
+    "d's": (lambda r, d, g: (r + 2) * d - r * g - r * (r + 1), [SLOPE, AT_G_PLUS_R, ONE_BELOW]),
+    "g's": (lambda r, d, g: (r + 1) * d - (r + 1) * g - r * (r + 1), [AT_G_PLUS_R, ONE_BELOW]),
+    "the constant's": (
+        lambda r, d, g: (r + 1) * d - r * g - r * (r + 2), [AT_G_PLUS_R, ONE_BELOW]
+    ),
+}
+
+
+@pytest.mark.parametrize("coefficient", list(RHO_ONE_COEFFICIENT))
+def test_low_genus_nonspecial_fails_on_rho_with_one_coefficient_changed(coefficient, monkeypatch):
+    mutant, broken = RHO_ONE_COEFFICIENT[coefficient]
+    patch_core(monkeypatch, "rho_at", mutant)
+    result = verify.check_low_genus_nonspecial()
+    assert not result.ok
+    assert result.detail == f"not proved: {'; '.join(broken)}"
 
 
 def test_low_genus_nonspecial_needs_the_slope(monkeypatch):
-    # right at the two degrees the check evaluates, wrong everywhere else:
-    # only the slope proof sees it, and the old box loop finds the failure
+    # right at d = g + r and one degree below, wrong everywhere else: only
+    # the slope proof sees it, and a box loop finds the failure
     patch_core(
         monkeypatch,
         "rho_at",
@@ -234,7 +253,7 @@ def test_low_genus_nonspecial_needs_the_slope(monkeypatch):
     )
     result = verify.check_low_genus_nonspecial()
     assert not result.ok
-    assert result.detail == "not proved: rho(d + 1, g, r) - rho(d, g, r) = r + 1"
+    assert result.detail == f"not proved: {SLOPE}"
     assert any(
         numerology.rho(BNIndex(r, d, g)) >= 0 and d < g + r
         for r in range(2, 7)
