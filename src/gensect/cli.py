@@ -224,8 +224,9 @@ def _cmd_schubert(args: SimpleNamespace) -> int:
     try:
         partitions = [_parse_partition(p) for p in args.classes]
         product = schubert.SchubertCycle.identity(args.n)
-        for a, b in partitions:
-            product = schubert.multiply(product, schubert.sigma(args.n, a, b))
+        for a, b in partitions:  # (0, 0), a partition for every n >= 2, is the identity
+            if (a, b) != (0, 0):
+                product = schubert.multiply(product, schubert.sigma(args.n, a, b))
     except (ValueError, schubert.SchubertError) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

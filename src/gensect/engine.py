@@ -7,8 +7,8 @@ Only five pairs (r, n) admit an affirmative answer outside finitely many
 quadrics, and hyperplane sections in P^4.  The engine classifies a query as
 Invalid, Exceptional (one of the ten known counterexamples) or General, and
 in the last case emits a derivation trace: a path of rule applications
-ending in a cited ledger axiom.  The exceptional lists and descriptors are
-read from the table of exceptional cases in ``audits``.  Engines share the
+ending in a cited ledger axiom.  Exceptional cases and their descriptors are
+read directly from the table of them in ``audits``.  Engines share the
 bundled ledger, which is built once per process, and the threshold windows
 kept on it: per pair, the breakpoints of each threshold column, built whole
 on first use.  So an engine is cheap to make.
@@ -40,13 +40,6 @@ from .ledger import (
 from .numerology import BNIndex, domain_floor, in_domain, rho
 
 SUPPORTED_PAIRS = frozenset({(2, 1), (2, 2), (3, 1), (3, 2), (4, 1)})
-
-#: The exceptional (d, g) pairs per supported (r, n), read from the audits
-#: table; these are axioms.
-EXCEPTIONAL_PAIRS: dict[tuple[int, int], frozenset[tuple[int, int]]] = {
-    pair: frozenset((d, g) for r, n, d, g in EXCEPTIONAL if (r, n) == pair)
-    for pair in sorted(SUPPORTED_PAIRS)
-}
 
 #: Attached-curve invariants of the canonical-curve rule per ambient r.
 CANONICAL_STEP = {3: (6, 8), 4: (8, 10)}
@@ -232,7 +225,7 @@ def admissible_floor(r: int, n: int, g: int) -> int | None:
     if r < 2 or g < 0:
         return None
     d = domain_floor(r, g)
-    while (d, g) in EXCEPTIONAL_PAIRS.get((r, n), ()):
+    while (r, n, d, g) in EXCEPTIONAL:
         d += 1
     return d
 
@@ -287,8 +280,9 @@ class ClassificationEngine:
         if not in_domain(r, d, g):
             value = rho(BNIndex(r, d, g))
             return Verdict("invalid", f"rho({d}, {g}, {r}) = {value} < 0: no such general curve")
-        if (d, g) in EXCEPTIONAL_PAIRS.get((r, n), ()):
-            return Verdict("exceptional", descriptor=EXCEPTIONAL[(r, n, d, g)])
+        descriptor = EXCEPTIONAL.get((r, n, d, g))
+        if descriptor is not None:
+            return Verdict("exceptional", descriptor=descriptor)
         segments: list[Segment] = []
         threshold = self._threshold(r, n, g)
         if (r, n) == (3, 1) and threshold is not None and d >= threshold.case[2]:
@@ -309,38 +303,29 @@ class ClassificationEngine:
         return Verdict("general", trace=DerivationTrace(tuple(segments)))
 
     def _leaf(self, r: int, n: int, d: int, g: int) -> LedgerEntry | None:
-        """The ledger entry a case may rest on directly.  Auxiliary bases serve
-        only as premises below genus 0, where no query or sweep reaches."""
+        """The ledger entry a case may rest on directly: the one rule against
+        auxiliary leaves, which serve only as premises below genus 0, where no
+        query or sweep reaches.  Every leaf the engine takes is read here."""
         entry = self.ledger.lookup(r, n, d, g)
         return entry if entry is not None and (entry.tag not in AUXILIARY_TAGS or g < 0) else None
 
     def _threshold(self, r: int, n: int, g: int) -> Segment | None:
-        """The step deriving f(g); None if nothing at genus g is derivable.
+        """The step deriving f(g), g >= 0; None if nothing there is derivable.
 
         f(g) is the least of add_canonical at max(a(g), f(g - dg) + dd) and
         the lowest ledger leaf from a(g) up; add_canonical, tried first, wins
-        a tie.  Below genus 0 it is the least exact leaf flagged rho_exempt
-        (three skew lines in P^4), which seeds the column: no rule applies
-        there, so add_canonical rests on the seed only where its premise is
-        the seed itself.  (3, 1) downgrades onto the thresholds of (3, 2);
-        the plane pairs have none.  The step is the segment classify emits
-        at genus g: an add_canonical step carries its whole run in
-        ``repeat``.  From genus 0 up it is the last breakpoint of its column
-        at or below g (see ``_window``), shifted up to g.
+        a tie.  (3, 1) downgrades onto the thresholds of (3, 2); the plane
+        pairs have none.  The step is the segment classify emits at genus g
+        (an add_canonical step carries its whole run in ``repeat``): the last
+        breakpoint of its column at or below g (``_window``), shifted to g.
         """
         return _shift(self._window_step(r, n, g)[0], g)
 
     def _window_step(self, r: int, n: int, g: int) -> tuple[Segment | None, int | None]:
-        """The last breakpoint step of genus g's column at or below g, which
-        ``_shift`` moves up to g, and f(g)."""
+        """The last breakpoint step of genus g's column at or below g >= 0,
+        which ``_shift`` moves up to g, and f(g)."""
         r, n = (3, 2) if (r, n) == (3, 1) else (r, n)
         if r not in CANONICAL_STEP:
-            return None, None
-        if g < 0:
-            for d in self.ledger.exact_degrees(r, n, g):
-                entry = self._leaf(r, n, d, g)
-                if entry is not None and entry.rho_exempt:
-                    return Segment((r, n, d, g), RULE_LEDGER, 1, entry.id), d
             return None, None
         dd, dg = CANONICAL_STEP[r]
         window = self.ledger.windows.get((r, n))
@@ -360,17 +345,25 @@ class ClassificationEngine:
         exact entry offers only a wildcard leaf, at its floor, and where
         there is a wildcard every step there sits at the floor too, so
         add_canonical wins the tie.  Each breakpoint's step is derived from
-        the step dg below it, the last breakpoint shifted, or the seed below
-        genus 0.  So the window holds at most dg steps plus two per entry or
-        exceptional genus, however high those genera sit."""
+        the step dg below it: the last breakpoint shifted, or below genus 0
+        the column's seed, its least exact leaf flagged rho_exempt (three
+        skew lines in P^4); no rule applies there, so add_canonical rests on
+        the seed only where its premise is the seed itself.  So the window
+        holds at most dg steps plus two per entry or exceptional genus,
+        however high those genera sit."""
         dd, dg = CANONICAL_STEP[r]
         genera = set(range(dg))  # each column's least genus
-        for g in (*self.ledger.exact_genera(r, n), *(g for _, g in EXCEPTIONAL_PAIRS[(r, n)])):
+        exceptional = (g for pr, pn, _, g in EXCEPTIONAL if (pr, pn) == (r, n))
+        for g in (*self.ledger.exact_genera(r, n), *exceptional):
             genera.update((g, g + dg))
-        columns = [[] for _ in range(dg)]
+        columns = []  # by residue, each from its seed dg below its least genus
+        for g in range(-dg, 0):
+            leaves = (self._leaf(r, n, d, g) for d in self.ledger.exact_degrees(r, n, g))
+            seed = next((e for e in leaves if e and e.rho_exempt), None)
+            columns.append([(g, seed and Segment((r, n, seed.d, g), RULE_LEDGER, 1, seed.id))])
         for h in sorted(h for h in genera if h >= 0):  # each column bottom up
             column = columns[h % dg]
-            below = _shift(column[-1][1], h - dg) if column else self._window_step(r, n, h - dg)[0]
+            below = _shift(column[-1][1], h - dg)
             floor = admissible_floor(r, n, h)
             step = self._lowest_leaf(r, n, h, floor)
             if below is not None:
@@ -385,7 +378,7 @@ class ClassificationEngine:
                         (r, n, canonical, h), RULE_ADD_CANONICAL
                     )
             column.append((h, step))
-        return tuple(map(tuple, columns))
+        return tuple(tuple(column[1:]) for column in columns)  # without the seeds
 
     def _lowest_leaf(self, r: int, n: int, g: int, lo: int) -> Segment | None:
         """The ledger leaf of least degree >= lo at genus g.  A degree without
@@ -403,36 +396,31 @@ class ClassificationEngine:
 
     # -- sweeps --------------------------------------------------------------
 
-    def _genus(
-        self, r: int, n: int, g: int, d_max: int, wildcard: LedgerEntry | None
-    ) -> tuple[str, int | None]:
+    def _genus(self, r: int, n: int, g: int, d_max: int) -> tuple[str, int | None]:
         """Grid codes for d = 1..d_max at genus g, '?' if admissible but
         underivable, and the least admissible degree if it is a frontier
         case: one whose derivation is a single constructive ledger axiom.
-        ``wildcard`` is the leaf of every degree without an exact entry, so
-        only the exact entries' degrees below the threshold are looked up."""
+        Below the threshold a degree derives only from a leaf (``_leaf``);
+        above the exact entries' degrees it can only be the wildcard, so if
+        the first such degree has a leaf, no higher degree is looked up."""
         floor = admissible_floor(r, n, g)
         step, threshold = self._window_step(r, n, g)
-        below = step is None or floor < threshold
-        if below:
-            exact = self.ledger.exact_degrees(r, n, g)
-            leaf = self._leaf(r, n, floor, g) if floor in exact else wildcard
-        elif step.rule == RULE_LEDGER and step.case[3] == g and (r, n) != (3, 1):
-            leaf = self.ledger.get(step.entry_id)  # the floor is the threshold
-        else:
-            leaf = None  # add_canonical, or a downgrade for (3, 1)
+        leaf = None  # where the floor's first step is add_canonical or a downgrade
+        if step is None or floor < threshold or (
+            step.rule == RULE_LEDGER and step.case == (r, n, floor, g)
+        ):
+            leaf = self._leaf(r, n, floor, g)
         seed = floor if leaf is not None and leaf.tag in CONSTRUCTIVE_TAGS else None
         if d_max < 1:
             return "", seed
         top = d_max + 1 if step is None else min(threshold, d_max + 1)
         band = ""
-        if below:
-            if wildcard is not None:  # it covers every degree above the exact ones
-                top = min(top, max(floor, exact[-1] + 1) if exact else floor)
-            if floor < top:
-                band = ("G" if leaf else "?") + "".join(
-                    "G" if self._leaf(r, n, d, g) else "?" for d in range(floor + 1, top)
-                )
+        if floor < top:
+            exact = self.ledger.exact_degrees(r, n, g)
+            free = max(floor, exact[-1] + 1) if exact else floor
+            if free < top and self._leaf(r, n, free, g) is not None:
+                top = free  # the wildcard covers every degree from free up
+            band = "".join("G" if self._leaf(r, n, d, g) else "?" for d in range(floor, top))
         low = domain_floor(r, g)
         row = "." * min(low - 1, d_max) + "E" * (floor - low) + band + "G" * (d_max + 1 - top)
         return row[:d_max], seed
@@ -460,13 +448,10 @@ class ClassificationEngine:
         the audit lists every one."""
         if (r, n) not in SUPPORTED_PAIRS:
             raise ValueError(f"unsupported pair ({r}, {n})")
-        wildcard = self.ledger.wildcard(r, n)
-        if wildcard is not None and wildcard.tag in AUXILIARY_TAGS:
-            wildcard = None  # as _leaf rules: no auxiliary leaf from genus 0 up
         dg = CANONICAL_STEP[r][1] if r in CANONICAL_STEP else 1
         pairs = {(r, n), (3, 2) if (r, n) == (3, 1) else (r, n)}
         g0 = max(
-            [g for pair in pairs for _, g in EXCEPTIONAL_PAIRS[pair]]
+            [g for pr, pn, _, g in EXCEPTIONAL if (pr, pn) in pairs]
             + [g for pair in pairs for g in self.ledger.exact_genera(*pair)[-1:]],  # highest
             default=-1,
         )
@@ -478,7 +463,7 @@ class ClassificationEngine:
                 if g % dg in closed:
                     yield whole, None
                     continue
-            row, seed = self._genus(r, n, g, d_max, wildcard)
+            row, seed = self._genus(r, n, g, d_max)
             if g > g0 and seed is None and row == whole:
                 closed.add(g % dg)
             yield row, seed
@@ -590,7 +575,7 @@ class ClassificationEngine:
             and self.ledger.has(child.entry_id)
             and self.ledger.get(child.entry_id).rho_exempt
         )
-        admissible = in_domain(cr, cd, cg) and (cd, cg) not in EXCEPTIONAL_PAIRS.get((cr, cn), ())
+        admissible = in_domain(cr, cd, cg) and (cr, cn, cd, cg) not in EXCEPTIONAL
         if not (admissible or exempt):
             problems.append(f"{node.case}: {node.rule} premise {child.case} not admissible")
         if cd >= d:

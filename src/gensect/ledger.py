@@ -148,11 +148,6 @@ class Ledger:
         """Exact-case entry if present, else the wildcard entry for (r, n)."""
         return self._by_case.get((r, n, d, g)) or self._wildcards.get((r, n))
 
-    def wildcard(self, r: int, n: int) -> LedgerEntry | None:
-        """The entry matching every degree and genus of (r, n), if any: what
-        ``lookup`` returns for a case without an exact entry."""
-        return self._wildcards.get((r, n))
-
     def exact_degrees(self, r: int, n: int, g: int) -> tuple[int, ...]:
         """The degrees of the exact-case entries at genus g, ascending."""
         return self._degrees.get((r, n, g), ())

@@ -3,10 +3,11 @@
 Every externally anchored number in the library is recomputed here: Euler
 characteristic anchors, the degree/genus/section-count table on the surface
 lattices, line counts, vanishing certificates, incidence numbers, gluing
-side conditions, the ten non-generality audits, the local determinant, the
-scroll and K3 case studies, and the classification sweeps (exceptional
-lists, completeness, frontier).  Each case study is a literal table inside
-the check that reports it.  The command line front end prints one line per
+side conditions, the ten non-generality audits and each case's place at
+the bottom of its genus column, the local determinant, the scroll and K3
+case studies, and the classification sweeps (exceptional lists,
+completeness, frontier).  Each case study is a literal table inside the
+check that reports it.  The command line front end prints one line per
 check and exits nonzero if any fails; the test suite reuses the same
 battery.
 """
@@ -558,15 +559,15 @@ def check_side_conditions(engine: ClassificationEngine) -> CheckResult:
 
 
 def check_exceptional_sweep(engine: ClassificationEngine) -> CheckResult:
-    # Only the engine's exceptional pairs can classify as exceptional, so
-    # classifying them and the expected cells finds what classifying every
-    # cell would.  The underivable cells are the grid rows' '?' cells; the
-    # rows take an exceptional pair above the bottom of its genus column for
-    # admissible, so a found cell is not counted among them.
+    # Only the cases of the exceptional table can classify as exceptional,
+    # so classifying the pair's cases there and the expected cells finds what
+    # classifying every cell would.  The underivable cells are the grid rows'
+    # '?' cells; the rows take an exceptional case above the bottom of its
+    # genus column for admissible, so a found cell is not counted among them.
     problems = []
     for (r, n), expected in sorted(EXPECTED_EXCEPTIONAL.items()):
         found = set()
-        for d, g in engine_module.EXCEPTIONAL_PAIRS.get((r, n), frozenset()) | expected:
+        for d, g in {c[2:] for c in audits.EXCEPTIONAL if c[:2] == (r, n)} | expected:
             if not (d <= SWEEP_D_MAX and g <= SWEEP_G_MAX and in_domain(r, d, g)):
                 continue
             try:
@@ -633,6 +634,22 @@ def check_audits() -> CheckResult:
         "all ten exceptional cases audit as not general, with deficits 23 < 24 and 27 < 28",
         not problems,
         "; ".join(problems) if problems else "ten audits hold",
+    )
+
+
+def check_exceptional_floor() -> CheckResult:
+    # admissible_floor, the grid rows' E span and validate_trace's O(1) run
+    # replay read a genus's admissible degrees as one interval from the floor
+    problems = [
+        f"{(r, n, d, g)}: ({r}, {n}, {d - 1}, {g}) is admissible"
+        for r, n, d, g in audits.EXCEPTIONAL
+        if in_domain(r, d - 1, g) and (r, n, d - 1, g) not in audits.EXCEPTIONAL
+    ]
+    return CheckResult(
+        "exceptional-floor",
+        "every exceptional case sits at the bottom of its genus column",
+        not problems,
+        "; ".join(problems) or "the degree below each case is out of domain or exceptional",
     )
 
 
@@ -780,6 +797,7 @@ def run_all(ledger: Ledger | None = None) -> list[CheckResult]:
         lambda: check_completeness(engine),
         lambda: check_frontier(engine),
         check_audits,
+        check_exceptional_floor,
         check_local_determinant,
         check_scroll_case_study,
         check_k3_case_study,

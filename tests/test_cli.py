@@ -773,6 +773,25 @@ def test_schubert_at_the_bound_is_answered(capsys):
     assert json.loads(out)["result"]["top_degree"] == math.comb(398, 199) // 200
 
 
+def test_schubert_identity_factors_are_listed_but_not_multiplied(capsys):
+    # each 0 is sigma_{0,0}, the identity: validated and listed among the
+    # factors, it leaves the product as it is without two Pieri passes
+    ones = ["1"] * 150
+    with _time_cap(5):
+        code, text, _ = run_cli(capsys, "schubert", "--n", "200", *ones, *["0"] * 100_000)
+        assert code == 0
+        code, out, _ = run_cli(capsys, "schubert", "--n", "200", *ones, "0,0", "0", "--json")
+    assert code == 0
+    assert text == run_cli(capsys, "schubert", "--n", "200", *ones)[1]
+    want = json.loads(run_cli(capsys, "schubert", "--n", "200", *ones, "--json")[1])
+    got = json.loads(out)
+    assert got["result"]["factors"] == [[1, 0]] * 150 + [[0, 0]] * 2
+    got["result"]["factors"] = want["result"]["factors"]
+    assert got == want
+    code, _, err = run_cli(capsys, "schubert", "--n", "200", "0", "0,1")
+    assert (code, err) == (1, "(0, 1) is not a two-row partition for G(1, 200)\n")
+
+
 def test_query_at_the_bound_is_answered(capsys):
     code, out, _ = run_cli(capsys, "classify", "--r", "3", "--n", "2", "--d", "1000000", "--g", "0")
     assert code == 0

@@ -3,11 +3,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gensect import audits
 from gensect import engine as engine_module
 from gensect.engine import (
     CANONICAL_STEP,
     EXCEPTIONAL,
-    EXCEPTIONAL_PAIRS,
     ClassificationEngine,
     DerivationTrace,
     SUPPORTED_PAIRS,
@@ -18,7 +18,7 @@ from gensect.engine import (
     in_domain,
     trace_from_payload,
 )
-from gensect.ledger import AUXILIARY_TAGS, CONSTRUCTIVE_TAGS, Ledger, load_ledger
+from gensect.ledger import CONSTRUCTIVE_TAGS, Ledger, load_ledger
 from gensect.numerology import domain_floor
 
 from quote_table import QUOTES
@@ -139,14 +139,14 @@ def test_exceptional_cases_sit_below_the_admissible_floor():
     # the floor, as (20, 5) for (3, 2), breaks it
     assert at_the_bottom_of_its_column(EXCEPTIONAL) == []
     assert at_the_bottom_of_its_column({**EXCEPTIONAL, (3, 2, 20, 5): None}) == [(3, 2, 20, 5)]
-    for (r, n), exceptional in EXCEPTIONAL_PAIRS.items():
+    for r, n in sorted(SUPPORTED_PAIRS):
         for g in range(0, 41):
             floor = admissible_floor(r, n, g)
             admissible = [
-                d for d in range(1, 81) if in_domain(r, d, g) and (d, g) not in exceptional
+                d for d in range(1, 81) if in_domain(r, d, g) and (r, n, d, g) not in EXCEPTIONAL
             ]
             assert admissible == list(range(floor, 81))
-        assert all(d < admissible_floor(r, n, g) for d, g in exceptional)
+    assert all(d < admissible_floor(r, n, g) for r, n, d, g in EXCEPTIONAL)
 
 
 def test_derivations_are_short_paths(engine):
@@ -155,7 +155,7 @@ def test_derivations_are_short_paths(engine):
         dg = CANONICAL_STEP[r][1] if r in CANONICAL_STEP else None
         for g in range(0, 41):
             for d in range(1, 61):
-                if not in_domain(r, d, g) or (d, g) in EXCEPTIONAL_PAIRS.get((r, n), ()):
+                if not in_domain(r, d, g) or (r, n, d, g) in EXCEPTIONAL:
                     continue
                 segments = engine.classify(Query(r, n, d, g)).trace.segments
                 assert len(segments) <= (1 if dg is None else 2 * (g // dg) + 3)
@@ -227,18 +227,12 @@ def test_frontier_capped_by_genus(engine):
     assert engine.frontier(3, 1, 5) == [(7, 5)]
 
 
-def test_a_frontier_probe_builds_no_segment_and_looks_up_no_wildcard(monkeypatch):
+def test_a_frontier_probe_builds_no_segment(monkeypatch):
     warm = ClassificationEngine()
     want = {pair: warm.frontier(*pair, 40) for pair in sorted(SUPPORTED_PAIRS)}
-    lookups = []
-    lookup = Ledger.lookup
-    monkeypatch.setattr(
-        Ledger, "lookup", lambda self, *case: lookups.append(case) or lookup(self, *case)
-    )
     # with the thresholds memoised, building any Segment raises TypeError
     monkeypatch.setattr(engine_module, "Segment", None)
     assert {pair: warm.frontier(*pair, 40) for pair in sorted(SUPPORTED_PAIRS)} == want
-    assert [case for case in lookups if case[:2] in ((2, 1), (2, 2))] == []
 
 
 # -- trace soundness ---------------------------------------------------------------
@@ -248,7 +242,7 @@ def test_traces_validate_across_sweep(engine):
     for (r, n) in ((3, 2), (3, 1), (4, 1)):
         for g in range(0, 41):
             for d in range(1, 61):
-                if not in_domain(r, d, g) or (d, g) in EXCEPTIONAL_PAIRS.get((r, n), ()):
+                if not in_domain(r, d, g) or (r, n, d, g) in EXCEPTIONAL:
                     continue
                 verdict = engine.classify(Query(r, n, d, g))
                 assert engine.validate_trace(verdict.trace) == []
@@ -474,34 +468,40 @@ def only_wildcard(r, n, tag="Interpolation"):
     )
 
 
-#: The box of each ledger that grids, audits and classify are compared on.
-AGREEMENT_PAIRS = ((3, 2), (3, 1), (4, 1))
+#: The pairs that read a threshold window.
+THRESHOLD_PAIRS = ((3, 2), (3, 1), (4, 1))
+
+#: The pairs and box of each ledger that grids, audits and classify are
+#: compared on.
+AGREEMENT_PAIRS = (*THRESHOLD_PAIRS, (2, 1), (2, 2))
 AGREEMENT_D_MAX, AGREEMENT_G_MAX = 24, 20
 
 STATUS_CODES = {"general": "G", "exceptional": "E", "invalid": "."}
 
+AGREEMENT_LEDGERS = {
+    "bundled": load_ledger,
+    "moved seed": lambda: move_seed(2),
+    # past the window its leaf is no frontier
+    "only a constructive wildcard for (3, 2)": lambda: only_wildcard(3, 2, "DelPezzo"),
+    "constructive wildcard (3, 1)": lambda: with_wildcard(3, 1, "DelPezzo"),
+    "without (3, 2, 14, 14), a constructive wildcard (3, 1)": lambda: with_wildcard(
+        3, 1, "DelPezzo", full=drop_entry("r3n2-pglue-14-14")
+    ),
+    # an auxiliary wildcard derives nothing from genus 0 up
+    "auxiliary wildcard (2, 1)": lambda: with_wildcard(
+        2, 1, "SkewLines", full=drop_entry("r2n1-plane")
+    ),
+    "auxiliary wildcard (3, 1)": lambda: with_wildcard(3, 1, "SkewLines"),
+    **{f"without {e.id}": (lambda i=e.id: drop_entry(i)) for e in load_ledger().entries},
+}
 
-@pytest.mark.parametrize(
-    "ledger_name",
-    [
-        "bundled",
-        "moved seed",
-        "only a constructive wildcard for (3, 2)",
-        *(f"without {e.id}" for e in load_ledger().entries),
-    ],
-)
+
+@pytest.mark.parametrize("ledger_name", list(AGREEMENT_LEDGERS))
 def test_table_and_audit_agree_with_classify_on_every_cell(ledger_name):
-    # a grid cell or audit reads a threshold as derivable without replaying
-    # it; classify derives every cell on its own, so the two must agree, and
-    # where classify finds a hole the grid raises at the first one
-    if ledger_name == "bundled":
-        ledger = load_ledger()
-    elif ledger_name == "moved seed":
-        ledger = move_seed(2)
-    elif ledger_name.startswith("only"):
-        ledger = only_wildcard(3, 2, "DelPezzo")  # past the window its leaf is no frontier
-    else:
-        ledger = drop_entry(ledger_name.removeprefix("without "))
+    # a grid cell or audit reads a threshold or a leaf as derivable without
+    # replaying it; classify derives every cell on its own, so the two must
+    # agree, and where classify finds a hole the grid raises at the first one
+    ledger = AGREEMENT_LEDGERS[ledger_name]()
     for r, n in AGREEMENT_PAIRS:
         engine = ClassificationEngine(ledger)
         rows, holes = [], []
@@ -594,7 +594,7 @@ def agree_with_reference(ledger, r, n, genera):
     for g in genera:
         floor = admissible_floor(r, n, g)
         for d in range(floor - 1, floor + dd + 2):
-            if not in_domain(r, d, g) or (d, g) in EXCEPTIONAL_PAIRS[(r, n)]:
+            if not in_domain(r, d, g) or (r, n, d, g) in EXCEPTIONAL:
                 assert d < floor
                 continue
             try:
@@ -610,7 +610,7 @@ def agree_with_reference(ledger, r, n, genera):
 @pytest.mark.parametrize("ledger_name", list(ORACLE_LEDGERS))
 def test_classify_agrees_with_the_genus_by_genus_reference(ledger_name):
     ledger = ORACLE_LEDGERS[ledger_name]()
-    for r, n in AGREEMENT_PAIRS:
+    for r, n in THRESHOLD_PAIRS:
         agree_with_reference(ledger, r, n, range(0, 121))
 
 
@@ -630,7 +630,7 @@ def test_classify_agrees_with_the_reference_past_a_moved_entry(entry_id, k, wild
     agree_with_reference(ledger, entry.r, entry.n, genera)
 
 
-@pytest.mark.parametrize("pair", AGREEMENT_PAIRS)
+@pytest.mark.parametrize("pair", THRESHOLD_PAIRS)
 def test_deep_queries_answer_in_closed_form(pair):
     from test_cli import _time_cap
 
@@ -650,11 +650,11 @@ def test_deep_queries_answer_in_closed_form(pair):
 def test_a_deep_query_grows_no_window():
     ledger = Ledger(load_ledger().entries, source="copy")
     engine = ClassificationEngine(ledger)
-    for r, n in AGREEMENT_PAIRS:
+    for r, n in THRESHOLD_PAIRS:
         engine.classify(Query(r, n, admissible_floor(r, n, 40) + 1, 40))
     shallow = dict(ledger.windows)
     assert set(shallow) == {(3, 2), (4, 1)}
-    for r, n in AGREEMENT_PAIRS:
+    for r, n in THRESHOLD_PAIRS:
         engine.classify(Query(r, n, admissible_floor(r, n, 10**9) + 1, 10**9))
     assert ledger.windows == shallow
     assert all(ledger.windows[pair] is window for pair, window in shallow.items())
@@ -663,8 +663,9 @@ def test_a_deep_query_grows_no_window():
 def test_an_exceptional_genus_and_the_one_above_are_breakpoints(monkeypatch):
     # a hypothetical exceptional case at the bottom of the (3, 2) column at
     # genus 30 lifts the floor there, past every exact entry's genus
-    bottom = (admissible_floor(3, 2, 30), 30)
-    monkeypatch.setitem(EXCEPTIONAL_PAIRS, (3, 2), EXCEPTIONAL_PAIRS[(3, 2)] | {bottom})
+    bottom = (3, 2, admissible_floor(3, 2, 30), 30)
+    row = EXCEPTIONAL[(3, 2, 8, 6)]._replace(case=bottom, description="mutant")
+    monkeypatch.setitem(audits.EXCEPTIONAL, bottom, row)
     ledger = Ledger(load_ledger().entries, source="copy")
     agree_with_reference(ledger, 3, 2, range(30, 30 + 8 * 12, 8))
     assert {30, 38} <= {h for h, _ in ledger.windows[(3, 2)][30 % 8]}
@@ -681,7 +682,7 @@ def test_a_high_exact_entry_costs_the_window_no_steps_below_it():
     assert v.status == "general"
     assert engine.validate_trace(v.trace) == []
     dg = CANONICAL_STEP[3][1]
-    genera = {g for _, g in EXCEPTIONAL_PAIRS[(3, 2)]} | {
+    genera = {g for r, n, _, g in EXCEPTIONAL if (r, n) == (3, 2)} | {
         e.g for e in ledger.entries if (e.r, e.n) == (3, 2) and not e.is_wildcard
     }
     assert sum(map(len, ledger.windows[(3, 2)])) <= dg + 2 * len(genera)
@@ -721,7 +722,7 @@ def test_engines_in_threads_share_a_window_safely():
     ledger = move_up("r3n2-pglue-14-14", 3)  # a long (3, 2) window
     queries = [
         Query(r, n, admissible_floor(r, n, g) + 1, g)
-        for r, n in AGREEMENT_PAIRS
+        for r, n in THRESHOLD_PAIRS
         for g in range(60, 70)
     ]
     want = [ReferenceEngine(ledger).segments(*q) for q in queries]
@@ -811,10 +812,7 @@ def test_a_canonical_step_lifts_the_domain_floor_by_its_degree():
 def genus_walk(ledger, r, n, d_max, g_max):
     """The rows and seeds of ``_sweep`` with every genus derived by ``_genus``."""
     engine = ClassificationEngine(ledger)
-    wildcard = ledger.wildcard(r, n)
-    if wildcard is not None and wildcard.tag in AUXILIARY_TAGS:
-        wildcard = None
-    return [engine._genus(r, n, g, d_max, wildcard) for g in range(g_max + 1)]
+    return [engine._genus(r, n, g, d_max) for g in range(g_max + 1)]
 
 
 def high_r3n1_entry(tag, r3n1_wildcard):

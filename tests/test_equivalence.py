@@ -5,7 +5,7 @@ derivation as a tree of single steps, before derivations became run-length
 paths; those of the exceptional cases and the whole-battery commands were
 recorded before the exceptional cases became one table in ``audits``,
 except the two ``verify-all`` digests, recorded when the
-``low-genus-nonspecial`` check began to prove its claim for all integers.
+``exceptional-floor`` check joined the battery.
 The three ``schubert`` digests were recorded from the kernel that built a
 whole cycle per Pieri step, before products were summed in one dict.  The
 help and usage-error digests were recorded when argparse parsed every
@@ -79,8 +79,8 @@ EXCEPTIONAL = {
 COMMANDS = {
     "audit --all": "6f158375d3c2b314e83ce4a67a1148408b6f63894d20bc49ac7aaad6726d2734",
     "audit --all --json": "05c335ae8e9484f66df050ed15e8289cdaa4aafa3aac98cbe138a3d0ca23f48c",
-    "verify-all": "4a753b21402d1e52223944d3c3e2f88625d6224ac90a7b7e59ba709fa72c15f1",
-    "verify-all --json": "eed7926d23864c8333e6ea8ab82b91b0169b7f9854912e32c8a3b18ceec554e6",
+    "verify-all": "a766ad5e11e0fcf2bf53cc2ad969d14de3afbb0e292e4b95dfe8376a078ec956",
+    "verify-all --json": "237091f72809b12686216257d52b4c71031bc7bf31fa32427db20973b6dc297e",
     "audit --case 3,2,9,9": "0ff1be943853413242a040432251ea8d1b01b136c7381221f9f7943a1a25e441",
     "schubert --n 4 2 2 2": "cde6c90c3bc116b0bf04cdc81071d7b0c7e0e89ecc1a71d4c0958c322702c437",
     "schubert --n 6 1 2,1 3,3 1,1 --json": (

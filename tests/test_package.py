@@ -468,4 +468,4 @@ def test_python_m_gensect_runs_from_a_source_checkout():
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.endswith("24 checks: 24 passed, 0 failed\n")
+    assert done.stdout.endswith("25 checks: 25 passed, 0 failed\n")

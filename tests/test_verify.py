@@ -1,8 +1,9 @@
 """The verify checks against independent references: the identity checks
 prove their identities for all integers and fail on every mutated numerology
 core, the exceptional sweep answers as the per-cell loop it replaces, on
-the bundled code and on a mutated exceptional table, and ledger integrity
-fails every misplaced exemption and plane or skew-lines tag."""
+the bundled code and on a mutated exceptional table, the exceptional floor
+fails a case above an admissible degree, and ledger integrity fails every
+misplaced exemption and plane or skew-lines tag."""
 
 import pytest
 
@@ -297,8 +298,6 @@ def test_sweep_matches_per_cell_reference_on_bundled_ledger():
 def test_sweep_fails_when_an_exceptional_pair_is_added_mid_column(monkeypatch):
     # (20, 5) is not at the bottom of its genus column, so the grid rows read
     # it as general; only classifying it shows that it is exceptional
-    pairs = engine_module.EXCEPTIONAL_PAIRS
-    monkeypatch.setitem(pairs, (3, 2), pairs[(3, 2)] | {(20, 5)})
     row = EXCEPTIONAL[(3, 2, 8, 6)]._replace(case=(3, 2, 20, 5), description="mutant")
     monkeypatch.setitem(EXCEPTIONAL, (3, 2, 20, 5), row)
     result = verify.check_exceptional_sweep(ClassificationEngine())
@@ -320,6 +319,45 @@ def test_sweep_classifies_only_the_exceptional_table(monkeypatch):
     assert verify.check_exceptional_sweep(ClassificationEngine()).ok
     expected_cells = sum(len(cells) for cells in verify.EXPECTED_EXCEPTIONAL.values())
     assert len(calls) <= len(EXCEPTIONAL) + expected_cells
+
+
+# -- every exceptional case at the bottom of its genus column ---------------------------
+
+
+def test_exceptional_floor_holds_on_the_table():
+    result = verify.check_exceptional_floor()
+    assert result.ok
+    assert result.detail == "the degree below each case is out of domain or exceptional"
+
+
+def _add_20_5(table):
+    table[(3, 2, 20, 5)] = table[(3, 2, 8, 6)]._replace(case=(3, 2, 20, 5), description="mutant")
+
+
+@pytest.mark.parametrize(
+    "mutate, detail",
+    [
+        (_add_20_5, "(3, 2, 20, 5): (3, 2, 19, 5) is admissible"),
+        # then (6, 2) sits above an admissible degree
+        (lambda table: table.pop((3, 2, 5, 2)), "(3, 2, 6, 2): (3, 2, 5, 2) is admissible"),
+    ],
+    ids=["(3, 2, 20, 5) added", "(3, 2, 5, 2) dropped"],
+)
+def test_exceptional_floor_fails_a_case_above_an_admissible_degree(mutate, detail):
+    # the one table, edited in place so that the engine reads the mutant too,
+    # and restored in its order
+    saved = dict(EXCEPTIONAL)
+    try:
+        mutate(EXCEPTIONAL)
+        result = verify.check_exceptional_floor()
+        assert (result.ok, result.detail) == (False, detail)
+        # in the whole battery the check fails by its own name, with no internal error
+        failed = {r.id: r.detail for r in verify.run_all() if not r.ok}
+    finally:
+        EXCEPTIONAL.clear()
+        EXCEPTIONAL.update(saved)
+    assert failed["exceptional-floor"] == detail
+    assert "internal-error" not in failed
 
 
 # -- one battery, one box audit per pair ----------------------------------------------
