@@ -3,14 +3,13 @@
 ``EXCEPTIONAL`` is the one table of the exceptional cases: per case (r, n, d,
 g) one record holding the case, the number d * n of intersection points, a
 description of the intersection, an optional note and the evidence that it
-is not general.  The engine's exceptional lists are derived from it, and the
-same record is an exceptional verdict's descriptor and ``run_audit``'s
-answer.  Most evidence counts conditions: the points of
-intersection lie on (or are cut out by) a linear system that a general point
-collection of the same size would escape.  Two cases tally family dimensions
-and exhibit a deficit against the symmetric power of the surface.  One case
-rests on a cited external interpolation bound and is recorded as such rather
-than refabricated.
+is not general.  The engine reads it directly, and the same record is an
+exceptional verdict's descriptor and ``run_audit``'s answer.  Most evidence
+counts conditions: the points of intersection lie on (or are cut out by) a
+linear system that a general point collection of the same size would
+escape.  Two cases tally family dimensions and exhibit a deficit against
+the symmetric power of the surface.  One case rests on a cited external
+interpolation bound and is recorded as such rather than refabricated.
 """
 
 from __future__ import annotations
@@ -182,8 +181,8 @@ def _row(case: Case, description: str, evidence, note: str | None = None) -> Exc
     return ExceptionalCase(case, points, description, evidence(points), note)
 
 
-#: The ten exceptional cases of the theorem.  The engine's exceptional lists
-#: and verdict descriptors are read from this table.  All h0 values are
+#: The ten exceptional cases of the theorem.  The engine reads its exceptional
+#: cases and verdict descriptors from this table.  All h0 values are
 #: recomputed from form_space_dim or rr_curve; the only literals are the case
 #: data themselves (bidegrees, genus tallies).
 EXCEPTIONAL: dict[Case, ExceptionalCase] = {

@@ -49,6 +49,7 @@ RULE_ADD_CANONICAL = "add_canonical"
 RULE_DOWNGRADE = "downgrade"
 RULE_LEDGER = "ledger"
 _RUN_RULES = (RULE_ADD_LINE, RULE_ADD_CANONICAL)  # the rules that repeat
+_RUN_PAIRS = ((3, 2), (4, 1))  # the pairs they apply to
 
 
 class IncompleteLedgerError(RuntimeError):
@@ -103,10 +104,13 @@ class Segment(tuple):
         return (r, n, d - i * dd, g - i * dg)
 
     def premise(self) -> tuple[int, int, int, int] | None:
-        """The case the segment rests on; None for a ledger leaf."""
+        """The case the segment rests on; None for a ledger leaf and for a
+        rule that does not apply to the case's pair: add_line and
+        add_canonical apply to (3, 2) and (4, 1), downgrade to (3, 1)."""
+        r, n, d, g = self.case
         if self.rule == RULE_DOWNGRADE:
-            return (3, 2) + self.case[2:]
-        return self.at(self.repeat) if self.rule in _RUN_RULES else None
+            return (3, 2, d, g) if (r, n) == (3, 1) else None
+        return self.at(self.repeat) if self.rule in _RUN_RULES and (r, n) in _RUN_PAIRS else None
 
 
 @named_fields
@@ -216,6 +220,20 @@ class Verdict(tuple):
         return _new(cls, (status, reason, trace, descriptor))
 
 
+def admissible(r: int, n: int, d: int, g: int) -> bool:
+    """Whether a case is one the engine derives: its pair is supported, it is
+    in domain and it is not exceptional."""
+    return (r, n) in SUPPORTED_PAIRS and in_domain(r, d, g) and (r, n, d, g) not in EXCEPTIONAL
+
+
+def _leaf(entry: LedgerEntry | None, g: int) -> LedgerEntry | None:
+    """``entry`` if a case at genus g may rest on it directly, else None: the
+    one rule against auxiliary leaves, which serve only as premises below
+    genus 0, where no query or sweep reaches.  Every leaf the engine takes,
+    from ``Ledger.lookup``, and every leaf a trace cites passes here."""
+    return entry if entry is not None and (entry.tag not in AUXILIARY_TAGS or g < 0) else None
+
+
 def admissible_floor(r: int, n: int, g: int) -> int | None:
     """The least d with (r, n, d, g) in domain and not exceptional, if any.
 
@@ -296,18 +314,11 @@ class ClassificationEngine:
                 return Verdict("general", trace=DerivationTrace(tuple(segments)))
             r, n, d, g = threshold.premise()
             threshold = self._threshold(r, n, g) if g >= 0 else None  # no rule below genus 0
-        entry = self._leaf(r, n, d, g)
+        entry = _leaf(self.ledger.lookup(r, n, d, g), g)
         if entry is None:
             raise IncompleteLedgerError(tuple(q))
         segments.append(Segment((r, n, d, g), RULE_LEDGER, 1, entry.id))
         return Verdict("general", trace=DerivationTrace(tuple(segments)))
-
-    def _leaf(self, r: int, n: int, d: int, g: int) -> LedgerEntry | None:
-        """The ledger entry a case may rest on directly: the one rule against
-        auxiliary leaves, which serve only as premises below genus 0, where no
-        query or sweep reaches.  Every leaf the engine takes is read here."""
-        entry = self.ledger.lookup(r, n, d, g)
-        return entry if entry is not None and (entry.tag not in AUXILIARY_TAGS or g < 0) else None
 
     def _threshold(self, r: int, n: int, g: int) -> Segment | None:
         """The step deriving f(g), g >= 0; None if nothing there is derivable.
@@ -356,9 +367,10 @@ class ClassificationEngine:
         exceptional = (g for pr, pn, _, g in EXCEPTIONAL if (pr, pn) == (r, n))
         for g in (*self.ledger.exact_genera(r, n), *exceptional):
             genera.update((g, g + dg))
+        lookup = self.ledger.lookup
         columns = []  # by residue, each from its seed dg below its least genus
         for g in range(-dg, 0):
-            leaves = (self._leaf(r, n, d, g) for d in self.ledger.exact_degrees(r, n, g))
+            leaves = (_leaf(lookup(r, n, d, g), g) for d in self.ledger.exact_degrees(r, n, g))
             seed = next((e for e in leaves if e and e.rho_exempt), None)
             columns.append([(g, seed and Segment((r, n, seed.d, g), RULE_LEDGER, 1, seed.id))])
         for h in sorted(h for h in genera if h >= 0):  # each column bottom up
@@ -389,7 +401,7 @@ class ClassificationEngine:
         while free in exact:
             free += 1
         for d in sorted({free, *(e for e in exact if e >= lo)}):
-            entry = self._leaf(r, n, d, g)
+            entry = _leaf(self.ledger.lookup(r, n, d, g), g)
             if entry is not None:
                 return Segment((r, n, d, g), RULE_LEDGER, 1, entry.id)
         return None
@@ -403,13 +415,13 @@ class ClassificationEngine:
         Below the threshold a degree derives only from a leaf (``_leaf``);
         above the exact entries' degrees it can only be the wildcard, so if
         the first such degree has a leaf, no higher degree is looked up."""
-        floor = admissible_floor(r, n, g)
+        floor, lookup = admissible_floor(r, n, g), self.ledger.lookup
         step, threshold = self._window_step(r, n, g)
         leaf = None  # where the floor's first step is add_canonical or a downgrade
         if step is None or floor < threshold or (
             step.rule == RULE_LEDGER and step.case == (r, n, floor, g)
         ):
-            leaf = self._leaf(r, n, floor, g)
+            leaf = _leaf(lookup(r, n, floor, g), g)
         seed = floor if leaf is not None and leaf.tag in CONSTRUCTIVE_TAGS else None
         if d_max < 1:
             return "", seed
@@ -418,9 +430,9 @@ class ClassificationEngine:
         if floor < top:
             exact = self.ledger.exact_degrees(r, n, g)
             free = max(floor, exact[-1] + 1) if exact else floor
-            if free < top and self._leaf(r, n, free, g) is not None:
+            if free < top and _leaf(lookup(r, n, free, g), g) is not None:
                 top = free  # the wildcard covers every degree from free up
-            band = "".join("G" if self._leaf(r, n, d, g) else "?" for d in range(floor, top))
+            band = "".join("G" if _leaf(lookup(r, n, d, g), g) else "?" for d in range(floor, top))
         low = domain_floor(r, g)
         row = "." * min(low - 1, d_max) + "E" * (floor - low) + band + "G" * (d_max + 1 - top)
         return row[:d_max], seed
@@ -520,64 +532,42 @@ class ClassificationEngine:
     def validate_trace(self, trace: DerivationTrace) -> list[str]:
         """Replay a trace root to leaf; returns the list of soundness violations.
 
-        O(1) per segment: along a run rho is constant while d and g fall, and
-        exceptional cases sit at the bottom of their column below genus 8, so
-        a run's inner premises are admissible iff its last one is."""
-        problems: list[str] = []
+        One pass, O(1) per segment, in the engine's own terms: the root and
+        each premise must be ``admissible`` (add_canonical may rest on a
+        rho_exempt leaf), each premise is the one ``Segment.premise`` names,
+        no rule step names an entry, and the leaf's entry covers its case and
+        passes ``_leaf``.  A run's inner cases are not visited: above an
+        admissible premise they stay in domain (rho is fixed along
+        add_canonical and rises with the degree along add_line), and the
+        ``exceptional-floor`` check of ``verify`` finds no exceptional case
+        one add_line or add_canonical step above an admissible case, so
+        they are admissible when the premise is."""
         segments = trace.segments
         for seg in segments:  # type(): a JSON bool is an int to isinstance()
             if tuple(map(type, seg.case)) != (int, int, int, int):
                 return [f"{seg.case}: case is not four integers"]
-        for seg, below in zip(segments, segments[1:] + (None,)):
             if seg.repeat < 1:
-                problems.append(f"{seg.case}: a segment has at least one step")
-                break
-            last = seg._replace(case=seg.at(seg.repeat - 1), repeat=1)
-            if seg.repeat > 1:
-                self._check_step(last._replace(case=seg.at(seg.repeat - 2)), last, problems)
-            if not self._check_step(last, below, problems):
-                break
+                return [f"{seg.case}: a segment has at least one step"]
+        root, leaf = segments[0].case, segments[-1]
+        entry = self.ledger.get(leaf.entry_id) if leaf.rule == RULE_LEDGER else None
+        problems = [] if admissible(*root) else [f"{root}: not an admissible case"]
+        for seg, below in zip(segments, segments[1:]):
+            last, premise = seg.at(seg.repeat - 1), seg.premise()
+            if premise is None:
+                problems.append(f"{last}: rule {seg.rule} rests on no premise here")
+                continue
+            if seg.entry_id is not None:
+                problems.append(f"{seg.case}: rule step {seg.rule} names an entry")
+            exempt = seg.rule == RULE_ADD_CANONICAL and below is leaf and entry and entry.rho_exempt
+            if below.case != premise:
+                problems.append(f"{last}: {seg.rule} premise {below.case} has wrong invariants")
+            elif not (admissible(*premise) or exempt):
+                problems.append(f"{last}: {seg.rule} premise {premise} not admissible")
+        case = leaf.at(leaf.repeat - 1)
+        if leaf.rule != RULE_LEDGER:
+            problems.append(f"{case}: rule {leaf.rule} needs exactly one premise")
+        elif entry is None:
+            problems.append(f"{case}: unknown ledger entry {leaf.entry_id}")
+        elif not (entry.matches(*case) and _leaf(entry, case[3])):
+            problems.append(f"{case}: ledger entry {entry.id} does not cover this case")
         return problems
-
-    def _check_step(
-        self, node: Segment, child: Segment | None, problems: list[str]
-    ) -> bool:
-        """Check one step against its premise; False where the replay stops."""
-        r, n, d, g = node.case
-        if node.rule == RULE_LEDGER:
-            if child is not None:
-                problems.append(f"{node.case}: ledger leaf with children")
-            if node.entry_id is None:
-                problems.append(f"{node.case}: ledger leaf without an entry id")
-            elif not self.ledger.has(node.entry_id):
-                problems.append(f"{node.case}: unknown ledger entry {node.entry_id}")
-            elif not self.ledger.get(node.entry_id).matches(r, n, d, g):
-                problems.append(
-                    f"{node.case}: ledger entry {node.entry_id} does not cover this case"
-                )
-            return False
-        if child is None:
-            problems.append(f"{node.case}: rule {node.rule} needs exactly one premise")
-            return False
-        if node.rule == RULE_DOWNGRADE:
-            if (r, n) != (3, 1) or child.case != (3, 2, d, g):
-                problems.append(f"{node.case}: downgrade must link (3, 1) to (3, 2)")
-            return True
-        if node.rule not in _RUN_RULES:
-            problems.append(f"{node.case}: unknown rule {node.rule}")
-            return False
-        cr, cn, cd, cg = child.case
-        if child.case != node.premise():
-            problems.append(f"{node.case}: {node.rule} premise {child.case} has wrong invariants")
-        exempt = (
-            node.rule == RULE_ADD_CANONICAL
-            and child.rule == RULE_LEDGER
-            and self.ledger.has(child.entry_id)
-            and self.ledger.get(child.entry_id).rho_exempt
-        )
-        admissible = in_domain(cr, cd, cg) and (cr, cn, cd, cg) not in EXCEPTIONAL
-        if not (admissible or exempt):
-            problems.append(f"{node.case}: {node.rule} premise {child.case} not admissible")
-        if cd >= d:
-            problems.append(f"{node.case}: premise degree does not decrease")
-        return True

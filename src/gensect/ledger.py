@@ -138,11 +138,9 @@ class Ledger:
         self._genera = {key: tuple(sorted(gs)) for key, gs in genera.items()}
         self.windows: dict = {}
 
-    def get(self, entry_id: str) -> LedgerEntry:
-        return self._by_id[entry_id]
-
-    def has(self, entry_id: str) -> bool:
-        return entry_id in self._by_id
+    def get(self, entry_id: str) -> LedgerEntry | None:
+        """The entry with this id, or None if there is none."""
+        return self._by_id.get(entry_id)
 
     def lookup(self, r: int, n: int, d: int, g: int) -> LedgerEntry | None:
         """Exact-case entry if present, else the wildcard entry for (r, n)."""

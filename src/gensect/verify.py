@@ -519,6 +519,11 @@ def check_ledger_integrity(engine: ClassificationEngine) -> CheckResult:
                 problems.append(
                     f"{entry.id}: premise ({pr}, {pn}, {pd}, {pg}) is {verdict.status}"
                 )
+                continue
+            problems += (
+                f"{entry.id}: premise ({pr}, {pn}, {pd}, {pg}) derivation: {problem}"
+                for problem in engine.validate_trace(verdict.trace)
+            )
     return CheckResult(
         "ledger-integrity",
         "ledger invariants hold and every verifiable premise classifies as general",
@@ -638,13 +643,16 @@ def check_audits() -> CheckResult:
 
 
 def check_exceptional_floor() -> CheckResult:
-    # admissible_floor, the grid rows' E span and validate_trace's O(1) run
-    # replay read a genus's admissible degrees as one interval from the floor
-    problems = [
-        f"{(r, n, d, g)}: ({r}, {n}, {d - 1}, {g}) is admissible"
-        for r, n, d, g in audits.EXCEPTIONAL
-        if in_domain(r, d - 1, g) and (r, n, d - 1, g) not in audits.EXCEPTIONAL
-    ]
+    # admissible_floor and the grid rows' E span read a genus's admissible
+    # degrees as one interval from the floor; validate_trace's O(1) replay of
+    # a run also reads the case one add_canonical step below each exceptional
+    # case as not admissible
+    problems = []
+    for r, n, d, g in audits.EXCEPTIONAL:
+        step = engine_module.Segment((r, n, d, g), engine_module.RULE_ADD_CANONICAL)
+        for below in ((r, n, d - 1, g), step.premise()):
+            if below is not None and engine_module.admissible(*below):
+                problems.append(f"{(r, n, d, g)}: {below} is admissible")
     return CheckResult(
         "exceptional-floor",
         "every exceptional case sits at the bottom of its genus column",

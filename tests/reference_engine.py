@@ -42,7 +42,7 @@ def extend(segments: list, seg: Segment) -> None:
         and last.rule == seg.rule
         and seg.rule in RUN_RULES
         and last.entry_id == seg.entry_id
-        and last.premise() == seg.case
+        and last.at(last.repeat) == seg.case
     ):
         segments[-1] = last._replace(repeat=last.repeat + seg.repeat)
     else:

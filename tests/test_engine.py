@@ -239,7 +239,7 @@ def test_a_frontier_probe_builds_no_segment(monkeypatch):
 
 
 def test_traces_validate_across_sweep(engine):
-    for (r, n) in ((3, 2), (3, 1), (4, 1)):
+    for (r, n) in ((2, 1), (2, 2), (3, 2), (3, 1), (4, 1)):
         for g in range(0, 41):
             for d in range(1, 61):
                 if not in_domain(r, d, g) or (r, n, d, g) in EXCEPTIONAL:
@@ -315,14 +315,73 @@ def test_validator_rejects_a_segment_of_no_steps(engine, repeat):
 
 def test_validator_checks_the_inside_of_a_run(engine):
     # (6, 2) and (5, 2) are exceptional: the run from (8, 2) crosses (6, 2)
-    # mid-run, before it reaches its last premise
+    # mid-run, so its premise (5, 2), below it in the column, is not admissible
     crossing = trace_from_payload(
         [step((3, 2, d, 2), "add_line") for d in (8, 7, 6)]
         + [step((3, 2, 5, 2), "ledger", "r3n1-genus2-5-2")]
     )
     assert crossing.segments[0] == Segment((3, 2, 8, 2), "add_line", 3)
     problems = engine.validate_trace(crossing)
-    assert "(3, 2, 7, 2): add_line premise (3, 2, 6, 2) not admissible" in problems
+    assert "(3, 2, 6, 2): add_line premise (3, 2, 5, 2) not admissible" in problems
+
+
+def leaf_trace(case, entry_id):
+    return DerivationTrace((Segment(case, "ledger", 1, entry_id),))
+
+
+@pytest.mark.parametrize(
+    "root, entry_id, wildcard",
+    [
+        ((2, 1, 1, 5), "r2n1-plane", None),  # rho = -13
+        ((2, 1, 3, -1), "r2n1-plane", None),  # genus -1
+        ((4, 1, 3, -2), "r4n1-skew-lines", None),  # the seed as a root
+        ((3, 2, 4, 1), "r3n2-anything", (3, 2)),  # exceptional
+    ],
+    ids=["rho-negative", "genus-negative", "seed", "exceptional"],
+)
+def test_validator_rejects_a_root_that_is_not_admissible(root, entry_id, wildcard):
+    engine = ClassificationEngine(with_wildcard(*wildcard) if wildcard else None)
+    assert engine.classify(Query(*root)).status in ("invalid", "exceptional")
+    assert engine.validate_trace(leaf_trace(root, entry_id)) == [
+        f"{root}: not an admissible case"
+    ]
+
+
+@pytest.mark.parametrize("case", [(4, 1, 40, 20), (2, 1, 5, 3)])
+def test_validator_takes_no_auxiliary_leaf_from_genus_0_up(case):
+    # a SkewLines wildcard for the pair, in place of the plane wildcard for (2, 1)
+    r, n, _, _ = case
+    entries = with_wildcard(r, n, tag="SkewLines").entries
+    ledger = Ledger(tuple(e for e in entries if e.id != f"r{r}n{n}-plane"), source="doctored")
+    entry_id = f"r{r}n{n}-anything"
+    assert ClassificationEngine(ledger).validate_trace(leaf_trace(case, entry_id)) == [
+        f"{case}: ledger entry {entry_id} does not cover this case"
+    ]
+
+
+def test_validator_rejects_a_rule_step_that_names_an_entry(engine):
+    trace = trace_from_payload(
+        [step((3, 2, 4, 0), "add_line", "r4n1-delpezzo-9-5"),
+         step((3, 2, 3, 0), "ledger", "r3n2-interp-3-0")]
+    )
+    assert engine.validate_trace(trace) == ["(3, 2, 4, 0): rule step add_line names an entry"]
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        # add_line and add_canonical apply to (3, 2) and (4, 1) only
+        [((2, 1, 5, 0), "add_line", None), ((2, 1, 4, 0), "ledger", "r2n1-plane")],
+        [((3, 1, 8, 5), "add_line", None), ((3, 1, 7, 5), "ledger", "r3n1-delpezzo-7-5")],
+        # downgrade links (3, 1) to (3, 2) only
+        [((3, 2, 7, 4), "downgrade", None), ((3, 2, 7, 4), "ledger", "r3n2-delpezzo-7-4")],
+    ],
+)
+def test_validator_applies_each_rule_only_to_its_pairs(engine, records):
+    trace = trace_from_payload([step(*record) for record in records])
+    (case, rule, _), (below, _, entry_id) = records
+    assert engine.validate_trace(trace) == [f"{case}: rule {rule} rests on no premise here"]
+    assert engine.validate_trace(leaf_trace(below, entry_id)) == []
 
 
 # -- ledger ------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 
 from gensect import audits, engine as engine_module, lattices, numerology, verify
 from gensect.audits import EXCEPTIONAL
-from gensect.engine import ClassificationEngine, IncompleteLedgerError, Query
+from gensect.engine import ClassificationEngine, DerivationTrace, IncompleteLedgerError, Query
 from gensect.ledger import Ledger, load_ledger
 from gensect.numerology import BNIndex, in_domain
 
@@ -334,14 +334,21 @@ def _add_20_5(table):
     table[(3, 2, 20, 5)] = table[(3, 2, 8, 6)]._replace(case=(3, 2, 20, 5), description="mutant")
 
 
+def _add_26_30(table):
+    table[(3, 2, 26, 30)] = table[(3, 2, 8, 6)]._replace(case=(3, 2, 26, 30), description="mutant")
+
+
 @pytest.mark.parametrize(
     "mutate, detail",
     [
         (_add_20_5, "(3, 2, 20, 5): (3, 2, 19, 5) is admissible"),
         # then (6, 2) sits above an admissible degree
         (lambda table: table.pop((3, 2, 5, 2)), "(3, 2, 6, 2): (3, 2, 5, 2) is admissible"),
+        # at the bottom of its genus column, but one add_canonical step above
+        # an admissible case, so an add_canonical run can cross it
+        (_add_26_30, "(3, 2, 26, 30): (3, 2, 20, 22) is admissible"),
     ],
-    ids=["(3, 2, 20, 5) added", "(3, 2, 5, 2) dropped"],
+    ids=["(3, 2, 20, 5) added", "(3, 2, 5, 2) dropped", "(3, 2, 26, 30) added"],
 )
 def test_exceptional_floor_fails_a_case_above_an_admissible_degree(mutate, detail):
     # the one table, edited in place so that the engine reads the mutant too,
@@ -430,6 +437,32 @@ def test_every_exemption_of_a_case_not_out_of_domain_fails_ledger_integrity(entr
     assert not result.ok
     assert f"{entry_id}: case " in result.detail
     assert "is exempted but not out of domain" in result.detail
+
+
+def test_ledger_integrity_replays_each_premise_derivation(monkeypatch):
+    # an engine whose add_line runs are one step too long still classifies
+    # every premise as general; only the replay of its trace catches it
+    classify = ClassificationEngine.classify
+
+    def one_step_longer(self, query):
+        verdict = classify(self, query)
+        if verdict.trace is None:
+            return verdict
+        segments = tuple(
+            seg._replace(repeat=seg.repeat + 1) if seg.rule == "add_line" else seg
+            for seg in verdict.trace.segments
+        )
+        return verdict._replace(trace=DerivationTrace(segments))
+
+    assert verify.check_ledger_integrity(ClassificationEngine()).ok
+    monkeypatch.setattr(ClassificationEngine, "classify", one_step_longer)
+    result = verify.check_ledger_integrity(ClassificationEngine())
+    assert not result.ok
+    assert result.detail.split("; ") == [
+        f"r3n2-pglue-{d + 4}-{g + 8}: premise (3, 2, {d}, {g}) derivation: "
+        f"(3, 2, {d - 1}, {g}): add_line premise (3, 2, {d - 1}, {g}) has wrong invariants"
+        for d, g in ((6, 1), (8, 4), (9, 5), (10, 6))
+    ]
 
 
 @pytest.mark.parametrize(
