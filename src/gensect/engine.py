@@ -533,21 +533,23 @@ class ClassificationEngine:
         """Replay a trace root to leaf; returns the list of soundness violations.
 
         One pass, O(1) per segment, in the engine's own terms: the root and
-        each premise must be ``admissible`` (add_canonical may rest on a
-        rho_exempt leaf), each premise is the one ``Segment.premise`` names,
-        no rule step names an entry, and the leaf's entry covers its case and
-        passes ``_leaf``.  A run's inner cases are not visited: above an
-        admissible premise they stay in domain (rho is fixed along
-        add_canonical and rises with the degree along add_line), and the
-        ``exceptional-floor`` check of ``verify`` finds no exceptional case
-        one add_line or add_canonical step above an admissible case, so
-        they are admissible when the premise is."""
+        each premise must be ``admissible`` (an add_canonical run may rest
+        on a rho_exempt leaf if its last case is), each premise is the one
+        ``Segment.premise`` names, no rule step names an entry, and the
+        leaf's entry covers its case and passes ``_leaf``.  A run's inner
+        cases are not visited: above an admissible case they stay in domain
+        (rho is fixed along add_canonical and rises with the degree along
+        add_line), and the ``exceptional-floor`` check of ``verify`` finds
+        no exceptional case one add_line or add_canonical step above an
+        admissible case, so they are admissible too."""
         segments = trace.segments
         for seg in segments:  # type(): a JSON bool is an int to isinstance()
             if tuple(map(type, seg.case)) != (int, int, int, int):
                 return [f"{seg.case}: case is not four integers"]
             if seg.repeat < 1:
                 return [f"{seg.case}: a segment has at least one step"]
+            if seg.repeat > 1 and seg.rule not in _RUN_RULES:
+                return [f"{seg.case}: rule {seg.rule} does not repeat"]
         root, leaf = segments[0].case, segments[-1]
         entry = self.ledger.get(leaf.entry_id) if leaf.rule == RULE_LEDGER else None
         problems = [] if admissible(*root) else [f"{root}: not an admissible case"]
@@ -561,11 +563,13 @@ class ClassificationEngine:
             exempt = seg.rule == RULE_ADD_CANONICAL and below is leaf and entry and entry.rho_exempt
             if below.case != premise:
                 problems.append(f"{last}: {seg.rule} premise {below.case} has wrong invariants")
-            elif not (admissible(*premise) or exempt):
+            elif not (admissible(*premise) or exempt and admissible(*last)):
                 problems.append(f"{last}: {seg.rule} premise {premise} not admissible")
         case = leaf.at(leaf.repeat - 1)
         if leaf.rule != RULE_LEDGER:
             problems.append(f"{case}: rule {leaf.rule} needs exactly one premise")
+        elif leaf.entry_id is None:
+            problems.append(f"{case}: ledger leaf without an entry id")
         elif entry is None:
             problems.append(f"{case}: unknown ledger entry {leaf.entry_id}")
         elif not (entry.matches(*case) and _leaf(entry, case[3])):

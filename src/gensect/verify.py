@@ -526,7 +526,7 @@ def check_ledger_integrity(engine: ClassificationEngine) -> CheckResult:
             )
     return CheckResult(
         "ledger-integrity",
-        "ledger invariants hold and every verifiable premise classifies as general",
+        "ledger invariants hold and every verifiable premise classifies as general by a derivation that validates",
         not problems,
         "; ".join(problems) if problems else f"{len(ledger.entries)} entries validated",
     )
@@ -655,9 +655,9 @@ def check_exceptional_floor() -> CheckResult:
                 problems.append(f"{(r, n, d, g)}: {below} is admissible")
     return CheckResult(
         "exceptional-floor",
-        "every exceptional case sits at the bottom of its genus column",
+        "every exceptional case sits at the bottom of its genus column and one add_canonical step above no admissible case",
         not problems,
-        "; ".join(problems) or "the degree below each case is out of domain or exceptional",
+        "; ".join(problems) or "the degree and the add_canonical step below each case are not admissible",
     )
 
 

@@ -313,6 +313,20 @@ def test_validator_rejects_a_segment_of_no_steps(engine, repeat):
     assert engine.validate_trace(empty_run) == ["(3, 2, 7, 4): a segment has at least one step"]
 
 
+@pytest.mark.parametrize(
+    "segments",
+    [
+        (Segment((3, 2, 3, 0), "ledger", 2, "r3n2-interp-3-0"),),
+        (Segment((3, 1, 3, 0), "downgrade", 2), Segment((3, 2, 3, 0), "ledger", 1, "r3n2-interp-3-0")),
+    ],
+    ids=["ledger", "downgrade"],
+)
+def test_validator_repeats_only_add_line_and_add_canonical(engine, segments):
+    # trace_from_payload runs only the two run rules; a trace built directly can repeat any
+    rule = segments[0].rule
+    assert engine.validate_trace(DerivationTrace(segments)) == [f"{segments[0].case}: rule {rule} does not repeat"]
+
+
 def test_validator_checks_the_inside_of_a_run(engine):
     # (6, 2) and (5, 2) are exceptional: the run from (8, 2) crosses (6, 2)
     # mid-run, so its premise (5, 2), below it in the column, is not admissible
@@ -323,6 +337,26 @@ def test_validator_checks_the_inside_of_a_run(engine):
     assert crossing.segments[0] == Segment((3, 2, 8, 2), "add_line", 3)
     problems = engine.validate_trace(crossing)
     assert "(3, 2, 6, 2): add_line premise (3, 2, 5, 2) not admissible" in problems
+
+
+def test_validator_lets_no_run_cross_an_exceptional_case_to_an_exempt_leaf():
+    # (3, 2, 8, 6) is exceptional; below it the run rests on a rho_exempt
+    # entry at (3, 2, 2, -2), which the ledger's invariants allow
+    full = load_ledger()
+    exempt = full.get("r4n1-skew-lines")._replace(id="r3n2-skew", r=3, n=2, d=2, g=-2)
+    ledger = Ledger(entries=full.entries + (exempt,), source="doctored")
+    assert list(ledger.invariant_problems()) == []
+    crossing = DerivationTrace(
+        (Segment((3, 2, 14, 14), "add_canonical", 2), Segment((3, 2, 2, -2), "ledger", 1, "r3n2-skew"))
+    )
+    assert ClassificationEngine(ledger).validate_trace(crossing) == [
+        "(3, 2, 8, 6): add_canonical premise (3, 2, 2, -2) not admissible"
+    ]
+
+
+def test_validator_names_a_ledger_leaf_without_an_entry_id(engine):
+    trace = DerivationTrace((Segment((3, 2, 3, 0), "ledger"),))
+    assert engine.validate_trace(trace) == ["(3, 2, 3, 0): ledger leaf without an entry id"]
 
 
 def leaf_trace(case, entry_id):

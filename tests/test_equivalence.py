@@ -4,8 +4,9 @@ The SHA-256 digests below were recorded from the engine that stored every
 derivation as a tree of single steps, before derivations became run-length
 paths; those of the exceptional cases and the whole-battery commands were
 recorded before the exceptional cases became one table in ``audits``,
-except the two ``verify-all`` digests, recorded when the
-``exceptional-floor`` check joined the battery.
+except the two ``verify-all`` digests, recorded when the descriptions of
+``ledger-integrity`` and ``exceptional-floor`` named their replay and
+add_canonical checks.
 The three ``schubert`` digests were recorded from the kernel that built a
 whole cycle per Pieri step, before products were summed in one dict.  The
 help and usage-error digests were recorded when argparse parsed every
@@ -79,8 +80,8 @@ EXCEPTIONAL = {
 COMMANDS = {
     "audit --all": "6f158375d3c2b314e83ce4a67a1148408b6f63894d20bc49ac7aaad6726d2734",
     "audit --all --json": "05c335ae8e9484f66df050ed15e8289cdaa4aafa3aac98cbe138a3d0ca23f48c",
-    "verify-all": "a766ad5e11e0fcf2bf53cc2ad969d14de3afbb0e292e4b95dfe8376a078ec956",
-    "verify-all --json": "237091f72809b12686216257d52b4c71031bc7bf31fa32427db20973b6dc297e",
+    "verify-all": "65a0179cd68971c587438692e014fd6ea44605fdbb5c6efd541a17f0e2ae2baa",
+    "verify-all --json": "aca312d09d396b0ef7b2a0885639205157a36cca607f212e638640e66989099d",
     "audit --case 3,2,9,9": "0ff1be943853413242a040432251ea8d1b01b136c7381221f9f7943a1a25e441",
     "schubert --n 4 2 2 2": "cde6c90c3bc116b0bf04cdc81071d7b0c7e0e89ecc1a71d4c0958c322702c437",
     "schubert --n 6 1 2,1 3,3 1,1 --json": (

@@ -327,7 +327,7 @@ def test_sweep_classifies_only_the_exceptional_table(monkeypatch):
 def test_exceptional_floor_holds_on_the_table():
     result = verify.check_exceptional_floor()
     assert result.ok
-    assert result.detail == "the degree below each case is out of domain or exceptional"
+    assert result.detail == "the degree and the add_canonical step below each case are not admissible"
 
 
 def _add_20_5(table):
