@@ -11,8 +11,9 @@ Importing the package loads none of its submodules.  Each public name is
 imported from the submodule that defines it on first access (PEP 562), so
 ``gensect.ClassificationEngine()`` loads the engine, the ledger, the
 numerology and the audits table, never the lattice, Schubert or verify
-layers, and from the standard library only ``__future__`` and the built-in
-``_collections``, which gives the records their field accessors.
+layers, and from the standard library only the built-in ``_collections``,
+which gives the records their field accessors, and ``_json``, whose scanner
+reads the bundled ledger.
 """
 
 import sys

@@ -12,8 +12,6 @@ the symmetric power of the surface.  One case rests on a cited external
 interpolation bound and is recorded as such rather than refabricated.
 """
 
-from __future__ import annotations
-
 from ._record import _new, named_fields
 
 
@@ -77,7 +75,7 @@ class ConditionCount(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, points: int, h0: int, comparison: str, system: str) -> ConditionCount:
+    def __new__(cls, points: int, h0: int, comparison: str, system: str) -> "ConditionCount":
         return _new(cls, (points, h0, comparison, system))
 
     @property
@@ -94,7 +92,7 @@ class DimensionDeficit(tuple):
 
     def __new__(
         cls, components: tuple[tuple[str, int], ...], ambient_dim: int
-    ) -> DimensionDeficit:
+    ) -> "DimensionDeficit":
         return _new(cls, (components, ambient_dim))
 
     @property
@@ -108,7 +106,7 @@ class ExternalFact(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, citation: str) -> ExternalFact:
+    def __new__(cls, citation: str) -> "ExternalFact":
         return _new(cls, (citation,))
 
 
@@ -130,7 +128,7 @@ class ExceptionalCase(tuple):
         description: str,
         evidence: ConditionCount | DimensionDeficit | ExternalFact,
         note: str | None = None,
-    ) -> ExceptionalCase:
+    ) -> "ExceptionalCase":
         return _new(cls, (case, points, description, evidence, note))
 
 

@@ -330,18 +330,19 @@ class _Command(tuple):
         return _new(cls, (handler, help, flags, positional))
 
 
+_R = _Flag("r", int, True, help="ambient projective dimension")
+_N = _Flag("n", int, True, help="hypersurface degree")
+_JSON = _Flag("json", bool, default=False, help="emit a JSON report")
 _LEDGER = _Flag("ledger", str, help="override the ledger data file")
 
 _QUERY_FLAGS = {
-    "--r": _Flag("r", int, True, help="ambient projective dimension"),
-    "--n": _Flag("n", int, True, help="hypersurface degree"),
+    "--r": _R,
+    "--n": _N,
     "--d": _Flag("d", int, True, help="curve degree"),
     "--g": _Flag("g", int, True, help="curve genus"),
-    "--json": _Flag("json", bool, default=False, help="emit a JSON report"),
+    "--json": _JSON,
     "--ledger": _LEDGER,
 }
-
-_JSON = _Flag("json", bool, default=False)
 
 #: Every subcommand, in the order ``--help`` lists them.  Both the parser of
 #: well-formed command lines and the argparse parser are built from this.
@@ -352,12 +353,12 @@ _COMMANDS = {
         _cmd_table,
         "verdict grid and frontier for one (r, n)",
         {
-            "--r": _Flag("r", int, True),
-            "--n": _Flag("n", int, True),
-            "--d-max": _Flag("d_max", int, default=60),
-            "--g-max": _Flag("g_max", int, default=40),
+            "--r": _R,
+            "--n": _N,
+            "--d-max": _Flag("d_max", int, default=60, help="largest curve degree"),
+            "--g-max": _Flag("g_max", int, default=40, help="largest curve genus"),
             "--json": _JSON,
-            "--ledger": _Flag("ledger", str),
+            "--ledger": _LEDGER,
         },
     ),
     "audit": _Command(

@@ -26,11 +26,11 @@ Rules mirror the inductive structure of the underlying argument:
 * ``ledger``      - a cited base case.
 """
 
-from __future__ import annotations
-
 from ._record import _new, named_fields
 from .audits import EXCEPTIONAL, ExceptionalCase
 from .ledger import (
+    _FOUR_INTS,
+    _STR_OR_NULL,
     AUXILIARY_TAGS,
     CONSTRUCTIVE_TAGS,
     Ledger,
@@ -68,7 +68,7 @@ class IncompleteLedgerError(RuntimeError):
 class Query(tuple):
     __slots__ = ()
 
-    def __new__(cls, r: int, n: int, d: int, g: int) -> Query:
+    def __new__(cls, r: int, n: int, d: int, g: int) -> "Query":
         return _new(cls, (r, n, d, g))
 
 
@@ -87,7 +87,7 @@ class Segment(tuple):
         rule: str,
         repeat: int = 1,
         entry_id: str | None = None,
-    ) -> Segment:
+    ) -> "Segment":
         return _new(cls, (case, rule, repeat, entry_id))
 
     @property
@@ -124,7 +124,7 @@ class DerivationTrace(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, segments: tuple[Segment, ...]) -> DerivationTrace:
+    def __new__(cls, segments: tuple[Segment, ...]) -> "DerivationTrace":
         if not segments:
             raise ValueError("a derivation has at least one step")
         return _new(cls, (segments,))
@@ -138,9 +138,6 @@ class DerivationTrace(tuple):
         ]
 
 
-_STR_OR_NULL = (str, type(None))
-
-
 def _trace_record(index: int, record: dict) -> tuple[tuple, str, str | None]:
     """The case, rule and entry of one JSON trace record.
 
@@ -151,7 +148,7 @@ def _trace_record(index: int, record: dict) -> tuple[tuple, str, str | None]:
     case = record.get("case") if type(record) is dict else None
     if not (
         isinstance(case, (list, tuple))
-        and tuple(map(type, case)) == (int, int, int, int)
+        and tuple(map(type, case)) == _FOUR_INTS
         and type(record.get("rule")) is str
         and type(record.get("entry")) in _STR_OR_NULL
     ):
@@ -216,7 +213,7 @@ class Verdict(tuple):
         reason: str | None = None,
         trace: DerivationTrace | None = None,
         descriptor: ExceptionalCase | None = None,
-    ) -> Verdict:
+    ) -> "Verdict":
         return _new(cls, (status, reason, trace, descriptor))
 
 
@@ -283,8 +280,13 @@ class ClassificationEngine:
     # -- classification ----------------------------------------------------
 
     def classify(self, q: Query) -> Verdict:
-        """Total and deterministic; General verdicts carry a complete trace."""
+        """Total and deterministic over integer queries; General verdicts
+        carry a complete trace.  Raises ValueError unless r, n, d and g are
+        integers (not booleans), and IncompleteLedgerError for an admissible
+        case the ledger does not derive."""
         r, n, d, g = q
+        if tuple(map(type, q)) != _FOUR_INTS:
+            raise ValueError(f"r, n, d and g must be integers, got {r!r}, {n!r}, {d!r}, {g!r}")
         if (r, n) not in SUPPORTED_PAIRS:
             return Verdict(
                 "invalid",
@@ -458,6 +460,10 @@ class ClassificationEngine:
         and is not derived.  A column whose rows hold a hole or a seed is
         derived genus by genus, so ``table`` raises at its first hole and
         the audit lists every one."""
+        if tuple(map(type, (r, n, d_max, g_max))) != _FOUR_INTS:
+            raise ValueError(
+                f"r, n, d_max and g_max must be integers, got {r!r}, {n!r}, {d_max!r}, {g_max!r}"
+            )
         if (r, n) not in SUPPORTED_PAIRS:
             raise ValueError(f"unsupported pair ({r}, {n})")
         dg = CANONICAL_STEP[r][1] if r in CANONICAL_STEP else 1
@@ -490,8 +496,10 @@ class ClassificationEngine:
         the pair reads, and above it a column of whole rows is one string
         sliced at the domain floor, so the derivations a grid costs are
         bounded by the ledger, not by g_max.  Raises ValueError for an
-        unsupported pair, and IncompleteLedgerError for the first underivable
-        case, by genus then degree, as soon as its row is built."""
+        argument that is not an integer (or is a boolean) and for an
+        unsupported pair, and IncompleteLedgerError for the first
+        underivable case, by genus then degree, as soon as its row is
+        built."""
         rows, frontier = [], []
         for g, (row, seed) in enumerate(self._sweep(r, n, d_max, g_max)):
             if "?" in row:
@@ -541,11 +549,18 @@ class ClassificationEngine:
         (rho is fixed along add_canonical and rises with the degree along
         add_line), and the ``exceptional-floor`` check of ``verify`` finds
         no exceptional case one add_line or add_canonical step above an
-        admissible case, so they are admissible too."""
+        admissible case, so they are admissible too.  A segment field of the
+        wrong type is reported as a problem, not raised."""
         segments = trace.segments
         for seg in segments:  # type(): a JSON bool is an int to isinstance()
-            if tuple(map(type, seg.case)) != (int, int, int, int):
+            if not isinstance(seg.case, tuple) or tuple(map(type, seg.case)) != _FOUR_INTS:
                 return [f"{seg.case}: case is not four integers"]
+            if type(seg.repeat) is not int:
+                return [f"{seg.case}: repeat {seg.repeat!r} is not an integer"]
+            if type(seg.rule) is not str:
+                return [f"{seg.case}: rule {seg.rule!r} is not a string"]
+            if type(seg.entry_id) not in _STR_OR_NULL:
+                return [f"{seg.case}: entry {seg.entry_id!r} is neither a string nor None"]
             if seg.repeat < 1:
                 return [f"{seg.case}: a segment has at least one step"]
             if seg.repeat > 1 and seg.rule not in _RUN_RULES:

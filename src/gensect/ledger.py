@@ -6,14 +6,12 @@ cases it quotes as premises, any attached gluing data, and a citation
 string carrying a verbatim quote of the statement it rests on.  The ledger
 ships as a JSON data file, ``data/ledger.json``, which is part of the public
 contract; a single flag on the command line swaps in another such file for
-fault-injection runs.  The package also ships the same records as Python
-literals in ``_bundled_ledger``, generated from the JSON file by
-``python tools/bundle_ledger.py``, so loading the bundled ledger needs no
-JSON parser.  Both kinds of record pass the same validation.  The bundled
-ledger is built once per process, on first use, and shared.
+fault-injection runs.  The bundled file is read with the C scanner that
+``json.loads`` itself calls, ``_json.make_scanner``, so loading it imports
+no ``json`` package; another file is read with ``json.loads``, which words
+its errors.  Both pass the same validation.  The bundled ledger is built
+once per process, on first use, and shared.
 """
-
-from __future__ import annotations
 
 from ._record import _new, named_fields
 from .numerology import INTERPOLATION_EXCEPTIONS, BNIndex, in_domain, interpolation_gates
@@ -49,7 +47,7 @@ class GlueData(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, d2: int, g2: int, points: int, twist: int) -> GlueData:
+    def __new__(cls, d2: int, g2: int, points: int, twist: int) -> "GlueData":
         return _new(cls, (d2, g2, points, twist))
 
 
@@ -80,7 +78,7 @@ class LedgerEntry(tuple):
         rho_exempt: bool = False,
         premises_stated_only: bool = False,
         note: str | None = None,
-    ) -> LedgerEntry:
+    ) -> "LedgerEntry":
         return _new(
             cls,
             (id, r, n, d, g, tag, citation, quote, premises, glue, rho_exempt,
@@ -284,8 +282,19 @@ def _entry_from_record(record: dict) -> LedgerEntry:
 
 _BUNDLED: Ledger | None = None
 
+#: The bundled ledger file, next to this module; found without ``os``.
+_BUNDLED_FILE = __file__.rpartition("ledger.py")[0] + "data/ledger.json"
+
 #: The longest ledger file read; the bundled ``data/ledger.json`` is 13 kB.
 _MAX_LEDGER_BYTES = 16 * 2**20
+
+
+class _ScanContext:
+    """The scanner settings ``json.loads`` uses by default."""
+
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_int, parse_float, parse_constant = int, float, float
 
 
 def load_ledger(path: str | None = None) -> Ledger:
@@ -296,9 +305,12 @@ def load_ledger(path: str | None = None) -> Ledger:
     if path is None and _BUNDLED is not None:
         return _BUNDLED
     if path is None:
-        from ._bundled_ledger import RECORDS as records
+        import _json
 
         source = "bundled"
+        with open(_BUNDLED_FILE, "rb") as file:
+            text = file.read().decode()
+        records = _json.make_scanner(_ScanContext)(text, 0)[0]["entries"]
     else:
         import json
 

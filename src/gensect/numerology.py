@@ -13,8 +13,6 @@ evaluates on polynomials too, which is how the verify battery proves the
 identities between them for all integers.
 """
 
-from __future__ import annotations
-
 from ._record import _new, named_fields
 
 #: (d, g, r) triples whose normal bundle fails interpolation even though the
@@ -30,7 +28,7 @@ class BNIndex(tuple):
 
     __slots__ = ()
 
-    def __new__(cls, r: int, d: int, g: int) -> BNIndex:
+    def __new__(cls, r: int, d: int, g: int) -> "BNIndex":
         if r < 2:
             raise ValueError(f"ambient dimension r must be >= 2, got {r}")
         if d < 1:

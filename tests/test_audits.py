@@ -111,6 +111,21 @@ def test_every_exceptional_case_has_one_audit(capsys):
     assert {a["verdict"] for a in audits} == {"not_general"}
 
 
+@pytest.mark.parametrize(
+    "evidence, problem",
+    [
+        (ConditionCount(9, 8, "cut_out_by", "quadric surfaces"), "cut_out_by needs n <= h0"),
+        (ConditionCount(7, 8, "lies_on", "quadric surfaces"), "lies_on needs n >= h0"),
+        (DimensionDeficit((("family", 16),), 16), "family dimension does not fall short"),
+        (DimensionDeficit((("family", 1),), 10), "ambient is not Sym^n of a surface"),
+    ],
+    ids=["cut-out-by", "lies-on", "no-deficit", "ambient"],
+)
+def test_audit_evidence_problems_names_each_inconsistency(evidence, problem):
+    report = run_audit((3, 2, 4, 1))._replace(evidence=evidence)  # 8 points
+    assert audit_evidence_problems(report) == [f"(3, 2, 4, 1): {problem}"]
+
+
 def test_deficit_ambient_is_symmetric_power_dimension():
     for case in EXCEPTIONAL:
         ev = run_audit(case).evidence

@@ -216,6 +216,24 @@ def test_a_sweep_rejects_an_unsupported_pair_and_builds_no_window(pair, sweep):
     assert engine.ledger.windows == {}
 
 
+@pytest.mark.parametrize(
+    "call, args, shown",
+    [
+        ("classify", (Query(3, 2, 30.0, 20),), "3, 2, 30.0, 20"),
+        ("classify", (Query(3, 2, "30", 20),), "3, 2, '30', 20"),
+        ("classify", (Query(3, 2, True, 0),), "3, 2, True, 0"),
+        ("table", (3.0, 2, 10, 5), "3.0, 2, 10, 5"),
+        ("frontier", (3, 2, 5.0), "3, 2, 0, 5.0"),
+        ("completeness_audit", (3, 2, 10, 5.0), "3, 2, 10, 5.0"),
+        ("table", (3, 2, False, 5), "3, 2, False, 5"),
+    ],
+)
+def test_a_library_call_rejects_an_argument_that_is_not_an_integer(engine, call, args, shown):
+    with pytest.raises(ValueError, match=r"must be integers, got ") as raised:
+        getattr(engine, call)(*args)
+    assert str(raised.value).endswith(shown) and "\n" not in str(raised.value)
+
+
 def test_frontier_lists(engine):
     for (r, n), expected in FRONTIER_LISTS.items():
         g_max = max(g for _, g in expected)
@@ -311,6 +329,41 @@ def test_validator_rejects_a_segment_of_no_steps(engine, repeat):
         )
     )
     assert engine.validate_trace(empty_run) == ["(3, 2, 7, 4): a segment has at least one step"]
+
+
+@pytest.mark.parametrize(
+    "segments, problem",
+    [
+        (
+            (Segment(None, "ledger", 1, "r3n2-interp-3-0"),),
+            "None: case is not four integers",
+        ),
+        (
+            (Segment((3, 2, 3, 0), "ledger", "1", "r3n2-interp-3-0"),),
+            "(3, 2, 3, 0): repeat '1' is not an integer",
+        ),
+        (
+            (Segment((3, 2, 3, 0), "ledger", 1, ["x"]),),
+            "(3, 2, 3, 0): entry ['x'] is neither a string nor None",
+        ),
+        (
+            (Segment((3, 2, 4, 0), "add_line", 1.0), Segment((3, 2, 3, 0), "ledger", 1, "r3n2-interp-3-0")),
+            "(3, 2, 4, 0): repeat 1.0 is not an integer",
+        ),
+        (
+            (Segment((3, 2, 4, 0), "add_line", True), Segment((3, 2, 3, 0), "ledger", 1, "r3n2-interp-3-0")),
+            "(3, 2, 4, 0): repeat True is not an integer",
+        ),
+        (
+            (Segment((3, 2, 4, 0), ["add_line"]), Segment((3, 2, 3, 0), "ledger", 1, "r3n2-interp-3-0")),
+            "(3, 2, 4, 0): rule ['add_line'] is not a string",
+        ),
+    ],
+    ids=["no-case", "str-repeat", "list-entry", "float-repeat", "bool-repeat", "list-rule"],
+)
+def test_validator_reports_a_field_of_the_wrong_type(engine, segments, problem):
+    # trace_from_payload never builds these; a trace built directly can
+    assert engine.validate_trace(DerivationTrace(segments)) == [problem]
 
 
 @pytest.mark.parametrize(

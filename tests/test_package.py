@@ -24,19 +24,21 @@ from gensect.schubert import sigma
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 #: Standard-library modules that no gensect command needs: records are tuple
-#: subclasses with their own ``__new__`` and annotations stay strings.  Only
-#: argparse's help and usage errors load shutil, for the terminal width.
+#: subclasses with their own ``__new__`` and annotations name only built-in
+#: types or stay strings.  Only argparse's help and usage errors load shutil,
+#: for the terminal width.
 NOT_FOR_ANY_COMMAND = ("dataclasses", "typing", "inspect", "shutil")
 
 #: The command line; the layers that only ``verify-all`` and the
 #: ``lines``/``schubert`` commands use; the standard-library packages that
-#: reading the bundled ledger does not need, since it ships as Python
-#: literals; ``importlib`` and ``warnings``, which the lazy namespace does
-#: without; ``functools`` and ``weakref``, since the threshold window is a
-#: plain attribute of the ledger; and ``collections``, with the modules it
-#: imports, and ``math``, since records get their field accessors from the
-#: built-in ``_collections`` and the one binomial coefficient is a closed
-#: form.  Loading an engine and answering a query imports none of them.
+#: reading the bundled ledger does not need, since the built-in ``_json``
+#: scanner parses it; ``importlib`` and ``warnings``, which the lazy
+#: namespace does without; ``functools`` and ``weakref``, since the threshold
+#: window is a plain attribute of the ledger; and ``collections``, with the
+#: modules it imports, and ``math``, since records get their field accessors
+#: from the built-in ``_collections`` and the one binomial coefficient is a
+#: closed form.  Loading an engine and answering a query imports none of
+#: them.
 NOT_FOR_THE_ENGINE = (
     "gensect.lattices",
     "gensect.schubert",
@@ -62,7 +64,7 @@ NOT_FOR_THE_ENGINE = (
 
 #: All that a ready engine adds to the standard-library modules a bare
 #: ``python -S`` has loaded.
-ENGINE_STDLIB = {"__future__", "_collections"}
+ENGINE_STDLIB = {"_collections", "_json"}
 
 #: The module set is read before the probe imports json to print it.
 PROBE = """
@@ -266,10 +268,7 @@ def test_audits_imports_only_the_record_helpers():
         for node in ast.walk(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
-    assert imports == [
-        (0, "__future__", ["annotations"]),
-        (1, "_record", ["_new", "named_fields"]),
-    ]
+    assert imports == [(1, "_record", ["_new", "named_fields"])]
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,10 @@ prove their identities for all integers and fail on every mutated numerology
 core, the exceptional sweep answers as the per-cell loop it replaces, on
 the bundled code and on a mutated exceptional table, the exceptional floor
 fails a case above an admissible degree, and ledger integrity fails every
-misplaced exemption and plane or skew-lines tag."""
+misplaced exemption and plane or skew-lines tag.  The README's table of
+the checks by strength names every check in run order."""
+
+import os
 
 import pytest
 
@@ -287,6 +290,48 @@ def per_cell_sweep(engine):
         if underivable:
             problems.append(f"({r}, {n}): {underivable} cases underivable")
     return not problems, problems
+
+
+PLANE_2 = lattices.SurfaceModel.del_pezzo(2)
+QUADRIC = lattices.SurfaceModel.quadric()
+
+
+@pytest.mark.parametrize(
+    "surface, problems",
+    [
+        (
+            PLANE_2._replace(gram=((1, 0), (0, -1, 0), (0, 0, -1))),
+            ["Gram matrix is not square"],
+        ),
+        (
+            QUADRIC._replace(gram=((0, 1), (2, 0))),
+            ["Gram matrix asymmetric at (0, 1)", "Gram matrix asymmetric at (1, 0)"],
+        ),
+        (QUADRIC._replace(basis_names=("A",)), ["basis data does not match the Gram rank"]),
+        (
+            PLANE_2._replace(canonical=(-3, 1, 0)),
+            ["del Pezzo canonical class is not -3L + sum E_i"],
+        ),
+        (
+            PLANE_2._replace(gram=((1, 0, 0), (0, -2, 0), (0, 0, -1))),
+            ["del Pezzo Gram diagonal wrong at 1"],
+        ),
+        (
+            PLANE_2._replace(gram=((1, 1, 0), (1, -1, 0), (0, 0, -1))),
+            ["del Pezzo Gram off-diagonal nonzero at (0, 1)",
+             "del Pezzo Gram off-diagonal nonzero at (1, 0)"],
+        ),
+        (QUADRIC._replace(canonical=(-2, -1)), ["quadric canonical class is not (-2, -2)"]),
+        (verify.SEXTIC_K3._replace(canonical=(1, 0)), ["K3 canonical class is nonzero"]),
+    ],
+    ids=[
+        "not-square", "asymmetric", "basis", "dp-canonical", "dp-diagonal",
+        "dp-off-diagonal", "quadric-canonical", "k3-canonical",
+    ],
+)
+def test_surface_invariant_problems_names_each_violation(surface, problems):
+    # _replace skips the checks of SurfaceModel.__new__
+    assert verify.surface_invariant_problems(surface) == problems
 
 
 def test_sweep_matches_per_cell_reference_on_bundled_ledger():
@@ -649,3 +694,15 @@ def test_restriction_isomorphisms_name_the_sites_that_disagree(
     result = verify.check_restriction_isomorphisms()
     assert result.ok is (module is None)
     assert result.detail == detail
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+STRENGTHS = {"proved", "exhaustive", "box", "anchor"}
+
+
+def test_the_readme_table_of_strengths_names_every_check_in_run_order():
+    with open(README, encoding="utf-8") as file:
+        after_header = file.read().split("| Check | Strength | Over |\n| --- | --- | --- |\n")[1]
+    rows = [line.split(" | ") for line in after_header.split("\n\n")[0].splitlines()]
+    assert [row[0].strip("| `") for row in rows] == [r.id for r in verify.run_all()]
+    assert {row[1] for row in rows} == STRENGTHS
